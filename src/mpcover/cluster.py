@@ -6,10 +6,19 @@ rounds).  Only received bits are accounted: every machine has an inbox
 budget of mem_c * n * ceil(log2(n+2))**mem_e bits per round, and a round in
 which any inbox exceeds the budget raises BudgetError.
 
-Primitives append entries to a round log.  Long loops (the weight-update
-iterations) coalesce their per-iteration entries into one record so logs
-stay proportional to the primitive schedule, not to the iteration count;
-the sum of logged rounds always equals the cluster round counter.
+The accounting plane is separate from the data plane.  The rounds and the
+largest inbox of a broadcast or a converge-cast depend only on its shape:
+m, the vector width and the entry width.  Both are charged in closed form
+through charge(); a converge-cast's sum is computed directly, without
+replaying the tree.  step_round is for every other round: per-receiver
+inboxes are summed from explicit (sender, receiver, bits) triples.
+
+Every charge appends an entry to a round log.  Long loops (the
+weight-update iterations) run inside coalesce blocks, which fold every
+charge made in them into one running (rounds, peak) record and log it once
+when the block closes, so logs stay proportional to the primitive
+schedule, not to the iteration count; the sum of logged rounds always
+equals the cluster round counter.
 """
 
 from __future__ import annotations
@@ -28,23 +37,14 @@ class BudgetError(RuntimeError):
     """A machine received more bits in one round than the memory budget."""
 
 
+class LogDriftError(AssertionError):
+    """The round log no longer sums to the cluster's round counter."""
+
+
 def ceil_log2(x: int) -> int:
-    assert x >= 1
+    if x < 1:
+        raise ValueError(f"ceil_log2 needs x >= 1, got {x}")
     return (x - 1).bit_length()
-
-
-@dataclass(frozen=True)
-class Message:
-    sender: int
-    receiver: int
-    bit_size: int
-    payload: bytes | None = None
-
-    def __post_init__(self) -> None:
-        if self.payload is not None and self.bit_size != 8 * len(self.payload):
-            raise ValueError("bit_size must equal serialized payload length")
-        if self.bit_size < 0:
-            raise ValueError("bit_size must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,8 @@ class Cluster:
     """m set machines (ids 1..m), machine 1 also acting as central."""
 
     def __init__(self, m: int, n: int, mem_c: int | None = None, mem_e: int | None = None):
-        assert m >= 1 and n >= 1
+        if m < 1 or n < 1:
+            raise ValueError(f"a cluster needs m >= 1 and n >= 1, got m={m} n={n}")
         if mem_c is None:
             mem_c = int(os.environ.get("MPC_MEM_C", DEFAULT_MEM_C))
         if mem_e is None:
@@ -75,43 +76,59 @@ class Cluster:
         self.rounds = 0
         self.peak_inbox_bits = 0
         self.log: list[RoundLogEntry] = []
+        self._blocks: list[list[int]] = []  # running [rounds, peak] per open coalesce block
 
-    # -- low level ---------------------------------------------------------
+    # -- accounting --------------------------------------------------------
 
-    def _account_round(self, bits_by_machine: dict[int, int]) -> int:
-        """Advance one round; return the largest inbox of the round."""
-        peak = 0
-        for machine, bits in bits_by_machine.items():
-            assert 1 <= machine <= self.m and bits >= 0
-            if bits > self.budget_bits:
-                err = BudgetError(
-                    f"machine {machine} received {bits} bits in round "
-                    f"{self.rounds + 1}, budget is {self.budget_bits}"
-                )
-                err.cluster = self  # partial log stays reachable for flushing
-                raise err
-            peak = max(peak, bits)
-        self.rounds += 1
-        self.peak_inbox_bits = max(self.peak_inbox_bits, peak)
-        return peak
+    def charge(self, label: str, rounds: int, peak: int) -> None:
+        """Count `rounds` rounds in which no inbox exceeds `peak` bits.
 
-    def _log(self, primitive: str, rounds: int, peak_bits: int) -> None:
-        self.log.append(RoundLogEntry(primitive, rounds, peak_bits))
+        Raises BudgetError, carrying this cluster as err.cluster, before
+        anything is counted when peak is above the per-round budget.
+        """
+        if rounds < 0 or peak < 0:
+            raise ValueError(f"'{label}': rounds and peak must be nonnegative")
+        if peak > self.budget_bits:
+            err = BudgetError(
+                f"'{label}' puts {peak} bits in one inbox in round "
+                f"{self.rounds + 1}, budget is {self.budget_bits}"
+            )
+            err.cluster = self  # partial log stays reachable for flushing
+            raise err
+        self.rounds += rounds
+        if peak > self.peak_inbox_bits:
+            self.peak_inbox_bits = peak
+        self._record(label, rounds, peak)
+
+    def _record(self, label: str, rounds: int, peak: int) -> None:
+        if self._blocks:
+            block = self._blocks[-1]
+            block[0] += rounds
+            if peak > block[1]:
+                block[1] = peak
+        else:
+            self.log.append(RoundLogEntry(label, rounds, peak))
 
     # -- primitives --------------------------------------------------------
 
     def step_round(self, deliveries, label: str = "step_round") -> None:
-        """Deliver one round of point-to-point messages.
+        """Deliver one irregular round of point-to-point messages.
 
-        deliveries: iterable of Message or (sender, receiver, bit_size).
+        deliveries: iterable of (sender, receiver, bits) triples; a
+        receiver's inbox is the sum of the bits sent to it.
         """
         inbox: dict[int, int] = {}
-        for d in deliveries:
-            if not isinstance(d, Message):
-                d = Message(*d)
-            inbox[d.receiver] = inbox.get(d.receiver, 0) + d.bit_size
-        peak = self._account_round(inbox)
-        self._log(label, 1, peak)
+        for _sender, receiver, bits in deliveries:
+            if bits < 0:
+                raise ValueError(f"'{label}': message size must be nonnegative, got {bits}")
+            if not 1 <= receiver <= self.m:
+                raise ValueError(f"'{label}': receiver {receiver} outside [1, {self.m}]")
+            inbox[receiver] = inbox.get(receiver, 0) + bits
+        self.charge(label, 1, max(inbox.values(), default=0))
+
+    def broadcast(self, payload_bits: int, label: str = "broadcast") -> None:
+        """Central sends the same payload to every other machine, 1 round."""
+        self.charge(label, 1, payload_bits if self.m > 1 else 0)
 
     def convergecast_sum(self, vectors, entry_bits: int, label: str = "convergecast_sum"):
         """Sum per-machine vectors along a fixed binary tree rooted at central.
@@ -122,44 +139,11 @@ class Cluster:
         bits, the worst-case width of a partial sum.  Returns the exact sum.
         """
         arr = np.asarray(vectors)
-        assert arr.shape[0] == self.m
-        width = arr.shape[1]
-        bw = entry_bits + ceil_log2(self.m) if self.m > 1 else entry_bits
-        partial = arr.copy()
-        rounds_used = 0
-        peak = 0
-        stride = 1
-        while stride < self.m:
-            senders = np.arange(1 + stride, self.m + 1, 2 * stride)
-            receivers = senders - stride
-            partial[receivers - 1] += partial[senders - 1]
-            inbox = {int(r): width * bw for r in receivers}
-            peak = max(peak, self._account_round(inbox))
-            rounds_used += 1
-            stride *= 2
-        assert rounds_used == (ceil_log2(self.m) if self.m > 1 else 0)
-        self._log(label, rounds_used, peak)
-        return partial[0]
-
-    def broadcast(self, payload_bits: int, label: str = "broadcast") -> None:
-        """Central sends the same payload to every other machine, 1 round."""
-        inbox = {j: payload_bits for j in range(1, self.m + 1) if j != self.central}
-        peak = self._account_round(inbox)
-        self._log(label, 1, peak)
-
-    def neighbor_exchange(self, messages, label: str = "neighbor_exchange") -> None:
-        """One round of disjoint pairwise sends (at most 2 per receiver)."""
-        inbox: dict[int, int] = {}
-        seen: dict[int, int] = {}
-        for d in messages:
-            if not isinstance(d, Message):
-                d = Message(*d)
-            seen[d.receiver] = seen.get(d.receiver, 0) + 1
-            if seen[d.receiver] > 2:
-                raise ValueError(f"receiver {d.receiver} paired more than twice in one round")
-            inbox[d.receiver] = inbox.get(d.receiver, 0) + d.bit_size
-        peak = self._account_round(inbox)
-        self._log(label, 1, peak)
+        if arr.ndim != 2 or arr.shape[0] != self.m:
+            raise ValueError(f"'{label}': expected shape ({self.m}, width), got {arr.shape}")
+        depth = ceil_log2(self.m)
+        self.charge(label, depth, arr.shape[1] * (entry_bits + depth) if depth else 0)
+        return arr.sum(axis=0)
 
     # -- composition -------------------------------------------------------
 
@@ -175,30 +159,26 @@ class Cluster:
         """
         lanes = list(lanes)
         rounds_used = max((l.rounds for l in lanes), default=0)
-        bits_sum = sum(l.peak_inbox_bits for l in lanes)
-        if bits_sum > self.budget_bits:
-            err = BudgetError(
-                f"parallel batch '{label}' inbox sum {bits_sum} exceeds budget {self.budget_bits}"
-            )
-            err.cluster = self
-            raise err
-        self.rounds += rounds_used
-        self.peak_inbox_bits = max(self.peak_inbox_bits, bits_sum)
-        self._log(label, rounds_used, bits_sum)
+        self.charge(label, rounds_used, sum(l.peak_inbox_bits for l in lanes))
 
     @contextmanager
     def coalesce(self, label: str):
-        """Collapse all entries logged inside the block into one entry."""
-        mark = len(self.log)
-        yield
-        entries = self.log[mark:]
-        del self.log[mark:]
-        rounds_used = sum(e.rounds for e in entries)
-        peak = max((e.peak_bits for e in entries), default=0)
-        self._log(label, rounds_used, peak)
+        """Log everything charged inside the block as one entry: rounds
+        summed, peak the largest.  Blocks nest; a block left by an exception
+        still logs what it charged, so the log keeps summing to the round
+        counter."""
+        block = [0, 0]
+        self._blocks.append(block)
+        try:
+            yield
+        finally:
+            self._blocks.pop()
+            self._record(label, block[0], block[1])
 
     def check_log_consistent(self) -> None:
-        assert sum(e.rounds for e in self.log) == self.rounds
+        logged = sum(e.rounds for e in self.log)
+        if logged != self.rounds:
+            raise LogDriftError(f"round log sums to {logged}, cluster counted {self.rounds}")
 
 
 def log_to_jsonl(entries, meta: dict | None = None) -> str:

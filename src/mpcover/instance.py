@@ -9,6 +9,7 @@ inside one line are dropped silently; duplicate sets are legal.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +66,9 @@ def load_instance(text: str) -> SetSystem:
         raise InstanceError(f"line 1: m exceeds n ({m} > {n})")
     if len(lines) < m + 1:
         raise InstanceError(f"expected {m} set lines, file ends at line {len(lines)}")
-    for extra in lines[m + 1 :]:
+    for lineno, extra in enumerate(lines[m + 1 :], start=m + 2):
         if extra.strip():
-            raise InstanceError(f"line {lines.index(extra) + 1}: trailing content after {m} sets")
+            raise InstanceError(f"line {lineno}: trailing content after {m} sets")
     sets = []
     for j in range(1, m + 1):
         toks = lines[j].split()
@@ -98,6 +99,15 @@ def set_masks(sys: SetSystem) -> tuple[int, ...]:
             mask |= 1 << (e - 1)
         masks.append(mask)
     return tuple(masks)
+
+
+def incidence(sys: SetSystem) -> np.ndarray:
+    """The m x n incidence matrix as bools: row j-1 is the indicator of set j."""
+    rows = np.zeros((sys.m, sys.n), dtype=bool)
+    sizes = [len(s) for s in sys.sets]
+    elems = np.fromiter(itertools.chain.from_iterable(sys.sets), dtype=np.intp, count=sum(sizes))
+    rows[np.repeat(np.arange(sys.m), sizes), elems - 1] = True
+    return rows
 
 
 def frequency(sys: SetSystem) -> tuple[int, ...]:

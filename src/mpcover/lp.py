@@ -31,7 +31,7 @@ import numpy as np
 
 from .cluster import Cluster, ceil_log2
 from .fixmath import exp2_frac
-from .instance import SetSystem
+from .instance import SetSystem, incidence
 
 TRUNC_BITS_PER_LOG = 10
 # Runtime bound asserted on the averaged iterate: max constraint value must
@@ -141,9 +141,7 @@ class LpContext:
         self.f_arr = np.array(self.f, dtype=np.int64)
         self.d_arr = self.f_arr << self.s
         self.rows = [np.array([e - 1 for e in s], dtype=np.intp) for s in sys.sets]
-        self.s_mat = np.zeros((m, n), dtype=np.int64)
-        for j, idx in enumerate(self.rows):
-            self.s_mat[j, idx] = 1
+        self.s_mat = incidence(sys).astype(np.int64)
         classes: dict[int, list[int]] = {}
         for i, fv in enumerate(self.f):
             classes.setdefault(fv, []).append(i)
@@ -295,7 +293,7 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster, debug_sink=None) -> Frac
             z_ind = np.zeros(m, dtype=np.int64)
             z_ind[step.z_idx] = 1
             if not step.feasible:
-                cnt = (z_ind[:, None] * ctx.s_mat).sum(axis=0)
+                cnt = z_ind @ ctx.s_mat
                 ctx.exact_check(step.w, step.lhs_hat_scaled, step.sum_w_scaled, x_ind, cnt, False)
                 if debug_sink is not None:
                     debug_sink({"L": length, "t": t, "feasible": False})

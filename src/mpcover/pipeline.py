@@ -32,6 +32,7 @@ from .instance import (
     coverage,
     forced_system,
     frequency,
+    incidence,
     normalize_covered,
     set_masks,
 )
@@ -182,24 +183,19 @@ def greedy_fallback(sys: SetSystem, cluster: Cluster) -> tuple[tuple[int, ...], 
             ((masks[j] & ~covered).bit_count() if (j + 1) not in picks else -1, -(j + 1))
             for j in range(m)
         ]
+        # one tree level per round; each receiver takes one (gain, index) pair
         stride = 1
         while stride < m:
-            senders = list(range(1 + stride, m + 1, 2 * stride))
             cluster.step_round(
-                [(s, s - stride, pair_bits) for s in senders], label="greedy.gain_reduce"
+                ((s, s - stride, pair_bits) for s in range(1 + stride, m + 1, 2 * stride)),
+                label="greedy.gain_reduce",
             )
-            for s in senders:
-                left = s - stride - 1
-                if best[s - 1] > best[left]:
-                    best[left] = best[s - 1]
             stride *= 2
-        gain, neg = best[0]
+        gain, neg = max(best)
         winner = -neg
         cluster.broadcast(ceil_log2(m + 1), label="greedy.winner_id")
-        cluster.step_round(
-            ((winner, j, n) for j in range(1, m + 1) if j != winner),
-            label="greedy.winner_mask",
-        )
+        # the winner, not central, sends its mask to everyone: a broadcast's shape
+        cluster.broadcast(n, label="greedy.winner_mask")
         picks.append(winner)
         covered |= masks[winner - 1]
     return tuple(picks), covered.bit_count()
@@ -244,11 +240,9 @@ def solve_max_coverage(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
 
     # one converge-cast tells central which elements are covered at all;
     # it also settles the trivial paths
-    rows = np.zeros((sys.m, sys.n), dtype=np.int64)
-    for j, s in enumerate(sys.sets):
-        for e in s:
-            rows[j, e - 1] = 1
-    covered_counts = cluster.convergecast_sum(rows, entry_bits=1, label="normalize.cover_cast")
+    covered_counts = cluster.convergecast_sum(
+        incidence(sys), entry_bits=1, label="normalize.cover_cast"
+    )
     covered_n = int(np.count_nonzero(covered_counts))
     if covered_n == 0:
         return finish((), 0, None, "empty")
@@ -271,11 +265,7 @@ def solve_max_coverage(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
     subsampled_n = sys_lp.n if rate < 1 else None
 
     f = frequency(sys_lp)
-    rows = np.zeros((sys_lp.m, sys_lp.n), dtype=np.int64)
-    for j, s in enumerate(sys_lp.sets):
-        for e in s:
-            rows[j, e - 1] = 1
-    cast_f = cluster.convergecast_sum(rows, entry_bits=1, label="freq.cast")
+    cast_f = cluster.convergecast_sum(incidence(sys_lp), entry_bits=1, label="freq.cast")
     assert tuple(int(v) for v in cast_f) == f
     cluster.broadcast(sys_lp.n * ceil_log2(sys_lp.m + 1), label="freq.broadcast")
 
@@ -312,11 +302,7 @@ def bounded_frequency_solve(sys: SetSystem, eta: Fraction, cfg: PipelineConfig) 
     if not 0 < eta <= Fraction(1, 4):
         raise ValueError(f"eta must be in (0, 1/4], got {eta}")
     pre = Cluster(sys.m, sys.n, cfg.mem_c, cfg.mem_e)
-    rows = np.zeros((sys.m, sys.n), dtype=np.int64)
-    for j, s in enumerate(sys.sets):
-        for e in s:
-            rows[j, e - 1] = 1
-    f_vec = pre.convergecast_sum(rows, entry_bits=1, label="bfreq.freq_cast")
+    f_vec = pre.convergecast_sum(incidence(sys), entry_bits=1, label="bfreq.freq_cast")
     f_max = max(int(np.max(f_vec, initial=0)), 1)
     keep_count = math.ceil(sys.k * f_max / eta)
     if keep_count < sys.m:

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cluster import Cluster, ceil_log2
-from .instance import SetSystem, coverage
+from .instance import SetSystem, coverage, incidence
 
 REP_FACTOR = 8
 
@@ -106,14 +106,11 @@ def best_of_repetitions(
     then each candidate's coverage is a converge-cast of per-set indicator
     vectors in its own parallel lane.  Ties prefer the earliest candidate.
     """
-    m, n = sys.m, sys.n
+    m = sys.m
     reps = config.repetitions(m)
     cum, den = _cumulative_thresholds(y, kprime)
     best: tuple[int, int, tuple[int, ...]] | None = None  # (-cov, rep, sel)
-    masks_rows = np.zeros((m, n), dtype=np.int64)
-    for j, s in enumerate(sys.sets):
-        for e in s:
-            masks_rows[j, e - 1] = 1
+    rows = incidence(sys)
     for start in range(0, reps, config.batch_size):
         batch = range(start, min(start + config.batch_size, reps))
         cluster.broadcast(len(batch) * m, label="round.candidate_broadcast")
@@ -121,10 +118,9 @@ def best_of_repetitions(
         for r in batch:
             sel = _draw(cum, den, kprime, config.seed ^ r)
             lane = cluster.lane()
-            rows = np.zeros((m, n), dtype=np.int64)
-            idx = np.array([j - 1 for j in sel], dtype=np.intp)
-            rows[idx] = masks_rows[idx]
-            summed = lane.convergecast_sum(rows, entry_bits=1, label="round.coverage_cast")
+            chosen = np.zeros((m, 1), dtype=bool)
+            chosen[[j - 1 for j in sel]] = True
+            summed = lane.convergecast_sum(rows & chosen, entry_bits=1, label="round.coverage_cast")
             cov = int(np.count_nonzero(summed))
             assert cov == coverage(sys, sel)
             lanes.append(lane)

@@ -1,30 +1,24 @@
 """Round and memory accounting of the message-passing harness."""
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpcover import (
     BudgetError,
     Cluster,
-    Message,
     RoundLogEntry,
     ceil_log2,
     log_to_jsonl,
 )
+from mpcover.cluster import LogDriftError
 
 
 def test_ceil_log2():
     assert [ceil_log2(x) for x in (1, 2, 3, 4, 5, 8, 9)] == [0, 1, 2, 2, 3, 3, 4]
-
-
-def test_message_validation():
-    Message(1, 2, 16, b"ab")
-    with pytest.raises(ValueError):
-        Message(1, 2, 15, b"ab")
-    with pytest.raises(ValueError):
-        Message(1, 2, -1)
 
 
 def test_budget_formula():
@@ -57,6 +51,15 @@ def test_step_round_budget_violation_carries_cluster():
     assert cl.rounds == 0
 
 
+def test_step_round_rejects_malformed_deliveries():
+    cl = Cluster(3, 8)
+    with pytest.raises(ValueError, match="nonnegative"):
+        cl.step_round([(2, 1, 4), (3, 1, -1)])
+    with pytest.raises(ValueError, match="receiver"):
+        cl.step_round([(1, 4, 1)])
+    assert cl.rounds == 0 and cl.log == []
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
 def test_convergecast_sum_exact_and_round_count(m):
     rng = np.random.default_rng(m)
@@ -81,13 +84,6 @@ def test_broadcast():
     assert cl.rounds == 1
     assert cl.peak_inbox_bits == 12
     assert cl.log[0].primitive == "hello"
-
-
-def test_neighbor_exchange_pairing_limit():
-    cl = Cluster(4, 4)
-    cl.neighbor_exchange([(1, 2, 3), (3, 2, 3)])
-    with pytest.raises(ValueError):
-        cl.neighbor_exchange([(1, 2, 1), (3, 2, 1), (4, 2, 1)])
 
 
 def test_absorb_parallel_max_rounds_sum_bits():
@@ -132,6 +128,150 @@ def test_check_log_consistent_detects_drift():
     cl.rounds += 1
     with pytest.raises(AssertionError):
         cl.check_log_consistent()
+
+
+def test_invariants_raise_named_errors():
+    with pytest.raises(ValueError):
+        ceil_log2(0)
+    with pytest.raises(ValueError):
+        Cluster(0, 4)
+    with pytest.raises(ValueError):
+        Cluster(3, 4).convergecast_sum(np.ones((2, 4), dtype=np.int64), entry_bits=1)
+    with pytest.raises(ValueError):
+        Cluster(3, 4).convergecast_sum(np.ones(3, dtype=np.int64), entry_bits=1)
+    assert issubclass(LogDriftError, AssertionError)
+
+
+# -- closed-form charging against a message-by-message replay ------------------
+
+
+class ReplayCluster:
+    """Reference harness: every round is an explicit per-receiver inbox,
+    and a converge-cast really merges partial sums up the binary tree."""
+
+    def __init__(self, m: int, budget_bits: int):
+        self.m = m
+        self.budget_bits = budget_bits
+        self.rounds = 0
+        self.peak_inbox_bits = 0
+        self.log: list[RoundLogEntry] = []
+        self.round_peaks: list[int] = []
+
+    def _round(self, inbox: dict[int, int]) -> int:
+        for bits in inbox.values():
+            if bits > self.budget_bits:
+                err = BudgetError("over budget")
+                err.cluster = self
+                raise err
+        peak = max(inbox.values(), default=0)
+        self.rounds += 1
+        self.peak_inbox_bits = max(self.peak_inbox_bits, peak)
+        self.round_peaks.append(peak)
+        return peak
+
+    def step_round(self, deliveries, label):
+        inbox: dict[int, int] = {}
+        for _sender, receiver, bits in deliveries:
+            inbox[receiver] = inbox.get(receiver, 0) + bits
+        self.log.append(RoundLogEntry(label, 1, self._round(inbox)))
+
+    def broadcast(self, payload_bits, label):
+        self.step_round([(1, j, payload_bits) for j in range(2, self.m + 1)], label)
+
+    def convergecast_sum(self, vectors, entry_bits, label):
+        partial = np.array(vectors, dtype=np.int64)
+        msg_bits = partial.shape[1] * (entry_bits + ceil_log2(self.m))
+        rounds = peak = 0
+        stride = 1
+        while stride < self.m:
+            senders = range(1 + stride, self.m + 1, 2 * stride)
+            for s in senders:
+                partial[s - 1 - stride] += partial[s - 1]
+            peak = max(peak, self._round({s - stride: msg_bits for s in senders}))
+            rounds += 1
+            stride *= 2
+        self.log.append(RoundLogEntry(label, rounds, peak))
+        return partial[0]
+
+    @contextmanager
+    def coalesce(self, label):
+        mark = len(self.log)
+        try:
+            yield
+        finally:
+            entries = self.log[mark:]
+            del self.log[mark:]
+            rounds = sum(e.rounds for e in entries)
+            peak = max((e.peak_bits for e in entries), default=0)
+            self.log.append(RoundLogEntry(label, rounds, peak))
+
+
+def _ops(m: int):
+    receivers = st.integers(1, m)
+    leaf = st.one_of(
+        st.tuples(st.just("broadcast"), st.integers(0, 40)),
+        st.tuples(st.just("cast"), st.integers(0, 4), st.integers(0, 6), st.integers(0, 2**16)),
+        st.tuples(
+            st.just("step"),
+            st.lists(st.tuples(receivers, receivers, st.integers(0, 40)), max_size=6),
+        ),
+    )
+    op = st.recursive(
+        leaf, lambda inner: st.tuples(st.just("block"), st.lists(inner, max_size=4)), max_leaves=12
+    )
+    return st.lists(op, max_size=6)
+
+
+def _run_program(cl, ops, sums, depth=0):
+    """Apply ops to cl; a BudgetError must leave the counters and log as they were."""
+    for op in ops:
+        if op[0] == "block":
+            with cl.coalesce(f"block{depth}"):
+                _run_program(cl, op[1], sums, depth + 1)
+            continue
+        before = (cl.rounds, cl.peak_inbox_bits, list(cl.log))
+        try:
+            if op[0] == "broadcast":
+                cl.broadcast(op[1], label="bcast")
+            elif op[0] == "step":
+                cl.step_round(op[1], label="step")
+            else:
+                _, width, entry_bits, seed = op
+                vectors = np.random.default_rng(seed).integers(
+                    0, 1 << entry_bits, size=(cl.m, width), dtype=np.int64
+                )
+                sums.append(cl.convergecast_sum(vectors, entry_bits, label="cast").tolist())
+        except BudgetError as err:
+            assert err.cluster is cl
+            assert (cl.rounds, cl.peak_inbox_bits, cl.log) == before
+            raise
+
+
+def _outcome(cl, ops):
+    sums: list = []
+    try:
+        _run_program(cl, ops, sums)
+        failed = False
+    except BudgetError:
+        failed = True
+    return failed, sums, cl.rounds, cl.peak_inbox_bits, cl.log
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_closed_form_primitives_match_message_replay(data):
+    m = data.draw(st.sampled_from([1, 2, 3, 5, 8, 17]), label="m")
+    ops = data.draw(_ops(m), label="ops")
+    free = ReplayCluster(m, budget_bits=1 << 30)
+    _run_program(free, ops, [])
+    # budgets exactly at some round's peak and one bit under it, so that
+    # round is at the budget or one bit over
+    edges = sorted({1 << 30} | {b for p in free.round_peaks for b in (p, p - 1) if b >= 0})
+    budget = data.draw(st.sampled_from(edges), label="budget")
+    cl = Cluster(m, 1, mem_c=budget, mem_e=0)
+    assert cl.budget_bits == budget
+    assert _outcome(cl, ops) == _outcome(ReplayCluster(m, budget), ops)
+    cl.check_log_consistent()
 
 
 def test_log_to_jsonl_meta_first():

@@ -73,6 +73,12 @@ def test_load_rejects_malformed(text, fragment):
             raise
 
 
+def test_trailing_content_names_its_own_line():
+    # the trailing line repeats set line 2, so a text search would name line 2
+    with pytest.raises(InstanceError, match="^line 4: trailing content"):
+        load_instance("3 2 1\n1 2\n\n1 2\n")
+
+
 def test_constructor_validation():
     with pytest.raises(InstanceError):
         SetSystem(4, 3, 0, ((), (), ()))

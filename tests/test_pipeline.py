@@ -1,5 +1,6 @@
 """End-to-end pipeline: paths, subsampling, budgets, the audit bound."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from mpcover import (
     generate_random,
     greedy_fallback,
     greedy_sequential,
+    log_to_jsonl,
     run_pipeline,
     solve_max_coverage,
     subsample_universe,
@@ -186,6 +188,11 @@ def test_path_lp_end_to_end_tiles():
     assert "prefix.pair_up" in labels and "trim.selection_broadcast" in labels
     assert rep.rounds <= pipeline_mod.round_audit_bound(sys_.n, sys_.m, Fraction(1, 4), True)
     assert sum(e.rounds for e in rep.log) == rep.rounds
+    # the whole round log is frozen, entry by entry
+    assert len(rep.log) == 66
+    assert hashlib.sha256(log_to_jsonl(rep.log).encode()).hexdigest() == (
+        "e05b08022a831c2348960eb9b3ce8eb49403c1f9033d51f6c49ecba11098e200"
+    )
 
 
 def test_lp_rejection_falls_back_to_greedy(monkeypatch):
