@@ -11,7 +11,6 @@ from .instance import (
     coverage,
     dump_instance,
     frequency,
-    forced_system,
     generate_random,
     load_instance,
     normalize_covered,
@@ -73,7 +72,6 @@ __all__ = [
     "coverage",
     "dump_instance",
     "exact_opt",
-    "forced_system",
     "frequency",
     "generate_random",
     "greedy_fallback",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .instance import SetSystem, coverage, set_masks
-from .lp import TruncatedPQ
+from .lp import OracleSoundnessError, TruncatedPQ
 
 EXACT_OPT_LIMIT = 10**7
 BRUTEFORCE_N = 12
@@ -60,7 +60,8 @@ def greedy_sequential(sys: SetSystem) -> OptResult:
         picks.append(best_j)
         remaining.remove(best_j)
         covered |= masks[best_j - 1]
-    assert covered.bit_count() == coverage(sys, picks)
+    if covered.bit_count() != coverage(sys, picks):
+        raise OracleSoundnessError("greedy's running union disagrees with coverage()")
     return OptResult(covered.bit_count(), tuple(picks))
 
 

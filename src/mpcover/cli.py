@@ -6,7 +6,8 @@ pipeline vs greedy vs exact optimum, audit replays a RoundLog against the
 theoretical round bound.
 
 Exit codes: 0 success, 2 validation problem (bad flags, malformed input),
-3 harness budget violation, 4 audit bound violation.  Output is byte
+3 harness budget violation, 4 audit bound violation, 5 failed soundness
+check (an internal invariant broke).  Output is byte
 identical for identical (input, flags, seed).
 """
 
@@ -23,6 +24,7 @@ from pathlib import Path
 from .baselines import EXACT_OPT_LIMIT, exact_opt
 from .cluster import BudgetError, Cluster, log_to_jsonl
 from .instance import InstanceError, SetSystem, dump_instance, generate_random, load_instance
+from .lp import OracleSoundnessError
 from .pipeline import (
     AuditError,
     PipelineConfig,
@@ -275,6 +277,9 @@ def main(argv=None) -> int:
     except AuditError as err:
         print(f"audit failure: {err}", file=_sys.stderr)
         return 4
+    except OracleSoundnessError as err:
+        print(f"error: soundness check failed: {err}", file=_sys.stderr)
+        return 5
     raise AssertionError("unreachable")
 
 

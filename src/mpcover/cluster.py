@@ -77,23 +77,31 @@ class Cluster:
         self.peak_inbox_bits = 0
         self.log: list[RoundLogEntry] = []
         self._blocks: list[list[int]] = []  # running [rounds, peak] per open coalesce block
+        self.parent: Cluster | None = None  # set on lanes
 
     # -- accounting --------------------------------------------------------
 
     def charge(self, label: str, rounds: int, peak: int) -> None:
         """Count `rounds` rounds in which no inbox exceeds `peak` bits.
 
-        Raises BudgetError, carrying this cluster as err.cluster, before
-        anything is counted when peak is above the per-round budget.
+        Raises BudgetError before anything is counted when peak is above the
+        per-round budget.  The error names the run-level round and carries
+        the outermost cluster (this one, unless it is a lane) as err.cluster.
         """
         if rounds < 0 or peak < 0:
             raise ValueError(f"'{label}': rounds and peak must be nonnegative")
         if peak > self.budget_bits:
+            # a lane runs while its parent waits, so the run has counted the
+            # rounds of every cluster up the chain
+            root, before = self, self.rounds
+            while root.parent is not None:
+                root = root.parent
+                before += root.rounds
             err = BudgetError(
                 f"'{label}' puts {peak} bits in one inbox in round "
-                f"{self.rounds + 1}, budget is {self.budget_bits}"
+                f"{before + 1}, budget is {self.budget_bits}"
             )
-            err.cluster = self  # partial log stays reachable for flushing
+            err.cluster = root  # the run's partial log stays reachable for flushing
             raise err
         self.rounds += rounds
         if peak > self.peak_inbox_bits:
@@ -148,8 +156,11 @@ class Cluster:
     # -- composition -------------------------------------------------------
 
     def lane(self) -> "Cluster":
-        """Fresh cluster for one member of a parallel batch."""
-        return Cluster(self.m, self.n, self.mem_c, self.mem_e)
+        """Fresh cluster for one member of a parallel batch, run while this
+        one waits for absorb_parallel."""
+        lane = Cluster(self.m, self.n, self.mem_c, self.mem_e)
+        lane.parent = self
+        return lane
 
     def absorb_parallel(self, lanes, label: str) -> None:
         """Merge lanes run in parallel: max of rounds, sum of inbox peaks.

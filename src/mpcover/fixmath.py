@@ -36,7 +36,8 @@ def exp2_frac(num: int, den: int, g: int) -> int:
     square-root factors are multiplied with truncation at every step, so the
     result is in [2**g, 2**(g+1)) and never exceeds the real value.
     """
-    assert 0 <= num < den
+    if not 0 <= num < den:
+        raise ValueError(f"exp2_frac needs 0 <= num < den, got {num}/{den}")
     if num == 0 or g == 0:
         return 1 << g
     key = (num, den, g)
@@ -55,8 +56,3 @@ def exp2_frac(num: int, den: int, g: int) -> int:
         _frac_cache[key] = val = acc
     return val
 
-
-def pow2_scaled(c: int, num: int, den: int, g: int) -> int:
-    """Underestimate of 2**(c + num/den) * 2**g as a nonnegative integer."""
-    frac = exp2_frac(num, den, g)
-    return frac << c if c >= 0 else frac >> -c

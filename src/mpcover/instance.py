@@ -22,7 +22,12 @@ class InstanceError(ValueError):
 
 @dataclass(frozen=True)
 class SetSystem:
-    """Immutable set system. Sets are 1-indexed externally, stored in order."""
+    """Immutable set system. Sets are 1-indexed externally, stored in order.
+
+    m <= n is an input rule, checked by load_instance and generate_random,
+    not here: dropping uncovered or unsampled elements can break it, and the
+    solver tolerates that.
+    """
 
     n: int
     m: int
@@ -32,8 +37,6 @@ class SetSystem:
     def __post_init__(self) -> None:
         if not (1 <= self.k <= self.m):
             raise InstanceError(f"need 1 <= k <= m, got k={self.k} m={self.m}")
-        if self.m > self.n:
-            raise InstanceError(f"need m <= n, got m={self.m} n={self.n}")
         if len(self.sets) != self.m:
             raise InstanceError(f"expected {self.m} sets, got {len(self.sets)}")
         for j, s in enumerate(self.sets, start=1):
@@ -137,31 +140,6 @@ def coverage(sys: SetSystem, selection) -> int:
     return u.bit_count()
 
 
-def forced_system(n: int, m: int, k: int, sets) -> SetSystem:
-    """SetSystem that may violate m <= n.
-
-    The m <= n input assumption can break after dropping elements; the
-    solver tolerates this, so bypass that one constructor check while
-    keeping the others.
-    """
-    if m <= n:
-        return SetSystem(n=n, m=m, k=k, sets=tuple(sets))
-    forced = object.__new__(SetSystem)
-    object.__setattr__(forced, "n", n)
-    object.__setattr__(forced, "m", m)
-    object.__setattr__(forced, "k", k)
-    object.__setattr__(forced, "sets", tuple(tuple(s) for s in sets))
-    if not (1 <= k <= m):
-        raise InstanceError(f"need 1 <= k <= m, got k={k} m={m}")
-    for j, s in enumerate(forced.sets, start=1):
-        for a, b in zip(s, s[1:]):
-            if a >= b:
-                raise InstanceError(f"set {j} not strictly increasing")
-        if s and (s[0] < 1 or s[-1] > n):
-            raise InstanceError(f"set {j} has element outside [1, {n}]")
-    return forced
-
-
 def normalize_covered(sys: SetSystem) -> tuple[SetSystem, tuple[int, ...]]:
     """Drop elements no set covers and renumber the rest contiguously.
 
@@ -176,7 +154,7 @@ def normalize_covered(sys: SetSystem) -> tuple[SetSystem, tuple[int, ...]]:
         raise InstanceError("normalize: no element is covered by any set")
     new_of_old = {old: new + 1 for new, old in enumerate(kept)}
     sets = tuple(tuple(new_of_old[e] for e in s) for s in sys.sets)
-    return forced_system(len(kept), sys.m, sys.k, sets), kept
+    return SetSystem(n=len(kept), m=sys.m, k=sys.k, sets=sets), kept
 
 
 def generate_random(
@@ -197,6 +175,8 @@ def generate_random(
     """
     if (density is None) == (set_size is None):
         raise InstanceError("give exactly one of density or set_size")
+    if m > n:
+        raise InstanceError(f"need m <= n, got m={m} n={n}")
     rng = Generator(PCG64(seed))
     sets = []
     if density is not None:

@@ -18,7 +18,9 @@ arithmetic; the only floating point is the choice of the iteration count.
 Weight convention: after t iterations element i carries the exact integer
 accumulator A_i = sum of f_i - x_i - |selected sets containing i| over past
 iterations, and its weight is w_i = 2**(-eps * A_i / f_i), materialized on
-the grid 2**-B with B = 10 * ceil(log2 n) by fixmath.pow2_scaled.
+the grid 2**-B with B = 10 * ceil(log2 n) as a Python int: with eps = 2**-s
+and -A_i = c * f_i * 2**s + r, it is fixmath.exp2_frac(r, f_i * 2**s, B)
+shifted left by c (right by -c when c is negative).
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ SLACK_DEN = 5
 
 
 class OracleSoundnessError(AssertionError):
-    """Exact truncation or feasibility check failed; upstream bug."""
+    """An exact internal check failed (truncation, feasibility or a
+    data-plane invariant); upstream bug."""
 
 
 def round_eps_down(eps: Fraction) -> tuple[Fraction, int]:
@@ -140,63 +143,43 @@ class LpContext:
             )
         self.f_arr = np.array(self.f, dtype=np.int64)
         self.d_arr = self.f_arr << self.s
-        self.rows = [np.array([e - 1 for e in s], dtype=np.intp) for s in sys.sets]
+        self.rows = [[e - 1 for e in s] for s in sys.sets]
         self.s_mat = incidence(sys).astype(np.int64)
         classes: dict[int, list[int]] = {}
         for i, fv in enumerate(self.f):
             classes.setdefault(fv, []).append(i)
-        self.f_classes = [(fv, np.array(ix, dtype=np.intp)) for fv, ix in sorted(classes.items())]
-        self.f_classes_py = [(fv, list(ix)) for fv, ix in sorted(classes.items())]
-        self.f_lcm = math.lcm(*(fv for fv, _ in self.f_classes_py))
-        # int64 holds every scaled weight iff 4*n**2 * 2**b < 2**63.
-        self.int64_ok = self.b + (4 * n * n).bit_length() <= 62
+        self.f_classes = sorted(classes.items())
+        self.f_lcm = math.lcm(*classes)
         self.wcap_log2 = (4 * n * n).bit_length()  # weights stay below 4n^2
         self.qhat_bits = self.b + 3 * ceil_log2(max(n, 2)) + 3
         self.n_pow5 = max(n, 1) ** 5
-        self._tabs: dict[int, object] = {}
+        self._tabs: dict[int, list[int]] = {}
 
-    def _tab(self, fv: int):
+    def _tab(self, fv: int) -> list[int]:
         tab = self._tabs.get(fv)
         if tab is None:
             den = fv << self.s
-            vals = [exp2_frac(r, den, self.b) for r in range(den)]
-            tab = np.array(vals, dtype=np.int64) if self.int64_ok else vals
-            self._tabs[fv] = tab
+            tab = self._tabs[fv] = [exp2_frac(r, den, self.b) for r in range(den)]
         return tab
 
     def weights(self, a: np.ndarray):
         """Scaled weights W_i = floor-approx of 2**(-eps*A_i/f_i) * 2**b.
 
-        Returns (numpy array, exact python-int sum).  The array is int64
-        when every possible weight fits, else dtype=object.
+        Returns (dtype=object array of Python ints, their exact sum).
         """
-        c_all, r_all = np.divmod(-a, self.d_arr)
-        if int(c_all.max(initial=0)) > self.wcap_log2:
+        c_arr, r_arr = np.divmod(-a, self.d_arr)
+        if int(c_arr.max(initial=0)) > self.wcap_log2:
             raise OracleSoundnessError("weight above the 4n^2 potential cap")
-        cap = (4 * self.n * self.n) << self.b
-        if self.int64_ok:
-            w = np.empty(self.n, dtype=np.int64)
-            for fv, idx in self.f_classes:
-                tab = self._tab(fv)
-                base = tab[r_all[idx]]
-                c = c_all[idx]
-                # np.where evaluates both branches, so keep each shift count legal
-                zero = np.int64(0)
-                up = np.minimum(np.maximum(c, zero), np.int64(62))
-                down = np.minimum(np.maximum(-c, zero), np.int64(63))
-                w[idx] = np.where(c >= 0, base << up, base >> down)
-        else:
-            w = np.empty(self.n, dtype=object)
-            for fv, idx in self.f_classes:
-                tab = self._tab(fv)
-                for i in idx:
-                    base = tab[r_all[i]]
-                    c = int(c_all[i])
-                    w[i] = base << c if c >= 0 else base >> -c
+        c_all, r_all = c_arr.tolist(), r_arr.tolist()
+        w = np.empty(self.n, dtype=object)
+        for fv, idx in self.f_classes:
+            tab = self._tab(fv)
+            for i in idx:
+                base, c = tab[r_all[i]], c_all[i]
+                w[i] = base << c if c >= 0 else base >> -c
         total = sum(w.tolist())
-        # the potential argument keeps the weight sum below 4n^2; this also
-        # guards the int64 cost matmul against overflow
-        if total > cap:
+        # the potential argument keeps the weight sum below 4n^2
+        if total > (4 * self.n * self.n) << self.b:
             raise OracleSoundnessError("weight sum above the 4n^2 potential cap")
         return w, total
 
@@ -209,12 +192,11 @@ class LpContext:
         whenever the oracle accepted.  Everything is cleared to the common
         denominator lcm(f) * 2**b so the comparisons are plain integers.
         """
-        # pure python ints: w * coeff can overflow int64 near the weight cap
         wl = w.tolist()
         cl = (x_ind + cnt).tolist()
         lcm = self.f_lcm
         lhs_lcm = 0
-        for fv, idx in self.f_classes_py:
+        for fv, idx in self.f_classes:
             num = sum(wl[i] * cl[i] for i in idx if cl[i])
             if num:
                 lhs_lcm += num * (lcm // fv)
@@ -249,17 +231,11 @@ def oracle_step(ctx: LpContext, acc: WeightAccumulator, length: int, cluster: Cl
     ever lowers costs.
     """
     n, m, k = ctx.n, ctx.m, ctx.k
-    assert 0 <= length <= n
+    if not 0 <= length <= n:
+        raise ValueError(f"guess length must be in [0, {n}], got {length}")
     w, sum_w = ctx.weights(acc.a)
-    p = w // ctx.f_arr
-    if ctx.int64_ok:
-        q = ctx.s_mat @ p
-        p_list = p.tolist()
-        q_list = q.tolist()
-    else:
-        p_list = p.tolist()
-        q_list = [sum(p_list[i] for i in row) for row in ctx.rows]
-        q = np.array(q_list, dtype=object)
+    p_list = (w // ctx.f_arr).tolist()
+    q_list = [sum(p_list[i] for i in row) for row in ctx.rows]
     for qv in q_list:
         if qv.bit_length() > ctx.qhat_bits:
             raise OracleSoundnessError("set cost outgrew its message width")

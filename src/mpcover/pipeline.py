@@ -30,13 +30,12 @@ from .cluster import Cluster, RoundLogEntry, ceil_log2
 from .instance import (
     SetSystem,
     coverage,
-    forced_system,
     frequency,
     incidence,
     normalize_covered,
     set_masks,
 )
-from .lp import scale_to_pi0, solve_pi1
+from .lp import OracleSoundnessError, scale_to_pi0, solve_pi1
 from .prefix import prefix_coverage, trim_to_k
 from .rounding import RoundingConfig, best_of_repetitions
 
@@ -139,8 +138,8 @@ def subsample_universe(sys: SetSystem, eps: Fraction, seed: int):
     if not keep.any():
         # pathologically unlucky draw; solving the full instance is always sound
         return sys, tuple(range(1, n + 1)), 1.0
-    restricted = forced_system(
-        n, m, k, tuple(tuple(e for e in s if keep[e - 1]) for s in sys.sets)
+    restricted = SetSystem(
+        n=n, m=m, k=k, sets=tuple(tuple(e for e in s if keep[e - 1]) for s in sys.sets)
     )
     reduced, kept = normalize_covered(restricted)
     return reduced, kept, rate
@@ -220,7 +219,8 @@ def solve_max_coverage(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
     def finish(selection, l_star, subsampled_n, path):
         selection = tuple(selection)
         cov = coverage(sys, selection)
-        assert len(selection) <= sys.k, "selection exceeds the budget k"
+        if len(selection) > sys.k:
+            raise AuditError(f"selection of {len(selection)} sets exceeds the budget k={sys.k}")
         bound = round_audit_bound(sys.n, sys.m, eps, cfg.subsample)
         if cluster.rounds > bound:
             raise AuditError(f"{cluster.rounds} rounds exceed the audit bound {bound}")
@@ -266,7 +266,8 @@ def solve_max_coverage(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
 
     f = frequency(sys_lp)
     cast_f = cluster.convergecast_sum(incidence(sys_lp), entry_bits=1, label="freq.cast")
-    assert tuple(int(v) for v in cast_f) == f
+    if tuple(int(v) for v in cast_f) != f:
+        raise OracleSoundnessError("converge-cast frequencies disagree with frequency()")
     cluster.broadcast(sys_lp.n * ceil_log2(sys_lp.m + 1), label="freq.broadcast")
 
     pi1 = solve_pi1(sys_lp, f, sys_lp.k, stage_eps, cluster)

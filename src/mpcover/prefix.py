@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .cluster import Cluster, ceil_log2
 from .instance import SetSystem, coverage, set_masks
+from .lp import OracleSoundnessError
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,8 @@ def prefix_coverage(sys: SetSystem, selection, cluster: Cluster) -> MarginalVect
         ((ids[i], cluster.central, size_bits) for i in range(r) if ids[i] != cluster.central),
         label="prefix.phi_gather",
     )
-    assert sum(phis) == coverage(sys, sel)
+    if sum(phis) != coverage(sys, sel):
+        raise OracleSoundnessError("marginals do not sum to the selection's coverage")
     return MarginalVector(sel, tuple(phis))
 
 
@@ -108,5 +110,6 @@ def trim_to_k(sys: SetSystem, marginals: MarginalVector, k: int, cluster: Cluste
     if cluster is not None:
         cluster.broadcast(sys.m, label="trim.selection_broadcast")
     actual = coverage(sys, trimmed)
-    assert actual >= bound, f"trim bound {bound} exceeds actual coverage {actual}"
+    if actual < bound:
+        raise OracleSoundnessError(f"trim bound {bound} exceeds actual coverage {actual}")
     return trimmed, bound

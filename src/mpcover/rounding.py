@@ -24,6 +24,7 @@ import numpy as np
 
 from .cluster import Cluster, ceil_log2
 from .instance import SetSystem, coverage, incidence
+from .lp import OracleSoundnessError
 
 REP_FACTOR = 8
 
@@ -122,11 +123,13 @@ def best_of_repetitions(
             chosen[[j - 1 for j in sel]] = True
             summed = lane.convergecast_sum(rows & chosen, entry_bits=1, label="round.coverage_cast")
             cov = int(np.count_nonzero(summed))
-            assert cov == coverage(sys, sel)
+            if cov != coverage(sys, sel):
+                raise OracleSoundnessError("converge-cast coverage disagrees with coverage()")
             lanes.append(lane)
             cand = (-cov, r, sel)
             if best is None or cand < best:
                 best = cand
         cluster.absorb_parallel(lanes, label=f"round.batch[{start}]")
-    assert best is not None
+    if best is None:
+        raise OracleSoundnessError("the repetition schedule drew no candidate")
     return best[2], -best[0], reps

@@ -6,6 +6,7 @@ fixtures below share the expensive runs between criteria.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -44,6 +45,9 @@ from mpcover.pipeline import _pad_budget
 RATIO_EPS = 0.1
 SEEDS_PER_INSTANCE = 200
 LP_STAGE_EPS = Fraction(1, 8)
+# sha256 of every roster instance's exact LP output and round log (see
+# test_lp_exact_output_pinned_on_roster)
+ROSTER_LP_SHA256 = "826af5321736640c78194224832d4660cc68c062ab4415dc93eb44c45e3915c9"
 
 
 def build_roster() -> list[SetSystem]:
@@ -97,7 +101,9 @@ def lp_solutions(roster):
         res = solve_pi1(sys1, f, sys1.k, LP_STAGE_EPS, cl, debug_sink=records.append)
         assert res.pair is not None
         sol = scale_to_pi0(sys1, f, res.pair, res.eps)
-        out.append({"sys1": sys1, "f": f, "res": res, "sol": sol, "records": records})
+        out.append(
+            {"sys1": sys1, "f": f, "res": res, "sol": sol, "records": records, "log": cl.log}
+        )
     return out
 
 
@@ -410,3 +416,29 @@ def test_criterion_10_determinism(pipeline_runs, roster):
                 assert dump(a) == dump(stored)
             checked += 2
     print(f"criterion 10: {checked} reruns byte-identical")
+
+
+# -- frozen outputs --------------------------------------------------------
+
+
+def test_lp_exact_output_pinned_on_roster(lp_solutions):
+    """solve_pi1's exact output on the roster is frozen: per instance n',
+    l_star, the iterate sums, both guess lists and the round log.  Half the
+    roster has n' <= 31, the other half n' >= 32, so any change to the
+    fixed-point weight arithmetic on either side shows here."""
+    digest = hashlib.sha256()
+    for entry in lp_solutions:
+        res = entry["res"]
+        key = (
+            entry["sys1"].n,
+            res.l_star,
+            res.pair.sum_x,
+            res.pair.sum_z,
+            res.feasible_guesses,
+            res.infeasible_guesses,
+        )
+        digest.update(repr(key).encode())
+        digest.update(log_to_jsonl(entry["log"]).encode())
+    print(f"roster LP output sha256 {digest.hexdigest()}")
+    assert sum(entry["sys1"].n <= 31 for entry in lp_solutions) == 10
+    assert digest.hexdigest() == ROSTER_LP_SHA256

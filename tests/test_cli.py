@@ -5,8 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from mpcover import dump_instance, exact_opt, generate_random, greedy_sequential, load_instance
+import mpcover.pipeline as pipeline_mod
+from mpcover import (
+    OracleSoundnessError,
+    dump_instance,
+    exact_opt,
+    generate_random,
+    greedy_sequential,
+    load_instance,
+)
 from mpcover.cli import main
+from test_pipeline import tile_system
 
 SMALL = "4 3 2\n1 2\n2 3\n3 4\n"
 
@@ -196,6 +205,53 @@ def test_run_budget_violation_exit_3(tmp_path, capsys):
     # the partial RoundLog still lands, meta first
     lines = inst.with_suffix(".txt.roundlog.jsonl").read_text().splitlines()
     assert json.loads(lines[0])["meta"]["epsilon"] == "1/8"
+
+
+def test_run_budget_violation_in_a_lane_names_the_run_round(tmp_path, capsys):
+    # the first oracle cost gather (16 * 81 bits) overflows the 520-bit
+    # budget inside a solve_pi1 lane, after 12 rounds of normalize and
+    # frequency (two 5-round converge-casts and two broadcasts)
+    inst = tmp_path / "tiles.txt"
+    inst.write_text(dump_instance(tile_system(17, 2)))  # n = 52: the LP route at eps = 1/4
+    rc, out, err = run_main(
+        [
+            "run",
+            "--input",
+            str(inst),
+            "--json",
+            "--epsilon",
+            "0.25",
+            "--mem-c",
+            "10",
+            "--mem-e",
+            "0",
+        ],
+        capsys,
+    )
+    assert rc == 3 and out == ""
+    assert "oracle.cost_gather" in err and "round 13," in err
+    lines = inst.with_suffix(".txt.roundlog.jsonl").read_text().splitlines()
+    rows = [json.loads(ln) for ln in lines[1:]]
+    assert [r["primitive"] for r in rows] == [
+        "normalize.cover_cast",
+        "normalize.keep_broadcast",
+        "freq.cast",
+        "freq.broadcast",
+    ]
+    assert sum(r["rounds"] for r in rows) == 12
+
+
+def test_run_soundness_failure_exit_5(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise OracleSoundnessError("truncation lost more than 1/n^5")
+
+    monkeypatch.setattr(pipeline_mod, "solve_pi1", broken)
+    inst = tmp_path / "tiles.txt"
+    inst.write_text(dump_instance(tile_system(17, 2)))  # n = 52: the LP route at eps = 1/4
+    rc, out, err = run_main(["run", "--input", str(inst), "--epsilon", "0.25"], capsys)
+    assert rc == 5 and out == ""
+    assert err.startswith("error:") and "1/n^5" in err
+    assert err.count("\n") == 1
 
 
 # -- compare ---------------------------------------------------------------

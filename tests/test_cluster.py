@@ -112,6 +112,19 @@ def test_absorb_parallel_budget_violation():
     assert exc.value.cluster is cl
 
 
+def test_lane_budget_violation_carries_the_outermost_cluster():
+    cl = Cluster(2, 2, mem_c=1, mem_e=1)
+    cl.broadcast(1)
+    cl.broadcast(1)
+    outer = cl.lane()
+    outer.broadcast(1)
+    inner = outer.lane()
+    with pytest.raises(BudgetError, match="in round 4,") as exc:
+        inner.broadcast(cl.budget_bits + 1)
+    assert exc.value.cluster is cl
+    assert inner.rounds == 0
+
+
 def test_coalesce_collapses_entries():
     cl = Cluster(2, 4)
     with cl.coalesce("outer"):

@@ -9,7 +9,6 @@ from mpcover import (
     as_selection,
     coverage,
     dump_instance,
-    forced_system,
     frequency,
     generate_random,
     load_instance,
@@ -21,7 +20,7 @@ CHAIN = SetSystem(4, 3, 2, ((1, 2), (2, 3), (3, 4)))
 
 
 def systems(max_n=10, max_m=6):
-    """Random small instances; m <= n as the constructor requires."""
+    """Random small instances; m <= n as the input rule requires."""
 
     @st.composite
     def build(draw):
@@ -83,8 +82,6 @@ def test_constructor_validation():
     with pytest.raises(InstanceError):
         SetSystem(4, 3, 0, ((), (), ()))
     with pytest.raises(InstanceError):
-        SetSystem(2, 3, 1, ((), (), ()))
-    with pytest.raises(InstanceError):
         SetSystem(4, 2, 1, ((1, 1), ()))
     with pytest.raises(InstanceError):
         SetSystem(4, 2, 1, ((0, 1), ()))
@@ -114,17 +111,18 @@ def test_as_selection():
         as_selection((4,), 3)
 
 
-def test_forced_system_allows_more_sets_than_elements():
-    sys_ = forced_system(2, 3, 2, ((1,), (2,), (1, 2)))
+def test_set_system_allows_more_sets_than_elements():
+    # m <= n is an input rule; normalizing and subsampling may break it
+    sys_ = SetSystem(2, 3, 2, ((1,), (2,), (1, 2)))
     assert (sys_.n, sys_.m, sys_.k) == (2, 3, 2)
     assert coverage(sys_, (1, 2)) == 2
     # the other constructor checks still apply
     with pytest.raises(InstanceError):
-        forced_system(2, 3, 0, ((1,), (2,), ()))
+        SetSystem(2, 3, 0, ((1,), (2,), ()))
     with pytest.raises(InstanceError):
-        forced_system(2, 3, 1, ((1,), (2, 2), ()))
+        SetSystem(2, 3, 1, ((1,), (2, 2), ()))
     with pytest.raises(InstanceError):
-        forced_system(2, 3, 1, ((1,), (3,), ()))
+        SetSystem(2, 3, 1, ((1,), (3,), ()))
 
 
 def test_normalize_covered_drops_and_renumbers():
@@ -170,6 +168,8 @@ def test_generate_random_validation():
         generate_random(5, 2, 1, set_size=(3, 1), seed=0)
     with pytest.raises(InstanceError):
         generate_random(5, 2, 1, set_size=9, seed=0)
+    with pytest.raises(InstanceError, match="m <= n"):
+        generate_random(3, 5, 1, density=0.4, seed=0)
 
 
 @given(systems())

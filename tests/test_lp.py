@@ -116,25 +116,6 @@ def test_exact_check_rejects_tampered_values():
         ctx.exact_check(w, lhs, total // 4, x_ind, cnt, True)
 
 
-def test_int64_and_object_paths_agree():
-    sys_ = SetSystem(6, 4, 2, ((1, 2, 3), (3, 4), (4, 5, 6), (1, 6)))
-    f = frequency(sys_)
-    ctx_a = LpContext(sys_, f, 2, QUARTER)
-    ctx_b = LpContext(sys_, f, 2, QUARTER)
-    ctx_b.int64_ok = False
-    ctx_b._tabs.clear()
-    assert ctx_a.int64_ok
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        # keep accumulators small enough that the 4n^2 weight cap stays clear
-        a = rng.integers(-10, 41, size=6)
-        wa, ta = ctx_a.weights(a.astype(np.int64))
-        wb, tb = ctx_b.weights(a.astype(np.int64))
-        assert wa.dtype == np.int64 and wb.dtype == object
-        assert wa.tolist() == [int(v) for v in wb]
-        assert ta == tb
-
-
 # -- the weight-update loop ------------------------------------------------
 
 
