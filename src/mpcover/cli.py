@@ -102,20 +102,13 @@ def _load(args) -> SetSystem:
 
 
 def _config(args) -> PipelineConfig:
-    if args.eta is not None:
-        if args.epsilon is not None:
-            raise InstanceError("--eta and --epsilon are mutually exclusive")
-        return PipelineConfig(
-            eta=args.eta,
-            seed=args.seed,
-            subsample=args.subsample,
-            mem_c=args.mem_c,
-            mem_e=args.mem_e,
-        )
-    if args.epsilon is None:
+    if args.eta is not None and args.epsilon is not None:
+        raise InstanceError("--eta and --epsilon are mutually exclusive")
+    if args.eta is None and args.epsilon is None:
         raise InstanceError("--epsilon (or --eta) is required")
     return PipelineConfig(
         eps=args.epsilon,
+        eta=args.eta,
         seed=args.seed,
         subsample=args.subsample,
         mem_c=args.mem_c,

@@ -23,7 +23,6 @@ equals the cluster round counter.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -64,9 +63,9 @@ class Cluster:
         if m < 1 or n < 1:
             raise ValueError(f"a cluster needs m >= 1 and n >= 1, got m={m} n={n}")
         if mem_c is None:
-            mem_c = int(os.environ.get("MPC_MEM_C", DEFAULT_MEM_C))
+            mem_c = DEFAULT_MEM_C
         if mem_e is None:
-            mem_e = int(os.environ.get("MPC_MEM_E", DEFAULT_MEM_E))
+            mem_e = DEFAULT_MEM_E
         self.m = m
         self.n = n
         self.mem_c = mem_c
@@ -77,7 +76,7 @@ class Cluster:
         self.peak_inbox_bits = 0
         self.log: list[RoundLogEntry] = []
         self._blocks: list[list[int]] = []  # running [rounds, peak] per open coalesce block
-        self.parent: Cluster | None = None  # set on lanes
+        self.parent = None  # on a lane, the Cluster it runs for
 
     # -- accounting --------------------------------------------------------
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 _chain_cache: dict[int, list[int]] = {}
-_frac_cache: dict[tuple[int, int, int], int] = {}
 
 
 def _sqrt_chain(g: int) -> list[int]:
@@ -40,19 +39,15 @@ def exp2_frac(num: int, den: int, g: int) -> int:
         raise ValueError(f"exp2_frac needs 0 <= num < den, got {num}/{den}")
     if num == 0 or g == 0:
         return 1 << g
-    key = (num, den, g)
-    val = _frac_cache.get(key)
-    if val is None:
-        chain = _sqrt_chain(g)
-        acc = 1 << g
-        x = num
-        for j in range(g):
-            x <<= 1
-            if x >= den:
-                x -= den
-                acc = (acc * chain[j]) >> g
-            if x == 0:
-                break
-        _frac_cache[key] = val = acc
-    return val
+    chain = _sqrt_chain(g)
+    acc = 1 << g
+    x = num
+    for j in range(g):
+        x <<= 1
+        if x >= den:
+            x -= den
+            acc = (acc * chain[j]) >> g
+        if x == 0:
+            break
+    return acc
 

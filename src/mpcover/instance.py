@@ -46,6 +46,16 @@ class SetSystem:
             if s and (s[0] < 1 or s[-1] > self.n):
                 raise InstanceError(f"set {j} has element outside [1, {self.n}]")
 
+    @functools.cached_property
+    def _masks(self) -> tuple[int, ...]:
+        # one n-bit row per set, packed little-endian: linear in n + |set|
+        masks = []
+        for s in self.sets:
+            bits = np.zeros(self.n, dtype=bool)
+            bits[np.array(s, dtype=np.intp) - 1] = True
+            masks.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
+        return tuple(masks)
+
 
 def load_instance(text: str) -> SetSystem:
     """Parse the text format. Errors name the offending 1-based line."""
@@ -92,16 +102,9 @@ def dump_instance(sys: SetSystem) -> str:
     return "\n".join(out) + "\n"
 
 
-@functools.lru_cache(maxsize=128)
 def set_masks(sys: SetSystem) -> tuple[int, ...]:
-    """Bitmask per set, bit e-1 for element e. Cached; SetSystem is hashable."""
-    masks = []
-    for s in sys.sets:
-        mask = 0
-        for e in s:
-            mask |= 1 << (e - 1)
-        masks.append(mask)
-    return tuple(masks)
+    """Bitmask per set, bit e-1 for element e, built once per instance."""
+    return sys._masks
 
 
 def incidence(sys: SetSystem) -> np.ndarray:

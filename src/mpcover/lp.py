@@ -81,12 +81,6 @@ class FractionalPair:
     sum_z: tuple[int, ...]
     rounds_t: int
 
-    def x(self) -> list[Fraction]:
-        return [Fraction(v, self.rounds_t) for v in self.sum_x]
-
-    def z(self) -> list[Fraction]:
-        return [Fraction(v, self.rounds_t) for v in self.sum_z]
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -255,14 +249,19 @@ def oracle_step(ctx: LpContext, acc: WeightAccumulator, length: int, cluster: Cl
     return OracleStep(feasible, x_idx, z_idx, pq, lhs_hat, sum_w, w)
 
 
-def _mwu(ctx: LpContext, length: int, cluster: Cluster, debug_sink=None) -> FractionalPair | None:
-    """Run the full weight-update loop for one objective guess."""
+def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None:
+    """Feasibility solve at objective guess `length`; None when rejected.
+
+    A None is a certificate that no point of the region satisfies all
+    constraints at slack 0; a pair satisfies every constraint within
+    1 + 1.4 * eps (checked, exact).
+    """
     n, m, k = ctx.n, ctx.m, ctx.k
     acc = WeightAccumulator(n)
     sum_x = np.zeros(n, dtype=np.int64)
     sum_z = np.zeros(m, dtype=np.int64)
     with cluster.coalesce(f"mwu[L={length}]"):
-        for t in range(ctx.t_total):
+        for _ in range(ctx.t_total):
             step = oracle_step(ctx, acc, length, cluster)
             x_ind = np.zeros(n, dtype=np.int64)
             x_ind[step.x_idx] = 1
@@ -271,8 +270,6 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster, debug_sink=None) -> Frac
             if not step.feasible:
                 cnt = z_ind @ ctx.s_mat
                 ctx.exact_check(step.w, step.lhs_hat_scaled, step.sum_w_scaled, x_ind, cnt, False)
-                if debug_sink is not None:
-                    debug_sink({"L": length, "t": t, "feasible": False})
                 return None
             cnt = cluster.convergecast_sum(
                 z_ind[:, None] * ctx.s_mat, entry_bits=1, label="mwu.cover_count"
@@ -285,18 +282,6 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster, debug_sink=None) -> Frac
             cluster.broadcast(n * ctx.abits, label="mwu.acc_broadcast")
             sum_x += x_ind
             sum_z += z_ind
-            if debug_sink is not None:
-                debug_sink(
-                    {
-                        "L": length,
-                        "t": t,
-                        "feasible": True,
-                        "lhs_hat_scaled": step.lhs_hat_scaled,
-                        "sum_w_scaled": step.sum_w_scaled,
-                        "acc_absmax": int(np.abs(acc.a).max(initial=0)),
-                        "acc_t": acc.t,
-                    }
-                )
     pair = FractionalPair(tuple(sum_x.tolist()), tuple(sum_z.tolist()), ctx.t_total)
     _check_pair(ctx, length, pair)
     return pair
@@ -314,28 +299,6 @@ def _check_pair(ctx: LpContext, length: int, pair: FractionalPair) -> None:
     for i in range(ctx.n):
         if (pair.sum_x[i] + cntz[i]) * scale > t * ctx.f[i] * bound:
             raise OracleSoundnessError(f"constraint {i + 1} exceeds the 1 + 1.4*eps slack")
-
-
-def mwu_solve(
-    sys: SetSystem,
-    f,
-    length: int,
-    k: int,
-    eps: Fraction,
-    cluster: Cluster,
-    *,
-    ctx: LpContext | None = None,
-    debug_sink=None,
-) -> FractionalPair | None:
-    """Feasibility solve at objective guess `length`; None when rejected.
-
-    A None is a certificate that no point of the region satisfies all
-    constraints at slack 0; a pair satisfies every constraint within
-    1 + 1.4 * eps (checked, exact).  eps is rounded down to a power of 1/2.
-    """
-    if ctx is None:
-        ctx = LpContext(sys, f, k, eps)
-    return _mwu(ctx, length, cluster, debug_sink)
 
 
 def guess_grid(n: int, eps: Fraction) -> list[int]:
@@ -374,8 +337,6 @@ def solve_pi1(
     k: int,
     eps: Fraction,
     cluster: Cluster,
-    *,
-    debug_sink=None,
 ) -> Pi1Result:
     """Try every guess in the grid, batched, and keep the largest feasible.
 
@@ -394,7 +355,7 @@ def solve_pi1(
         lanes = []
         for length in batch:
             lane = cluster.lane()
-            pair = _mwu(ctx, length, lane, debug_sink)
+            pair = _mwu(ctx, length, lane)
             lanes.append(lane)
             if pair is None:
                 infeas.append(length)

@@ -323,14 +323,21 @@ def bounded_frequency_solve(sys: SetSystem, eta: Fraction, cfg: PipelineConfig) 
     else:
         kept_sets = list(range(1, sys.m + 1))
         reduced = sys
+    inner_eps = eta * eta / f_max
     inner_cfg = PipelineConfig(
-        eps=eta * eta / f_max,
+        eps=inner_eps,
         seed=cfg.seed,
         subsample=cfg.subsample,
         mem_c=cfg.mem_c,
         mem_e=cfg.mem_e,
     )
     inner = solve_max_coverage(reduced, inner_cfg)
+    pre.check_log_consistent()
+    # the bound `mpcover audit` applies to the whole log: original shape, inner eps
+    rounds = pre.rounds + inner.rounds
+    bound = round_audit_bound(sys.n, sys.m, inner_eps, cfg.subsample)
+    if rounds > bound:
+        raise AuditError(f"{rounds} rounds exceed the audit bound {bound}")
     selection = tuple(sorted(kept_sets[j - 1] for j in inner.selection))
     cov = coverage(sys, selection)
     config_echo = dict(inner.config)
@@ -338,7 +345,7 @@ def bounded_frequency_solve(sys: SetSystem, eta: Fraction, cfg: PipelineConfig) 
     return RunReport(
         selection=selection,
         coverage=cov,
-        rounds=pre.rounds + inner.rounds,
+        rounds=rounds,
         peak_bits=max(pre.peak_inbox_bits, inner.peak_bits),
         l_star=inner.l_star,
         subsampled_n=inner.subsampled_n,

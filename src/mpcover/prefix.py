@@ -91,7 +91,7 @@ def prefix_coverage(sys: SetSystem, selection, cluster: Cluster) -> MarginalVect
     return MarginalVector(sel, tuple(phis))
 
 
-def trim_to_k(sys: SetSystem, marginals: MarginalVector, k: int, cluster: Cluster | None = None):
+def trim_to_k(sys: SetSystem, marginals: MarginalVector, k: int, cluster: Cluster):
     """Drop the r - k smallest-marginal sets; ties drop the larger index.
 
     Returns (trimmed selection, coverage lower bound).  The bound, total
@@ -107,8 +107,7 @@ def trim_to_k(sys: SetSystem, marginals: MarginalVector, k: int, cluster: Cluste
     dropped = set(order[: r - k])
     trimmed = tuple(sel[i] for i in range(r) if i not in dropped)
     bound = marginals.total - sum(phis[i] for i in dropped)
-    if cluster is not None:
-        cluster.broadcast(sys.m, label="trim.selection_broadcast")
+    cluster.broadcast(sys.m, label="trim.selection_broadcast")
     actual = coverage(sys, trimmed)
     if actual < bound:
         raise OracleSoundnessError(f"trim bound {bound} exceeds actual coverage {actual}")

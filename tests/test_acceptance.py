@@ -16,31 +16,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mpcover.pipeline as pipeline_mod
 from mpcover import (
     Cluster,
-    LpContext,
     PipelineConfig,
     SetSystem,
-    WeightAccumulator,
-    ceil_log2,
     coverage,
-    exact_opt,
-    frequency,
     generate_random,
     log_to_jsonl,
-    normalize_covered,
-    oracle_minimum,
-    oracle_step,
-    prefix_coverage,
-    randomized_round,
-    scale_to_pi0,
     solve_max_coverage,
-    solve_pi1,
-    trim_to_k,
 )
-import mpcover.pipeline as pipeline_mod
+from mpcover.baselines import exact_opt, oracle_minimum
 from mpcover.cli import main as cli_main
+from mpcover.cluster import ceil_log2
+from mpcover.instance import frequency, normalize_covered
+from mpcover.lp import LpContext, WeightAccumulator, oracle_step, scale_to_pi0, solve_pi1
 from mpcover.pipeline import _pad_budget
+from mpcover.prefix import prefix_coverage, trim_to_k
+from mpcover.rounding import randomized_round
+from test_lp import recording_iterations
 
 RATIO_EPS = 0.1
 SEEDS_PER_INSTANCE = 200
@@ -91,14 +85,15 @@ def pipeline_runs(roster):
 @pytest.fixture(scope="session")
 def lp_solutions(roster):
     """solve_pi1 on every normalized roster instance at eps = 1/8, with the
-    per-iteration debug records kept for the soundness criteria."""
+    per-iteration records kept for the soundness criteria."""
     out = []
     for sys_ in roster:
         sys1, _ = normalize_covered(sys_)
         f = frequency(sys1)
         records = []
         cl = Cluster(sys1.m, sys1.n)
-        res = solve_pi1(sys1, f, sys1.k, LP_STAGE_EPS, cl, debug_sink=records.append)
+        with recording_iterations(records):
+            res = solve_pi1(sys1, f, sys1.k, LP_STAGE_EPS, cl)
         assert res.pair is not None
         sol = scale_to_pi0(sys1, f, res.pair, res.eps)
         out.append(
@@ -177,7 +172,9 @@ def test_criterion_02_lp_solver_contract(lp_solutions):
         sys1, res = entry["sys1"], entry["res"]
         assert res.eps == LP_STAGE_EPS
         assert res.l_star == max(res.feasible_guesses)
-        x, z = res.pair.x(), res.pair.z()
+        t = res.pair.rounds_t
+        x = [Fraction(v, t) for v in res.pair.sum_x]
+        z = [Fraction(v, t) for v in res.pair.sum_z]
         assert sum(x) == res.l_star
         assert sum(z) == sys1.m - sys1.k
         zsum = [Fraction(0)] * sys1.n
@@ -290,7 +287,7 @@ def test_criterion_06_trim_bound(pipeline_runs, roster):
         k = int(rng.integers(1, r_len))
         sel = tuple(int(j) + 1 for j in np.sort(rng.choice(sys_.m, size=r_len, replace=False)))
         mv = prefix_coverage(sys_, sel, Cluster(sys_.m, sys_.n))
-        trimmed, bound = trim_to_k(sys_, mv, k)
+        trimmed, bound = trim_to_k(sys_, mv, k, Cluster(sys_.m, sys_.n))
         assert len(trimmed) == min(k, r_len)
         removed = set(sel) - set(trimmed)
         removed_phi = sum(
@@ -314,7 +311,7 @@ def test_criterion_07_rounding_expectation(lp_solutions):
         y_pad = _pad_budget(list(sol.y), kprime)
         covs = np.empty(10_000, dtype=np.int64)
         for rep in range(10_000):
-            covs[rep] = coverage(sys1, randomized_round(sys1, y_pad, kprime, seed=rep))
+            covs[rep] = coverage(sys1, randomized_round(y_pad, kprime, seed=rep))
         mean = float(covs.mean())
         se = float(covs.std(ddof=1)) / math.sqrt(len(covs))
         floor = (1 - 1 / math.e) * float(sol.objective)

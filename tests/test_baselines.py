@@ -5,14 +5,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpcover import (
-    SetSystem,
-    TruncatedPQ,
-    coverage,
-    exact_opt,
-    greedy_sequential,
-    oracle_minimum,
-)
+from mpcover import SetSystem, coverage
+from mpcover.baselines import exact_opt, greedy_sequential, oracle_minimum
+from mpcover.lp import TruncatedPQ
 
 
 def test_exact_opt_hand_example():

@@ -6,14 +6,8 @@ from fractions import Fraction
 import pytest
 
 import mpcover.pipeline as pipeline_mod
-from mpcover import (
-    OracleSoundnessError,
-    dump_instance,
-    exact_opt,
-    generate_random,
-    greedy_sequential,
-    load_instance,
-)
+from mpcover import OracleSoundnessError, dump_instance, generate_random, load_instance
+from mpcover.baselines import exact_opt, greedy_sequential
 from mpcover.cli import main
 from test_pipeline import tile_system
 
@@ -179,6 +173,21 @@ def test_run_eta_mode_meta_records_derived_epsilon(tmp_path, capsys):
     meta = json.loads(inst.with_suffix(".txt.roundlog.jsonl").read_text().splitlines()[0])["meta"]
     assert meta["epsilon"] == "1/16"
     assert meta["eta"] == "1/4"
+
+
+def test_run_eta_mode_audits_the_whole_run(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "two.txt"
+    inst.write_text("4 2 1\n1 2\n3 4\n")
+    argv = ["run", "--input", str(inst), "--eta", "0.25"]
+    rc, out, _ = run_main(argv, capsys)
+    assert rc == 0
+    total = json.loads(out)["rounds"]
+    # only the pre-stage's rounds push the run over this bound
+    monkeypatch.setattr(pipeline_mod, "round_audit_bound", lambda n, m, eps, sub: total - 1)
+    rc, out, err = run_main(argv, capsys)
+    assert rc == 4
+    assert out == ""
+    assert f"{total} rounds exceed" in err
 
 
 def test_run_budget_violation_exit_3(tmp_path, capsys):

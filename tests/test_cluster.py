@@ -7,14 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpcover import (
-    BudgetError,
-    Cluster,
-    RoundLogEntry,
-    ceil_log2,
-    log_to_jsonl,
-)
-from mpcover.cluster import LogDriftError
+from mpcover import BudgetError, Cluster, RoundLogEntry, log_to_jsonl
+from mpcover.cluster import DEFAULT_MEM_C, DEFAULT_MEM_E, LogDriftError, ceil_log2
 
 
 def test_ceil_log2():
@@ -24,14 +18,10 @@ def test_ceil_log2():
 def test_budget_formula():
     cl = Cluster(3, 10, mem_c=5, mem_e=2)
     assert cl.budget_bits == 5 * 10 * ceil_log2(12) ** 2
-
-
-def test_env_defaults(monkeypatch):
-    monkeypatch.setenv("MPC_MEM_C", "7")
-    monkeypatch.setenv("MPC_MEM_E", "1")
+    # None takes the defaults
     cl = Cluster(2, 4)
-    assert (cl.mem_c, cl.mem_e) == (7, 1)
-    assert cl.budget_bits == 7 * 4 * ceil_log2(6)
+    assert (cl.mem_c, cl.mem_e) == (DEFAULT_MEM_C, DEFAULT_MEM_E)
+    assert cl.budget_bits == DEFAULT_MEM_C * 4 * ceil_log2(6) ** DEFAULT_MEM_E
 
 
 def test_step_round_accounting():

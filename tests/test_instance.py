@@ -6,15 +6,12 @@ from hypothesis import given, strategies as st
 from mpcover import (
     InstanceError,
     SetSystem,
-    as_selection,
     coverage,
     dump_instance,
-    frequency,
     generate_random,
     load_instance,
-    normalize_covered,
-    set_masks,
 )
+from mpcover.instance import as_selection, frequency, normalize_covered, set_masks
 
 CHAIN = SetSystem(4, 3, 2, ((1, 2), (2, 3), (3, 4)))
 
@@ -96,6 +93,23 @@ def test_set_masks_and_coverage():
     assert coverage(CHAIN, ()) == 0
     # duplicate indices in a selection collapse
     assert coverage(CHAIN, (1, 1, 3)) == 4
+
+
+@given(systems(max_n=70))
+def test_set_masks_match_python_sets(sys_):
+    ref = tuple(sum(1 << (e - 1) for e in set(s)) for s in sys_.sets)
+    assert set_masks(sys_) == ref
+    assert set_masks(sys_) is set_masks(sys_)
+
+
+def test_coverage_does_not_hash_the_instance(monkeypatch):
+    def no_hash(self):
+        raise AssertionError("SetSystem hashed")
+
+    monkeypatch.setattr(SetSystem, "__hash__", no_hash)
+    sys_ = SetSystem(4, 3, 2, ((1, 2), (2, 3), (3, 4)))
+    assert coverage(sys_, (1, 3)) == 4
+    assert coverage(sys_, (2,)) == 2
 
 
 def test_frequency():

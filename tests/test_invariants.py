@@ -24,11 +24,12 @@ def test_no_bare_asserts_in_the_package():
 def test_trim_bound_check_survives_optimize_flag():
     # inflated marginals promise more coverage than the trimmed selection has
     code = (
-        "from mpcover import MarginalVector, OracleSoundnessError, SetSystem, trim_to_k\n"
+        "from mpcover import Cluster, OracleSoundnessError, SetSystem\n"
+        "from mpcover.prefix import MarginalVector, trim_to_k\n"
         "assert False, 'assertions must be stripped'\n"
         "sys_ = SetSystem(4, 3, 1, ((1, 2), (2, 3), (3, 4)))\n"
         "try:\n"
-        "    trim_to_k(sys_, MarginalVector((1, 2, 3), (2, 9, 2)), 1)\n"
+        "    trim_to_k(sys_, MarginalVector((1, 2, 3), (2, 9, 2)), 1, Cluster(3, 4))\n"
         "except OracleSoundnessError as err:\n"
         "    print(type(err).__name__)\n"
     )

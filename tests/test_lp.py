@@ -1,25 +1,27 @@
 """Multiplicative-weights LP solver: exactness, frozen fixed points, contract."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpcover import (
-    Cluster,
-    OracleSoundnessError,
-    SetSystem,
-    ceil_log2,
-    frequency,
+import mpcover.lp as lp_mod
+from mpcover import Cluster, OracleSoundnessError, SetSystem, generate_random
+from mpcover.cluster import ceil_log2
+from mpcover.instance import frequency
+from mpcover.lp import (
+    LpContext,
+    WeightAccumulator,
+    _mwu,
     guess_grid,
     iteration_count,
-    mwu_solve,
+    oracle_step,
     round_eps_down,
     scale_to_pi0,
     solve_pi1,
 )
-from mpcover.lp import LpContext, WeightAccumulator, _mwu, oracle_step
 
 CHAIN = SetSystem(4, 3, 2, ((1, 2), (2, 3), (3, 4)))
 CHAIN_F = frequency(CHAIN)
@@ -146,9 +148,40 @@ def test_mwu_detects_infeasible_guess_in_two_rounds():
     assert cl.rounds == 2
 
 
-def test_mwu_solve_debug_sink_records():
+@contextmanager
+def recording_iterations(records: list):
+    """Record every MWU iteration from outside the solver: the iteration
+    index, the oracle's verdict and truncated sums, and the accumulator
+    right after its update."""
+    step, update = lp_mod.oracle_step, WeightAccumulator.update
+
+    def recorded_step(ctx, acc, length, cluster):
+        st_ = step(ctx, acc, length, cluster)
+        records.append(
+            {
+                "t": acc.t,
+                "feasible": st_.feasible,
+                "lhs_hat_scaled": st_.lhs_hat_scaled,
+                "sum_w_scaled": st_.sum_w_scaled,
+            }
+        )
+        return st_
+
+    def recorded_update(acc, errors):
+        update(acc, errors)
+        records[-1]["acc_absmax"] = int(np.abs(acc.a).max(initial=0))
+        records[-1]["acc_t"] = acc.t
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_mod, "oracle_step", recorded_step)
+        mp.setattr(WeightAccumulator, "update", recorded_update)
+        yield
+
+
+def test_mwu_per_iteration_records():
     records = []
-    pair = mwu_solve(CHAIN, CHAIN_F, 2, 2, QUARTER, Cluster(3, 4), debug_sink=records.append)
+    with recording_iterations(records):
+        pair = _mwu(chain_ctx(), 2, Cluster(3, 4))
     assert pair is not None
     assert len(records) == 70
     assert all(r["feasible"] for r in records)
@@ -187,9 +220,7 @@ def test_solve_pi1_chain():
 def test_solve_pi1_nothing_feasible_shape(monkeypatch):
     # l_star = 1 is always reachable on a covered instance, so force the
     # all-rejected branch to pin its result shape
-    import mpcover.lp as lp_mod
-
-    monkeypatch.setattr(lp_mod, "_mwu", lambda ctx, length, cluster, sink=None: None)
+    monkeypatch.setattr(lp_mod, "_mwu", lambda ctx, length, cluster: None)
     res = solve_pi1(CHAIN, CHAIN_F, 2, QUARTER, Cluster(3, 4))
     assert res.l_star == 0
     assert res.pair is None
@@ -225,8 +256,6 @@ def test_scale_to_pi0_invariants_hold_under_slack():
 @settings(max_examples=12, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(4, 7), st.integers(2, 4))
 def test_mwu_contract_random_instances(seed, n, m):
-    from mpcover import generate_random
-
     k = 1 + seed % m
     sys_ = generate_random(n, m, k, density=0.55, seed=seed)
     f = frequency(sys_)

@@ -11,20 +11,15 @@ from mpcover import (
     Cluster,
     PipelineConfig,
     SetSystem,
-    ceil_log2,
-    coverage,
-    exact_opt,
-    frequency,
     generate_random,
-    greedy_fallback,
-    greedy_sequential,
     log_to_jsonl,
     run_pipeline,
     solve_max_coverage,
-    subsample_universe,
 )
+from mpcover.baselines import exact_opt, greedy_sequential
+from mpcover.cluster import ceil_log2
 import mpcover.pipeline as pipeline_mod
-from mpcover.pipeline import _pad_budget
+from mpcover.pipeline import _pad_budget, greedy_fallback, subsample_universe
 
 
 def tile_system(num_tiles: int, k: int) -> SetSystem:
@@ -287,6 +282,17 @@ def test_bounded_frequency_no_reduction_when_budget_covers_all():
     labels = [e_.primitive for e_ in rep.log]
     assert "bfreq.size_gather" not in labels
     assert rep.coverage == 2
+
+
+def test_bounded_frequency_audits_pre_and_inner_rounds(monkeypatch):
+    # no reduction, so the pre-stage is the one-round frequency cast
+    sys_ = SetSystem(4, 2, 1, ((1, 2), (3, 4)))
+    cfg = PipelineConfig(eta=Fraction(1, 4), seed=0)
+    total = run_pipeline(sys_, cfg).rounds
+    # a bound the inner run meets on its own but pre + inner does not
+    monkeypatch.setattr(pipeline_mod, "round_audit_bound", lambda n, m, eps, sub: total - 1)
+    with pytest.raises(AuditError, match=f"{total} rounds"):
+        run_pipeline(sys_, cfg)
 
 
 def test_bounded_frequency_eta_validation():

@@ -3,15 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpcover import (
-    Cluster,
-    MarginalVector,
-    SetSystem,
-    ceil_log2,
-    coverage,
-    prefix_coverage,
-    trim_to_k,
-)
+from mpcover import Cluster, SetSystem, coverage
+from mpcover.cluster import ceil_log2
+from mpcover.prefix import MarginalVector, prefix_coverage, trim_to_k
 
 
 def sequential_marginals(sys_, sel):
@@ -78,7 +72,7 @@ def test_round_bound_at_powers_and_odd_sizes():
 def test_trim_noop_when_within_budget():
     marg = MarginalVector((2, 5), (3, 1))
     sys_ = SetSystem(6, 5, 2, ((1, 2, 3), (1, 2, 3), (4,), (5,), (4,)))
-    sel, bound = trim_to_k(sys_, marg, 2)
+    sel, bound = trim_to_k(sys_, marg, 2, Cluster(5, 6))
     assert sel == (2, 5)
     assert bound == 4
 
@@ -87,7 +81,7 @@ def test_trim_drops_smallest_marginals_ties_to_larger_index():
     sys_ = SetSystem(8, 4, 2, ((1, 2, 3), (4,), (5,), (6, 7)))
     marg = prefix_coverage(sys_, (1, 2, 3, 4), Cluster(4, 8))
     assert marg.phis == (3, 1, 1, 2)
-    trimmed, bound = trim_to_k(sys_, marg, 2)
+    trimmed, bound = trim_to_k(sys_, marg, 2, Cluster(4, 8))
     # phi ties at 1 between sets 2 and 3; the larger index goes first
     assert trimmed == (1, 4)
     assert bound == 5
@@ -99,7 +93,7 @@ def test_trim_bound_is_conservative_under_overlap():
     sys_ = SetSystem(5, 3, 2, ((1, 2), (3,), (3, 4, 5)))
     marg = prefix_coverage(sys_, (1, 2, 3), Cluster(3, 5))
     assert marg.phis == (2, 1, 2)
-    trimmed, bound = trim_to_k(sys_, marg, 2)
+    trimmed, bound = trim_to_k(sys_, marg, 2, Cluster(3, 5))
     assert trimmed == (1, 3)
     assert bound == 4
     assert coverage(sys_, trimmed) == 5  # strictly above the bound
@@ -125,7 +119,7 @@ def test_trim_bound_holds_for_random_selections(data):
     k = data.draw(st.integers(1, m - 1))
     sys_ = SetSystem(n, m, k, sets)
     marg = prefix_coverage(sys_, tuple(range(1, m + 1)), Cluster(m, n))
-    trimmed, bound = trim_to_k(sys_, marg, k)
+    trimmed, bound = trim_to_k(sys_, marg, k, Cluster(m, n))
     assert len(trimmed) == k
     assert coverage(sys_, trimmed) >= bound
     # the removed mass is always the m - k smallest marginal values
