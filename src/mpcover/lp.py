@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -100,6 +101,8 @@ class WeightAccumulator:
         self.n = n
         self.a = np.zeros(n, dtype=np.int64)
         self.t = 0
+        self.absmax = 0  # |A|max after the last update
+        self.lane: LaneState | None = None  # oracle inputs derived from `a`
 
     def update(self, errors: np.ndarray) -> None:
         lim = 2 * self.n
@@ -108,7 +111,8 @@ class WeightAccumulator:
             raise OracleSoundnessError(f"per-iteration error outside [-2n, 2n]: {emin}..{emax}")
         self.a += errors
         self.t += 1
-        if int(np.abs(self.a).max(initial=0)) > lim * self.t:
+        self.absmax = int(np.abs(self.a).max(initial=0))
+        if self.absmax > lim * self.t:
             raise OracleSoundnessError("accumulator magnitude exceeded 2*n*t")
 
 
@@ -136,15 +140,17 @@ class LpContext:
                 f"the {self.abits}-bit broadcast width"
             )
         self.f_arr = np.array(self.f, dtype=np.int64)
-        self.d_arr = self.f_arr << self.s
+        self.d = [fv << self.s for fv in self.f]  # -A_i = c * d_i + r, 0 <= r < d_i
         self.rows = [[e - 1 for e in s] for s in sys.sets]
+        self.member: list[list[int]] = [[] for _ in range(n)]  # sets containing each element
+        for j, row in enumerate(self.rows):
+            for i in row:
+                self.member[i].append(j)
         self.s_mat = incidence(sys).astype(np.int64)
-        classes: dict[int, list[int]] = {}
-        for i, fv in enumerate(self.f):
-            classes.setdefault(fv, []).append(i)
-        self.f_classes = sorted(classes.items())
-        self.f_lcm = math.lcm(*classes)
+        self.f_lcm = math.lcm(*set(self.f))
+        self.lcm_over_f = [self.f_lcm // fv for fv in self.f]
         self.wcap_log2 = (4 * n * n).bit_length()  # weights stay below 4n^2
+        self.wsum_cap = (4 * n * n) << self.b
         self.qhat_bits = self.b + 3 * ceil_log2(max(n, 2)) + 3
         self.n_pow5 = max(n, 1) ** 5
         self._tabs: dict[int, list[int]] = {}
@@ -156,26 +162,30 @@ class LpContext:
             tab = self._tabs[fv] = [exp2_frac(r, den, self.b) for r in range(den)]
         return tab
 
-    def weights(self, a: np.ndarray):
+    def weights(self, a: np.ndarray) -> tuple[list[int], int]:
         """Scaled weights W_i = floor-approx of 2**(-eps*A_i/f_i) * 2**b.
 
-        Returns (dtype=object array of Python ints, their exact sum).
+        Returns (list of Python ints, their exact sum).
         """
-        c_arr, r_arr = np.divmod(-a, self.d_arr)
-        if int(c_arr.max(initial=0)) > self.wcap_log2:
-            raise OracleSoundnessError("weight above the 4n^2 potential cap")
-        c_all, r_all = c_arr.tolist(), r_arr.tolist()
-        w = np.empty(self.n, dtype=object)
-        for fv, idx in self.f_classes:
-            tab = self._tab(fv)
-            for i in idx:
-                base, c = tab[r_all[i]], c_all[i]
-                w[i] = base << c if c >= 0 else base >> -c
-        total = sum(w.tolist())
+        w = self.rederive(range(self.n), a.tolist())
+        total = sum(w)
         # the potential argument keeps the weight sum below 4n^2
-        if total > (4 * self.n * self.n) << self.b:
+        if total > self.wsum_cap:
             raise OracleSoundnessError("weight sum above the 4n^2 potential cap")
         return w, total
+
+    def rederive(self, idx, a_vals: list[int]) -> list[int]:
+        """Scaled weights of the entries idx at accumulator values a_vals,
+        each from its frequency class table shifted by c."""
+        out = []
+        f, d, cap = self.f, self.d, self.wcap_log2
+        for i, ai in zip(idx, a_vals):
+            c, r = divmod(-ai, d[i])
+            if c > cap:
+                raise OracleSoundnessError("weight above the 4n^2 potential cap")
+            base = self._tab(f[i])[r]
+            out.append(base << c if c >= 0 else base >> -c)
+        return out
 
     def exact_check(self, w, lhs_hat_scaled: int, sum_w_scaled: int, x_ind, cnt, feasible: bool):
         """Exact rational soundness of the truncation, per oracle call.
@@ -186,14 +196,8 @@ class LpContext:
         whenever the oracle accepted.  Everything is cleared to the common
         denominator lcm(f) * 2**b so the comparisons are plain integers.
         """
-        wl = w.tolist()
-        cl = (x_ind + cnt).tolist()
         lcm = self.f_lcm
-        lhs_lcm = 0
-        for fv, idx in self.f_classes:
-            num = sum(wl[i] * cl[i] for i in idx if cl[i])
-            if num:
-                lhs_lcm += num * (lcm // fv)
+        lhs_lcm = sum(map(mul, w, map(mul, (x_ind + cnt).tolist(), self.lcm_over_f)))
         slack_lcm_p5 = (lcm << self.b)  # slack * lcm * n^5
         hat_lcm = lhs_hat_scaled * lcm
         if not hat_lcm <= lhs_lcm:
@@ -204,15 +208,49 @@ class LpContext:
             raise OracleSoundnessError("accepted point violates the weighted budget")
 
 
+class LaneState:
+    """One lane's exact oracle inputs: weights w, element costs p = w // f,
+    set costs q (sums of p over each set) and the weight total, all derived
+    from the accumulator values `seen`."""
+
+    def __init__(self, ctx: LpContext, a: np.ndarray):
+        self.ctx = ctx
+        self.seen = a.copy()
+        self.w, self.total = ctx.weights(a)
+        self.p = [wi // fv for wi, fv in zip(self.w, ctx.f)]
+        self.q = [sum(map(self.p.__getitem__, row)) for row in ctx.rows]
+
+    def sync(self, a: np.ndarray) -> None:
+        """Re-derive w and p where `a` differs from `seen`; move q and the
+        total by the exact differences."""
+        moved = (a != self.seen).nonzero()[0]
+        if not moved.size:
+            return
+        ctx, w, p, q = self.ctx, self.w, self.p, self.q
+        f, member = ctx.f, ctx.member
+        vals = a[moved]
+        idx = moved.tolist()
+        total = self.total
+        for i, wi in zip(idx, ctx.rederive(idx, vals.tolist())):
+            total += wi - w[i]
+            w[i] = wi
+            dp = wi // f[i] - p[i]
+            if dp:
+                p[i] += dp
+                for j in member[i]:
+                    q[j] += dp
+        self.total = total
+        self.seen[moved] = vals
+
+
 @dataclass(frozen=True)
 class OracleStep:
     feasible: bool
     x_idx: np.ndarray
     z_idx: np.ndarray
-    pq: TruncatedPQ
     lhs_hat_scaled: int
     sum_w_scaled: int
-    w: np.ndarray
+    w: tuple[int, ...]  # the exact weights the step was computed from
 
 
 def oracle_step(ctx: LpContext, acc: WeightAccumulator, length: int, cluster: Cluster) -> OracleStep:
@@ -223,30 +261,37 @@ def oracle_step(ctx: LpContext, acc: WeightAccumulator, length: int, cluster: Cl
     Declares infeasible exactly when even the minimizer of the truncated
     objective exceeds the weight sum, which is sound because truncation only
     ever lowers costs.
+
+    The lane's weights and costs live on `acc.lane` between calls: the first
+    call derives them in full, later calls only where `acc.a` moved.
     """
     n, m, k = ctx.n, ctx.m, ctx.k
     if not 0 <= length <= n:
         raise ValueError(f"guess length must be in [0, {n}], got {length}")
-    w, sum_w = ctx.weights(acc.a)
-    p_list = (w // ctx.f_arr).tolist()
-    q_list = [sum(p_list[i] for i in row) for row in ctx.rows]
-    for qv in q_list:
-        if qv.bit_length() > ctx.qhat_bits:
-            raise OracleSoundnessError("set cost outgrew its message width")
+    lane = acc.lane
+    if lane is None or lane.ctx is not ctx:
+        lane = acc.lane = LaneState(ctx, acc.a)
+    else:
+        lane.sync(acc.a)
+    p, q, sum_w = lane.p, lane.q, lane.total
+    if sum_w > ctx.wsum_cap:
+        raise OracleSoundnessError("weight sum above the 4n^2 potential cap")
+    if max(q, default=0).bit_length() > ctx.qhat_bits:
+        raise OracleSoundnessError("set cost outgrew its message width")
     cluster.step_round(
         ((j, cluster.central, ctx.qhat_bits) for j in range(1, m + 1) if j != cluster.central),
         label="oracle.cost_gather",
     )
-    x_idx = np.array(sorted(range(n), key=p_list.__getitem__)[:length], dtype=np.intp)
-    z_idx = np.array(sorted(range(m), key=q_list.__getitem__)[: m - k], dtype=np.intp)
-    lhs_hat = sum(p_list[i] for i in x_idx) + sum(q_list[j] for j in z_idx)
+    xs = sorted(range(n), key=p.__getitem__)[:length]
+    zs = sorted(range(m), key=q.__getitem__)[: m - k]
+    lhs_hat = sum(map(p.__getitem__, xs)) + sum(map(q.__getitem__, zs))
     feasible = lhs_hat <= sum_w
-    pq = TruncatedPQ(tuple(p_list), tuple(q_list), ctx.b)
     if feasible:
         cluster.broadcast(n + m, label="oracle.point_broadcast")
     else:
         cluster.broadcast(1, label="oracle.reject_broadcast")
-    return OracleStep(feasible, x_idx, z_idx, pq, lhs_hat, sum_w, w)
+    x_idx, z_idx = np.array(xs, dtype=np.intp), np.array(zs, dtype=np.intp)
+    return OracleStep(feasible, x_idx, z_idx, lhs_hat, sum_w, tuple(lane.w))
 
 
 def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None:
@@ -277,7 +322,7 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
             ctx.exact_check(step.w, step.lhs_hat_scaled, step.sum_w_scaled, x_ind, cnt, True)
             errors = ctx.f_arr - x_ind - cnt
             acc.update(errors)
-            if int(np.abs(acc.a).max(initial=0)).bit_length() + 1 > ctx.abits:
+            if acc.absmax.bit_length() + 1 > ctx.abits:
                 raise OracleSoundnessError("accumulator outgrew its broadcast width")
             cluster.broadcast(n * ctx.abits, label="mwu.acc_broadcast")
             sum_x += x_ind

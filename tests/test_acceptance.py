@@ -34,7 +34,7 @@ from mpcover.lp import LpContext, WeightAccumulator, oracle_step, scale_to_pi0, 
 from mpcover.pipeline import _pad_budget
 from mpcover.prefix import prefix_coverage, trim_to_k
 from mpcover.rounding import randomized_round
-from test_lp import recording_iterations
+from test_lp import recording_iterations, truncated_pq
 
 RATIO_EPS = 0.1
 SEEDS_PER_INSTANCE = 200
@@ -193,7 +193,7 @@ def test_criterion_03_oracle_equivalence(oracle_trials):
     """The sort-based oracle value equals the exhaustive minimum, exactly."""
     for tr in oracle_trials["trials"]:
         ctx, st = tr["ctx"], tr["st"]
-        ref = oracle_minimum(st.pq, tr["length"], ctx.m - ctx.k)
+        ref = oracle_minimum(truncated_pq(ctx, st), tr["length"], ctx.m - ctx.k)
         assert st.lhs_hat_scaled == ref
     print(
         f"criterion 3: {len(oracle_trials['trials'])} trials equal the "

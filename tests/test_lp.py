@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import mpcover.lp as lp_mod
 from mpcover import Cluster, OracleSoundnessError, SetSystem, generate_random
 from mpcover.cluster import ceil_log2
-from mpcover.instance import frequency
+from mpcover.instance import frequency, normalize_covered
 from mpcover.lp import (
     LpContext,
+    TruncatedPQ,
     WeightAccumulator,
     _mwu,
     guess_grid,
@@ -26,10 +27,19 @@ from mpcover.lp import (
 CHAIN = SetSystem(4, 3, 2, ((1, 2), (2, 3), (3, 4)))
 CHAIN_F = frequency(CHAIN)
 QUARTER = Fraction(1, 4)
+# three frequency classes: f = 1, 2 and 4
+MULTI = SetSystem(9, 5, 2, ((1, 2, 3, 4), (2, 3, 5, 6), (3, 6, 7, 8), (1, 3, 4, 7), (5, 8, 9)))
 
 
 def chain_ctx() -> LpContext:
     return LpContext(CHAIN, CHAIN_F, 2, QUARTER)
+
+
+def truncated_pq(ctx: LpContext, step) -> TruncatedPQ:
+    """The oracle's costs at a step, from its weights: p_i = w_i // f_i and
+    q_j = the sum of p over set j."""
+    p = tuple(wi // fv for wi, fv in zip(step.w, ctx.f))
+    return TruncatedPQ(p, tuple(sum(p[i] for i in row) for row in ctx.rows), ctx.b)
 
 
 # -- parameters ------------------------------------------------------------
@@ -86,9 +96,10 @@ def test_uniform_weights_and_oracle_step():
     acc = WeightAccumulator(4)
     cl = Cluster(3, 4)
     st_ = oracle_step(ctx, acc, 3, cl)
+    pq = truncated_pq(ctx, st_)
     one = 1 << ctx.b
-    assert st_.pq.p_scaled == (one, one // 2, one // 2, one)
-    assert st_.pq.q_scaled == (3 * one // 2, one, 3 * one // 2)
+    assert pq.p_scaled == (one, one // 2, one // 2, one)
+    assert pq.q_scaled == (3 * one // 2, one, 3 * one // 2)
     assert st_.x_idx.tolist() == [1, 2, 0]
     assert st_.z_idx.tolist() == [1]
     assert st_.lhs_hat_scaled == 3 * one
@@ -100,7 +111,7 @@ def test_uniform_weights_and_oracle_step():
 def test_weights_cap_is_enforced():
     ctx = chain_ctx()
     a = np.zeros(4, dtype=np.int64)
-    a[0] = -(ctx.wcap_log2 + 1) * int(ctx.d_arr[0])
+    a[0] = -(ctx.wcap_log2 + 1) * ctx.d[0]
     with pytest.raises(OracleSoundnessError, match="cap"):
         ctx.weights(a)
 
@@ -112,10 +123,167 @@ def test_exact_check_rejects_tampered_values():
     cnt = np.array([0, 1, 1, 0])
     lhs = sum(int(w[i]) * int(x_ind[i] + cnt[i]) // CHAIN_F[i] for i in range(4))
     ctx.exact_check(w, lhs, total, x_ind, cnt, True)
-    with pytest.raises(OracleSoundnessError):
+    with pytest.raises(OracleSoundnessError, match="truncated objective exceeds the exact one"):
         ctx.exact_check(w, lhs + (1 << ctx.b), total, x_ind, cnt, True)
-    with pytest.raises(OracleSoundnessError):
+    with pytest.raises(OracleSoundnessError, match="accepted point violates the weighted budget"):
         ctx.exact_check(w, lhs, total // 4, x_ind, cnt, True)
+
+
+def test_exact_check_rejects_truncation_loss():
+    ctx = chain_ctx()
+    w, total = ctx.weights(np.zeros(4, dtype=np.int64))
+    x_ind = np.array([1, 1, 1, 0])
+    cnt = np.array([0, 1, 1, 0])
+    lhs = sum(int(w[i]) * int(x_ind[i] + cnt[i]) // CHAIN_F[i] for i in range(4))
+    # a truncated objective 1/n^5 below the exact one is still sound ...
+    ctx.exact_check(w, lhs - (1 << ctx.b) // ctx.n_pow5, total, x_ind, cnt, False)
+    # ... one that lost half of it is not, accepted or rejected
+    for feasible in (True, False):
+        with pytest.raises(OracleSoundnessError, match="truncation lost more than 1/n\\^5"):
+            ctx.exact_check(w, lhs // 2, total, x_ind, cnt, feasible)
+
+
+# -- the lane's maintained state ---------------------------------------------
+
+
+def test_weight_cap_fires_on_an_entry_changed_mid_run():
+    ctx = chain_ctx()
+    acc = WeightAccumulator(4)
+    oracle_step(ctx, acc, 3, Cluster(3, 4))
+    acc.a[2] = -(ctx.wcap_log2 + 1) * ctx.d[2]
+    with pytest.raises(OracleSoundnessError, match="weight above the 4n\\^2 potential cap"):
+        oracle_step(ctx, acc, 3, Cluster(3, 4))
+
+
+def test_weight_sum_cap_fires_mid_run():
+    ctx = chain_ctx()
+    acc = WeightAccumulator(4)
+    oracle_step(ctx, acc, 3, Cluster(3, 4))
+    # each weight 2**6 stays under its own cap; together they pass 4n^2 = 64
+    acc.a[:] = [-6 * d for d in ctx.d]
+    assert 6 <= ctx.wcap_log2
+    with pytest.raises(OracleSoundnessError, match="weight sum above the 4n\\^2 potential cap"):
+        oracle_step(ctx, acc, 3, Cluster(3, 4))
+
+
+def test_set_cost_width_check_fires():
+    ctx = chain_ctx()
+    acc = WeightAccumulator(4)
+    oracle_step(ctx, acc, 3, Cluster(3, 4))
+    # a set cost one bit wider than its message, in the lane's kept state
+    acc.lane.q[1] = 1 << ctx.qhat_bits
+    with pytest.raises(OracleSoundnessError, match="set cost outgrew its message width"):
+        oracle_step(ctx, acc, 3, Cluster(3, 4))
+
+
+def assert_lane_matches_scratch(ctx: LpContext, acc: WeightAccumulator, step) -> None:
+    """The lane's kept w, total, p and q equal a from-scratch derivation."""
+    w, total = ctx.weights(acc.a)
+    lane = acc.lane
+    assert lane.w == w and step.w == tuple(w)
+    assert lane.total == total == step.sum_w_scaled
+    pq = truncated_pq(ctx, step)
+    assert tuple(lane.p) == pq.p_scaled and tuple(lane.q) == pq.q_scaled
+    assert lane.seen.tolist() == acc.a.tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_maintained_state_matches_from_scratch(seed, data):
+    n = data.draw(st.integers(5, 9), label="n")
+    m = data.draw(st.integers(3, 5), label="m")
+    sys_ = normalize_covered(generate_random(n, m, 2, density=0.5, seed=seed))[0]
+    f = frequency(sys_)
+    assume(sys_.n >= 4 and len(set(f)) >= 2)
+    n, m = sys_.n, sys_.m
+    ctx = LpContext(sys_, f, sys_.k, QUARTER)
+    lo = np.array([-3 * d for d in ctx.d])  # c <= 3 keeps the weight sum under 4n^2
+    hi = -lo
+    acc = WeightAccumulator(n)
+    length = data.draw(st.integers(0, n), label="length")
+
+    def step_and_compare():
+        st_ = oracle_step(ctx, acc, length, Cluster(m, n))
+        assert_lane_matches_scratch(ctx, acc, st_)
+
+    step_and_compare()
+    # a ramp down to c = 3 and back up to c < 0 on every entry ...
+    crossed = np.zeros(n, dtype=bool)
+    for target in (lo, hi):
+        while (acc.a != target).any():
+            before = acc.a.copy()
+            acc.update(np.clip(target - acc.a, -2 * n, 2 * n))
+            crossed |= (before <= 0) & (acc.a > 0)  # shift c >= 0, then c < 0
+            step_and_compare()
+    assert crossed.all()
+    # ... then random moves, with one direct reassignment among them
+    moves = data.draw(
+        st.lists(st.lists(st.integers(-2 * n, 2 * n), min_size=n, max_size=n), max_size=12),
+        label="moves",
+    )
+    reassign_at = data.draw(st.integers(0, len(moves)), label="reassign_at")
+    for t, move in enumerate(moves + [None]):
+        if t == reassign_at:
+            vals = data.draw(st.lists(st.integers(-4 * n, 4 * n), min_size=n, max_size=n))
+            acc.a = np.clip(np.array(vals, dtype=np.int64), lo, hi)
+            step_and_compare()
+        if move is not None:
+            acc.update(np.clip(acc.a + np.array(move), lo, hi) - acc.a)
+            step_and_compare()
+
+
+@contextmanager
+def counting_derivations(counts: dict):
+    """Count, from outside the solver, full weight derivations, per-element
+    re-derivations outside them, and the accumulator entries that moved
+    between two oracle calls on the same accumulator."""
+    weights, rederive, step = LpContext.weights, LpContext.rederive, lp_mod.oracle_step
+    last: dict[int, tuple] = {}  # id(acc) -> (acc, its values at the last call)
+    in_full = [False]
+    counts.update(full=0, rederived=0, moved=0)
+
+    def counted_weights(ctx, a):
+        counts["full"] += 1
+        in_full[0] = True
+        try:
+            return weights(ctx, a)
+        finally:
+            in_full[0] = False
+
+    def counted_rederive(ctx, idx, a_vals):
+        if not in_full[0]:
+            counts["rederived"] += len(idx)
+        return rederive(ctx, idx, a_vals)
+
+    def counted_step(ctx, acc, length, cluster):
+        if id(acc) in last:
+            counts["moved"] += int(np.count_nonzero(acc.a != last[id(acc)][1]))
+        last[id(acc)] = (acc, acc.a.copy())
+        counts["lanes"] = len(last)
+        return step(ctx, acc, length, cluster)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LpContext, "weights", counted_weights)
+        mp.setattr(LpContext, "rederive", counted_rederive)
+        mp.setattr(lp_mod, "oracle_step", counted_step)
+        yield
+
+
+@pytest.mark.parametrize("sys_, length", [(CHAIN, 3), (MULTI, 7)], ids=["chain", "multi"])
+def test_weights_rederived_only_where_the_accumulator_moved(sys_, length):
+    counts: dict = {}
+    ctx = LpContext(sys_, frequency(sys_), sys_.k, QUARTER)
+    with counting_derivations(counts):
+        pair = _mwu(ctx, length, Cluster(sys_.m, sys_.n))
+    assert pair is not None
+    assert counts["lanes"] == counts["full"] == 1
+    assert counts["rederived"] == counts["moved"] > 0
+    # one full derivation per lane, also across a guess batch
+    with counting_derivations(counts):
+        res = solve_pi1(sys_, frequency(sys_), sys_.k, QUARTER, Cluster(sys_.m, sys_.n))
+    guesses = len(res.feasible_guesses) + len(res.infeasible_guesses)
+    assert counts["lanes"] == counts["full"] == guesses > 1
+    assert counts["rederived"] == counts["moved"] > 0
 
 
 # -- the weight-update loop ------------------------------------------------
