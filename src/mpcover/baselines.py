@@ -13,11 +13,20 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .instance import SetSystem, coverage, set_masks
-from .lp import OracleSoundnessError, TruncatedPQ
+from .lp import OracleSoundnessError
 
 EXACT_OPT_LIMIT = 10**7
 BRUTEFORCE_N = 12
 BRUTEFORCE_M = 8
+
+
+@dataclass(frozen=True)
+class TruncatedPQ:
+    """Per-element and per-set oracle costs on the common 2**-frac_bits grid."""
+
+    p_scaled: tuple[int, ...]
+    q_scaled: tuple[int, ...]
+    frac_bits: int
 
 
 @dataclass(frozen=True)

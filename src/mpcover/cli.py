@@ -225,26 +225,44 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _log_int(obj: dict, key: str, lineno: int, lo: int = 0) -> int:
+    """obj[key] as an int >= lo, or a ValueError naming the file line."""
+    val = obj.get(key)
+    if type(val) is not int or val < lo:
+        raise ValueError(f"line {lineno}: {key!r} must be an integer >= {lo}")
+    return val
+
+
 def cmd_audit(args) -> int:
-    lines = [ln for ln in args.input.read_text().splitlines() if ln.strip()]
-    meta = None
-    total = 0
-    peak = 0
-    for ln in lines:
-        row = json.loads(ln)
-        if "meta" in row:
-            meta = row["meta"]
+    meta, total, peak = None, 0, 0
+    for lineno, ln in enumerate(args.input.read_text().split("\n"), 1):
+        if not ln.strip():
             continue
-        total += row["rounds"]
-        peak = max(peak, row["peak_bits"])
+        try:
+            row = json.loads(ln)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"line {lineno}: {err.msg} (column {err.colno})") from None
+        if not isinstance(row, dict) or not isinstance(row.get("meta", {}), dict):
+            raise ValueError(f"line {lineno}: expected a JSON object")
+        if "meta" in row:
+            meta, meta_line = row["meta"], lineno
+            n, m = (_log_int(meta, key, lineno, lo=1) for key in ("n", "m"))
+            continue
+        total += _log_int(row, "rounds", lineno)
+        peak = max(peak, _log_int(row, "peak_bits", lineno))
     if meta is None:
         print("RoundLog has no meta line", file=_sys.stderr)
         return 2
-    eps = Fraction(meta["epsilon"]) if meta.get("epsilon") else None
-    if eps is None:
+    if not meta.get("epsilon"):
         print("RoundLog meta has no epsilon", file=_sys.stderr)
         return 2
-    bound = round_audit_bound(meta["n"], meta["m"], eps, bool(meta.get("subsample", True)))
+    try:
+        eps = Fraction(meta["epsilon"])
+    except (TypeError, ValueError, OverflowError):
+        eps = 0
+    if eps <= 0:
+        raise ValueError(f"line {meta_line}: epsilon {meta['epsilon']!r} is not positive")
+    bound = round_audit_bound(n, m, eps, bool(meta.get("subsample", True)))
     _emit({"rounds": total, "bound": bound, "peak_bits": peak})
     if total > bound:
         print(f"audit: {total} rounds exceed the bound {bound}", file=_sys.stderr)

@@ -66,15 +66,6 @@ def iteration_count(n: int, eps: Fraction) -> int:
 
 
 @dataclass(frozen=True)
-class TruncatedPQ:
-    """Per-element and per-set oracle costs on the common 2**-frac_bits grid."""
-
-    p_scaled: tuple[int, ...]
-    q_scaled: tuple[int, ...]
-    frac_bits: int
-
-
-@dataclass(frozen=True)
 class FractionalPair:
     """Averaged LP iterate, kept as integer sums over rounds_t iterations."""
 
@@ -92,28 +83,6 @@ class LpSolution:
     objective: Fraction
     budget_used: Fraction
     sigma: Fraction
-
-
-class WeightAccumulator:
-    """Exact integer error accumulators driving the weights."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.a = np.zeros(n, dtype=np.int64)
-        self.t = 0
-        self.absmax = 0  # |A|max after the last update
-        self.lane: LaneState | None = None  # oracle inputs derived from `a`
-
-    def update(self, errors: np.ndarray) -> None:
-        lim = 2 * self.n
-        emin, emax = int(errors.min()), int(errors.max())
-        if emin < -lim or emax > lim:
-            raise OracleSoundnessError(f"per-iteration error outside [-2n, 2n]: {emin}..{emax}")
-        self.a += errors
-        self.t += 1
-        self.absmax = int(np.abs(self.a).max(initial=0))
-        if self.absmax > lim * self.t:
-            raise OracleSoundnessError("accumulator magnitude exceeded 2*n*t")
 
 
 class LpContext:
@@ -146,7 +115,7 @@ class LpContext:
         for j, row in enumerate(self.rows):
             for i in row:
                 self.member[i].append(j)
-        self.s_mat = incidence(sys).astype(np.int64)
+        self.inc = incidence(sys)  # bool m x n, row j is set j + 1
         self.f_lcm = math.lcm(*set(self.f))
         self.lcm_over_f = [self.f_lcm // fv for fv in self.f]
         self.wcap_log2 = (4 * n * n).bit_length()  # weights stay below 4n^2
@@ -208,30 +177,42 @@ class LpContext:
             raise OracleSoundnessError("accepted point violates the weighted budget")
 
 
-class LaneState:
-    """One lane's exact oracle inputs: weights w, element costs p = w // f,
-    set costs q (sums of p over each set) and the weight total, all derived
-    from the accumulator values `seen`."""
+class WeightAccumulator:
+    """One MWU lane's exact state: the integer error accumulators a, the
+    weights w derived from them, the element costs p = w // f, the set costs
+    q (sums of p over each set) and the weight total.
 
-    def __init__(self, ctx: LpContext, a: np.ndarray):
+    The constructor derives all of it once through ctx.weights.  update()
+    re-derives w and p only where its errors are nonzero and moves q and
+    the total by exact integer differences, so the state always matches a.
+    """
+
+    def __init__(self, ctx: LpContext):
         self.ctx = ctx
-        self.seen = a.copy()
-        self.w, self.total = ctx.weights(a)
+        self.n = ctx.n
+        self.a = np.zeros(ctx.n, dtype=np.int64)
+        self.t = 0
+        self.absmax = 0  # |A|max after the last update
+        self.w, self.total = ctx.weights(self.a)
         self.p = [wi // fv for wi, fv in zip(self.w, ctx.f)]
         self.q = [sum(map(self.p.__getitem__, row)) for row in ctx.rows]
 
-    def sync(self, a: np.ndarray) -> None:
-        """Re-derive w and p where `a` differs from `seen`; move q and the
-        total by the exact differences."""
-        moved = (a != self.seen).nonzero()[0]
-        if not moved.size:
-            return
+    def update(self, errors: np.ndarray) -> None:
+        lim = 2 * self.n
+        emin, emax = int(errors.min()), int(errors.max())
+        if emin < -lim or emax > lim:
+            raise OracleSoundnessError(f"per-iteration error outside [-2n, 2n]: {emin}..{emax}")
+        self.a += errors
+        self.t += 1
+        self.absmax = int(np.abs(self.a).max(initial=0))
+        if self.absmax > lim * self.t:
+            raise OracleSoundnessError("accumulator magnitude exceeded 2*n*t")
         ctx, w, p, q = self.ctx, self.w, self.p, self.q
         f, member = ctx.f, ctx.member
-        vals = a[moved]
+        moved = errors.nonzero()[0]
         idx = moved.tolist()
         total = self.total
-        for i, wi in zip(idx, ctx.rederive(idx, vals.tolist())):
+        for i, wi in zip(idx, ctx.rederive(idx, self.a[moved].tolist())):
             total += wi - w[i]
             w[i] = wi
             dp = wi // f[i] - p[i]
@@ -240,7 +221,6 @@ class LaneState:
                 for j in member[i]:
                     q[j] += dp
         self.total = total
-        self.seen[moved] = vals
 
 
 @dataclass(frozen=True)
@@ -250,7 +230,6 @@ class OracleStep:
     z_idx: np.ndarray
     lhs_hat_scaled: int
     sum_w_scaled: int
-    w: tuple[int, ...]  # the exact weights the step was computed from
 
 
 def oracle_step(ctx: LpContext, acc: WeightAccumulator, length: int, cluster: Cluster) -> OracleStep:
@@ -262,18 +241,14 @@ def oracle_step(ctx: LpContext, acc: WeightAccumulator, length: int, cluster: Cl
     objective exceeds the weight sum, which is sound because truncation only
     ever lowers costs.
 
-    The lane's weights and costs live on `acc.lane` between calls: the first
-    call derives them in full, later calls only where `acc.a` moved.
+    Reads the costs and the weight total that `acc` keeps current (see
+    WeightAccumulator) and checks, on every call, the weight-sum cap and
+    the set-cost message width.
     """
     n, m, k = ctx.n, ctx.m, ctx.k
     if not 0 <= length <= n:
         raise ValueError(f"guess length must be in [0, {n}], got {length}")
-    lane = acc.lane
-    if lane is None or lane.ctx is not ctx:
-        lane = acc.lane = LaneState(ctx, acc.a)
-    else:
-        lane.sync(acc.a)
-    p, q, sum_w = lane.p, lane.q, lane.total
+    p, q, sum_w = acc.p, acc.q, acc.total
     if sum_w > ctx.wsum_cap:
         raise OracleSoundnessError("weight sum above the 4n^2 potential cap")
     if max(q, default=0).bit_length() > ctx.qhat_bits:
@@ -291,7 +266,7 @@ def oracle_step(ctx: LpContext, acc: WeightAccumulator, length: int, cluster: Cl
     else:
         cluster.broadcast(1, label="oracle.reject_broadcast")
     x_idx, z_idx = np.array(xs, dtype=np.intp), np.array(zs, dtype=np.intp)
-    return OracleStep(feasible, x_idx, z_idx, lhs_hat, sum_w, tuple(lane.w))
+    return OracleStep(feasible, x_idx, z_idx, lhs_hat, sum_w)
 
 
 def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None:
@@ -302,7 +277,7 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
     1 + 1.4 * eps (checked, exact).
     """
     n, m, k = ctx.n, ctx.m, ctx.k
-    acc = WeightAccumulator(n)
+    acc = WeightAccumulator(ctx)
     sum_x = np.zeros(n, dtype=np.int64)
     sum_z = np.zeros(m, dtype=np.int64)
     with cluster.coalesce(f"mwu[L={length}]"):
@@ -310,23 +285,24 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
             step = oracle_step(ctx, acc, length, cluster)
             x_ind = np.zeros(n, dtype=np.int64)
             x_ind[step.x_idx] = 1
-            z_ind = np.zeros(m, dtype=np.int64)
-            z_ind[step.z_idx] = 1
             if not step.feasible:
-                cnt = z_ind @ ctx.s_mat
-                ctx.exact_check(step.w, step.lhs_hat_scaled, step.sum_w_scaled, x_ind, cnt, False)
+                cnt = ctx.inc[step.z_idx].sum(axis=0)
+                ctx.exact_check(acc.w, step.lhs_hat_scaled, step.sum_w_scaled, x_ind, cnt, False)
                 return None
+            z_mask = np.zeros(m, dtype=bool)
+            z_mask[step.z_idx] = True
             cnt = cluster.convergecast_sum(
-                z_ind[:, None] * ctx.s_mat, entry_bits=1, label="mwu.cover_count"
+                ctx.inc & z_mask[:, None], entry_bits=1, label="mwu.cover_count"
             )
-            ctx.exact_check(step.w, step.lhs_hat_scaled, step.sum_w_scaled, x_ind, cnt, True)
-            errors = ctx.f_arr - x_ind - cnt
-            acc.update(errors)
+            ctx.exact_check(acc.w, step.lhs_hat_scaled, step.sum_w_scaled, x_ind, cnt, True)
+            acc.update(ctx.f_arr - x_ind - cnt)
+            # unreachable: LpContext checks that 2*n*t_total fits in abits - 1
+            # bits, and update() keeps |A| <= 2*n*t with t <= t_total
             if acc.absmax.bit_length() + 1 > ctx.abits:
                 raise OracleSoundnessError("accumulator outgrew its broadcast width")
             cluster.broadcast(n * ctx.abits, label="mwu.acc_broadcast")
             sum_x += x_ind
-            sum_z += z_ind
+            sum_z += z_mask
     pair = FractionalPair(tuple(sum_x.tolist()), tuple(sum_z.tolist()), ctx.t_total)
     _check_pair(ctx, length, pair)
     return pair
@@ -337,7 +313,7 @@ def _check_pair(ctx: LpContext, length: int, pair: FractionalPair) -> None:
     t = pair.rounds_t
     if sum(pair.sum_x) != length * t or sum(pair.sum_z) != (ctx.m - ctx.k) * t:
         raise OracleSoundnessError("averaged iterate left the region")
-    cntz = (np.array(pair.sum_z, dtype=np.int64) @ ctx.s_mat).tolist()
+    cntz = [sum(map(pair.sum_z.__getitem__, js)) for js in ctx.member]
     # constraint_i = (sum_x_i + cntz_i) / (t * f_i) must be <= 1 + 7/5 * eps
     scale = SLACK_DEN << ctx.s
     bound = scale + SLACK_NUM
@@ -428,34 +404,30 @@ def scale_to_pi0(sys: SetSystem, f, pair: FractionalPair, eps: Fraction) -> LpSo
     t = pair.rounds_t
     n, m, k = sys.n, sys.m, sys.k
     f = tuple(int(v) for v in f)
-    cntz = [0] * n
+    member: list[list[int]] = [[] for _ in range(n)]
     for j, s in enumerate(sys.sets):
-        zj = pair.sum_z[j]
-        if zj:
-            for e in s:
-                cntz[e - 1] += zj
-    sigma = Fraction(0)
-    for i in range(n):
-        excess = Fraction(pair.sum_x[i] + cntz[i], t * f[i]) - 1
-        if excess > sigma:
-            sigma = excess
+        for e in s:
+            member[e - 1].append(j)
+    cntz = [sum(map(pair.sum_z.__getitem__, js)) for js in member]
+    excess = [Fraction(sx + cz, t * fv) - 1 for sx, cz, fv in zip(pair.sum_x, cntz, f)]
+    sigma = max(excess + [Fraction(0)])
     if sigma > Fraction(SLACK_NUM, SLACK_DEN) * eps:
         raise OracleSoundnessError("constraint excess beyond the solver contract")
     den = 1 + sigma
     x = tuple(Fraction(v, t) / den for v in pair.sum_x)
     y = tuple(1 - Fraction(v, t) / den for v in pair.sum_z)
-    member: list[list[int]] = [[] for _ in range(n)]
-    for j, s in enumerate(sys.sets):
-        for e in s:
-            member[e - 1].append(j)
     for i in range(n):
         covered = sum((y[j] for j in member[i]), Fraction(0))
+        # unreachable: covered = f_i - cntz_i / (t * (1 + sigma)), so x_i > covered
+        # holds exactly when excess_i > sigma, and sigma is the largest excess
         if x[i] > covered:
             raise OracleSoundnessError("rescaled x exceeds its fractional cover")
     objective = sum(x, Fraction(0))
     budget_used = sum(y, Fraction(0))
     if budget_used > k + 2 * eps * m:
         raise OracleSoundnessError("rescaled budget exceeds k + 2*eps*m")
+    # unreachable: objective = sum(x) / t / (1 + sigma), and sigma <= 1.4 * eps
+    # gives 1 / (1 + sigma) >= 1 - sigma >= 1 - 1.4 * eps > 1 - 4 * eps
     if objective < (1 - 4 * eps) * Fraction(sum(pair.sum_x), t):
         raise OracleSoundnessError("rescaling lost more than the 4*eps factor")
     return LpSolution(x=x, y=y, objective=objective, budget_used=budget_used, sigma=sigma)

@@ -34,7 +34,7 @@ from mpcover.lp import LpContext, WeightAccumulator, oracle_step, scale_to_pi0, 
 from mpcover.pipeline import _pad_budget
 from mpcover.prefix import prefix_coverage, trim_to_k
 from mpcover.rounding import randomized_round
-from test_lp import recording_iterations, truncated_pq
+from test_lp import drive_to, recording_iterations, truncated_pq
 
 RATIO_EPS = 0.1
 SEEDS_PER_INSTANCE = 200
@@ -135,13 +135,12 @@ def oracle_trials():
                 continue
         if ctx is None:
             continue
-        acc = WeightAccumulator(n)
+        acc = WeightAccumulator(ctx)
         # floor(-14 * eps / f) <= 3 doublings keeps the weight sum under 4n^2
-        acc.a = rng.integers(-14, 31, size=n)
-        acc.t = 15
+        drive_to(acc, rng.integers(-14, 31, size=n))
         length = int(rng.integers(1, n + 1))
         st = oracle_step(ctx, acc, length, Cluster(m, n))
-        trials.append({"ctx": ctx, "st": st, "length": length})
+        trials.append({"ctx": ctx, "st": st, "w": list(acc.w), "length": length})
     return {"trials": trials, "elapsed": time.monotonic() - t0}
 
 
@@ -193,7 +192,7 @@ def test_criterion_03_oracle_equivalence(oracle_trials):
     """The sort-based oracle value equals the exhaustive minimum, exactly."""
     for tr in oracle_trials["trials"]:
         ctx, st = tr["ctx"], tr["st"]
-        ref = oracle_minimum(truncated_pq(ctx, st), tr["length"], ctx.m - ctx.k)
+        ref = oracle_minimum(truncated_pq(ctx, tr["w"]), tr["length"], ctx.m - ctx.k)
         assert st.lhs_hat_scaled == ref
     print(
         f"criterion 3: {len(oracle_trials['trials'])} trials equal the "
@@ -208,15 +207,13 @@ def test_criterion_04_truncation_soundness(oracle_trials, lp_solutions):
     recomputed here with Fractions; criterion 1 and 2 invocations run the
     same check inline on every iteration and abort the run on violation."""
     for tr in oracle_trials["trials"]:
-        ctx, st = tr["ctx"], tr["st"]
+        ctx, st, w = tr["ctx"], tr["st"], tr["w"]
         x_ind = np.zeros(ctx.n, dtype=np.int64)
         x_ind[st.x_idx] = 1
-        z_ind = np.zeros(ctx.m, dtype=np.int64)
-        z_ind[st.z_idx] = 1
-        cnt = z_ind @ ctx.s_mat
+        cnt = ctx.inc[st.z_idx].sum(axis=0)
         scale = 1 << ctx.b
         lhs = sum(
-            Fraction(int(st.w[i]) * int(x_ind[i] + cnt[i]), ctx.f[i] * scale)
+            Fraction(w[i] * int(x_ind[i] + cnt[i]), ctx.f[i] * scale)
             for i in range(ctx.n)
         )
         lhs_hat = Fraction(st.lhs_hat_scaled, scale)

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpcover import SetSystem, coverage
-from mpcover.baselines import exact_opt, greedy_sequential, oracle_minimum
-from mpcover.lp import TruncatedPQ
+from mpcover.baselines import TruncatedPQ, exact_opt, greedy_sequential, oracle_minimum
 
 
 def test_exact_opt_hand_example():

@@ -347,6 +347,33 @@ def test_audit_flags_bound_violation(tmp_path, capsys):
     assert "exceed" in err
 
 
+GOOD_META = json.dumps({"meta": {"n": 8, "m": 3, "k": 1, "epsilon": "1/4", "subsample": True}})
+GOOD_ROW = json.dumps({"primitive": "x", "rounds": 3, "peak_bits": 2})
+
+
+@pytest.mark.parametrize(
+    "text, line, reason",
+    [
+        (f'{GOOD_META}\n{{"primitive": "x", "rounds": 3}}\n', 2, "'peak_bits'"),
+        (f'{{"meta": {{"m": 3, "epsilon": "1/4"}}}}\n{GOOD_ROW}\n', 1, "'n'"),
+        (f"{GOOD_META}\n\n[1, 2]\n", 3, "expected a JSON object"),
+        (f"{GOOD_META}\n{GOOD_ROW}\n\n\n{{\"rounds\": 1,\n", 5, "column"),
+        (f'{GOOD_META}\n{{"primitive": "x", "rounds": "3", "peak_bits": 2}}\n', 2, "'rounds'"),
+        ('{"meta": {"n": 8, "m": 3, "epsilon": "0"}}\n', 1, "epsilon"),
+        ('{"meta": [8, 3]}\n', 1, "expected a JSON object"),
+    ],
+    ids=["no-peak-bits", "meta-without-n", "not-an-object", "bad-json", "string-rounds",
+         "zero-epsilon", "meta-not-an-object"],
+)
+def test_audit_malformed_log_names_its_line(tmp_path, capsys, text, line, reason):
+    p = tmp_path / "log.jsonl"
+    p.write_text(text)
+    rc, out, err = run_main(["audit", "--input", str(p)], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: line {line}: ")
+    assert reason in err and err.count("\n") == 1
+
+
 # -- argparse surface ------------------------------------------------------
 
 

@@ -9,12 +9,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import mpcover.lp as lp_mod
 from mpcover import Cluster, OracleSoundnessError, SetSystem, generate_random
+from mpcover.baselines import TruncatedPQ
 from mpcover.cluster import ceil_log2
 from mpcover.instance import frequency, normalize_covered
 from mpcover.lp import (
+    FractionalPair,
     LpContext,
-    TruncatedPQ,
     WeightAccumulator,
+    _check_pair,
     _mwu,
     guess_grid,
     iteration_count,
@@ -35,11 +37,20 @@ def chain_ctx() -> LpContext:
     return LpContext(CHAIN, CHAIN_F, 2, QUARTER)
 
 
-def truncated_pq(ctx: LpContext, step) -> TruncatedPQ:
-    """The oracle's costs at a step, from its weights: p_i = w_i // f_i and
-    q_j = the sum of p over set j."""
-    p = tuple(wi // fv for wi, fv in zip(step.w, ctx.f))
+def truncated_pq(ctx: LpContext, w) -> TruncatedPQ:
+    """The oracle's costs at weights w: p_i = w_i // f_i and q_j = the sum
+    of p over set j."""
+    p = tuple(wi // fv for wi, fv in zip(w, ctx.f))
     return TruncatedPQ(p, tuple(sum(p[i] for i in row) for row in ctx.rows), ctx.b)
+
+
+def drive_to(acc: WeightAccumulator, target) -> None:
+    """Move the accumulator to `target` through update(), at most 2n per
+    entry and step, as the solver's own error rows would."""
+    lim = 2 * acc.n
+    target = np.asarray(target, dtype=np.int64)
+    while (acc.a != target).any():
+        acc.update(np.clip(target - acc.a, -lim, lim))
 
 
 # -- parameters ------------------------------------------------------------
@@ -64,14 +75,18 @@ def test_iteration_count():
 
 
 def test_weight_accumulator_bounds():
-    acc = WeightAccumulator(3)
+    three = SetSystem(3, 2, 1, ((1, 2), (2, 3)))
+    ctx = LpContext(three, frequency(three), 1, QUARTER)
+    acc = WeightAccumulator(ctx)
     acc.update(np.array([6, -6, 0]))
     assert acc.t == 1
-    with pytest.raises(OracleSoundnessError):
+    with pytest.raises(
+        OracleSoundnessError, match=r"^per-iteration error outside \[-2n, 2n\]: 0\.\.7$"
+    ):
         acc.update(np.array([7, 0, 0]))
-    acc2 = WeightAccumulator(3)
+    acc2 = WeightAccumulator(ctx)
     acc2.a[:] = (13, 0, 0)  # stale state beyond 2*n*t after one update
-    with pytest.raises(OracleSoundnessError):
+    with pytest.raises(OracleSoundnessError, match=r"^accumulator magnitude exceeded 2\*n\*t$"):
         acc2.update(np.array([0, 0, 0]))
 
 
@@ -93,10 +108,10 @@ def test_context_validation():
 
 def test_uniform_weights_and_oracle_step():
     ctx = chain_ctx()
-    acc = WeightAccumulator(4)
+    acc = WeightAccumulator(ctx)
     cl = Cluster(3, 4)
     st_ = oracle_step(ctx, acc, 3, cl)
-    pq = truncated_pq(ctx, st_)
+    pq = truncated_pq(ctx, list(acc.w))
     one = 1 << ctx.b
     assert pq.p_scaled == (one, one // 2, one // 2, one)
     assert pq.q_scaled == (3 * one // 2, one, 3 * one // 2)
@@ -112,8 +127,12 @@ def test_weights_cap_is_enforced():
     ctx = chain_ctx()
     a = np.zeros(4, dtype=np.int64)
     a[0] = -(ctx.wcap_log2 + 1) * ctx.d[0]
-    with pytest.raises(OracleSoundnessError, match="cap"):
+    with pytest.raises(OracleSoundnessError, match="^weight above the 4n\\^2 potential cap$"):
         ctx.weights(a)
+    # each weight 2**6 stays under its own cap; together they pass 4n^2 = 64
+    assert 6 <= ctx.wcap_log2
+    with pytest.raises(OracleSoundnessError, match="^weight sum above the 4n\\^2 potential cap$"):
+        ctx.weights(np.array([-6 * d for d in ctx.d]))
 
 
 def test_exact_check_rejects_tampered_values():
@@ -148,43 +167,43 @@ def test_exact_check_rejects_truncation_loss():
 
 def test_weight_cap_fires_on_an_entry_changed_mid_run():
     ctx = chain_ctx()
-    acc = WeightAccumulator(4)
+    acc = WeightAccumulator(ctx)
     oracle_step(ctx, acc, 3, Cluster(3, 4))
-    acc.a[2] = -(ctx.wcap_log2 + 1) * ctx.d[2]
-    with pytest.raises(OracleSoundnessError, match="weight above the 4n\\^2 potential cap"):
-        oracle_step(ctx, acc, 3, Cluster(3, 4))
+    target = np.zeros(4, dtype=np.int64)
+    target[2] = -(ctx.wcap_log2 + 1) * ctx.d[2]
+    with pytest.raises(OracleSoundnessError, match="^weight above the 4n\\^2 potential cap$"):
+        drive_to(acc, target)
 
 
 def test_weight_sum_cap_fires_mid_run():
     ctx = chain_ctx()
-    acc = WeightAccumulator(4)
+    acc = WeightAccumulator(ctx)
     oracle_step(ctx, acc, 3, Cluster(3, 4))
     # each weight 2**6 stays under its own cap; together they pass 4n^2 = 64
-    acc.a[:] = [-6 * d for d in ctx.d]
+    drive_to(acc, [-6 * d for d in ctx.d])
     assert 6 <= ctx.wcap_log2
-    with pytest.raises(OracleSoundnessError, match="weight sum above the 4n\\^2 potential cap"):
+    with pytest.raises(OracleSoundnessError, match="^weight sum above the 4n\\^2 potential cap$"):
         oracle_step(ctx, acc, 3, Cluster(3, 4))
 
 
 def test_set_cost_width_check_fires():
     ctx = chain_ctx()
-    acc = WeightAccumulator(4)
+    acc = WeightAccumulator(ctx)
     oracle_step(ctx, acc, 3, Cluster(3, 4))
     # a set cost one bit wider than its message, in the lane's kept state
-    acc.lane.q[1] = 1 << ctx.qhat_bits
-    with pytest.raises(OracleSoundnessError, match="set cost outgrew its message width"):
+    acc.q[1] = 1 << ctx.qhat_bits
+    with pytest.raises(OracleSoundnessError, match="^set cost outgrew its message width$"):
         oracle_step(ctx, acc, 3, Cluster(3, 4))
 
 
-def assert_lane_matches_scratch(ctx: LpContext, acc: WeightAccumulator, step) -> None:
-    """The lane's kept w, total, p and q equal a from-scratch derivation."""
+def assert_state_matches_scratch(ctx: LpContext, acc: WeightAccumulator) -> None:
+    """The accumulator's kept w, total, p and q equal a from-scratch
+    derivation at its current values."""
     w, total = ctx.weights(acc.a)
-    lane = acc.lane
-    assert lane.w == w and step.w == tuple(w)
-    assert lane.total == total == step.sum_w_scaled
-    pq = truncated_pq(ctx, step)
-    assert tuple(lane.p) == pq.p_scaled and tuple(lane.q) == pq.q_scaled
-    assert lane.seen.tolist() == acc.a.tolist()
+    assert acc.w == w
+    assert acc.total == total
+    pq = truncated_pq(ctx, w)
+    assert tuple(acc.p) == pq.p_scaled and tuple(acc.q) == pq.q_scaled
 
 
 @settings(max_examples=30, deadline=None)
@@ -199,48 +218,43 @@ def test_maintained_state_matches_from_scratch(seed, data):
     ctx = LpContext(sys_, f, sys_.k, QUARTER)
     lo = np.array([-3 * d for d in ctx.d])  # c <= 3 keeps the weight sum under 4n^2
     hi = -lo
-    acc = WeightAccumulator(n)
+    acc = WeightAccumulator(ctx)
     length = data.draw(st.integers(0, n), label="length")
 
-    def step_and_compare():
-        st_ = oracle_step(ctx, acc, length, Cluster(m, n))
-        assert_lane_matches_scratch(ctx, acc, st_)
+    def update_and_compare(errors):
+        acc.update(errors)
+        assert_state_matches_scratch(ctx, acc)
 
-    step_and_compare()
+    assert_state_matches_scratch(ctx, acc)
     # a ramp down to c = 3 and back up to c < 0 on every entry ...
     crossed = np.zeros(n, dtype=bool)
     for target in (lo, hi):
         while (acc.a != target).any():
             before = acc.a.copy()
-            acc.update(np.clip(target - acc.a, -2 * n, 2 * n))
+            update_and_compare(np.clip(target - acc.a, -2 * n, 2 * n))
             crossed |= (before <= 0) & (acc.a > 0)  # shift c >= 0, then c < 0
-            step_and_compare()
     assert crossed.all()
-    # ... then random moves, with one direct reassignment among them
+    # ... then random moves
     moves = data.draw(
         st.lists(st.lists(st.integers(-2 * n, 2 * n), min_size=n, max_size=n), max_size=12),
         label="moves",
     )
-    reassign_at = data.draw(st.integers(0, len(moves)), label="reassign_at")
-    for t, move in enumerate(moves + [None]):
-        if t == reassign_at:
-            vals = data.draw(st.lists(st.integers(-4 * n, 4 * n), min_size=n, max_size=n))
-            acc.a = np.clip(np.array(vals, dtype=np.int64), lo, hi)
-            step_and_compare()
-        if move is not None:
-            acc.update(np.clip(acc.a + np.array(move), lo, hi) - acc.a)
-            step_and_compare()
+    for move in moves:
+        update_and_compare(np.clip(acc.a + np.array(move), lo, hi) - acc.a)
+    # the oracle reads the kept total
+    assert oracle_step(ctx, acc, length, Cluster(m, n)).sum_w_scaled == acc.total
 
 
 @contextmanager
 def counting_derivations(counts: dict):
-    """Count, from outside the solver, full weight derivations, per-element
-    re-derivations outside them, and the accumulator entries that moved
-    between two oracle calls on the same accumulator."""
-    weights, rederive, step = LpContext.weights, LpContext.rederive, lp_mod.oracle_step
-    last: dict[int, tuple] = {}  # id(acc) -> (acc, its values at the last call)
+    """Count, from outside the solver, the lanes, full weight derivations,
+    per-element re-derivations outside them, and the nonzero error entries
+    handed to update()."""
+    weights, rederive, update = LpContext.weights, LpContext.rederive, WeightAccumulator.update
+    step = lp_mod.oracle_step
+    lanes: dict[int, WeightAccumulator] = {}  # keeps each lane alive, so ids stay distinct
     in_full = [False]
-    counts.update(full=0, rederived=0, moved=0)
+    counts.update(full=0, rederived=0, nonzero=0)
 
     def counted_weights(ctx, a):
         counts["full"] += 1
@@ -255,16 +269,19 @@ def counting_derivations(counts: dict):
             counts["rederived"] += len(idx)
         return rederive(ctx, idx, a_vals)
 
+    def counted_update(acc, errors):
+        counts["nonzero"] += int(np.count_nonzero(errors))
+        return update(acc, errors)
+
     def counted_step(ctx, acc, length, cluster):
-        if id(acc) in last:
-            counts["moved"] += int(np.count_nonzero(acc.a != last[id(acc)][1]))
-        last[id(acc)] = (acc, acc.a.copy())
-        counts["lanes"] = len(last)
+        lanes[id(acc)] = acc
+        counts["lanes"] = len(lanes)
         return step(ctx, acc, length, cluster)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(LpContext, "weights", counted_weights)
         mp.setattr(LpContext, "rederive", counted_rederive)
+        mp.setattr(WeightAccumulator, "update", counted_update)
         mp.setattr(lp_mod, "oracle_step", counted_step)
         yield
 
@@ -277,13 +294,13 @@ def test_weights_rederived_only_where_the_accumulator_moved(sys_, length):
         pair = _mwu(ctx, length, Cluster(sys_.m, sys_.n))
     assert pair is not None
     assert counts["lanes"] == counts["full"] == 1
-    assert counts["rederived"] == counts["moved"] > 0
+    assert counts["rederived"] == counts["nonzero"] > 0
     # one full derivation per lane, also across a guess batch
     with counting_derivations(counts):
         res = solve_pi1(sys_, frequency(sys_), sys_.k, QUARTER, Cluster(sys_.m, sys_.n))
     guesses = len(res.feasible_guesses) + len(res.infeasible_guesses)
     assert counts["lanes"] == counts["full"] == guesses > 1
-    assert counts["rederived"] == counts["moved"] > 0
+    assert counts["rederived"] == counts["nonzero"] > 0
 
 
 # -- the weight-update loop ------------------------------------------------
@@ -416,6 +433,34 @@ def test_scale_to_pi0_invariants_hold_under_slack():
     member = {i: [j for j, s in enumerate(sys_.sets) if i in s] for i in range(1, 7)}
     for i in range(1, 7):
         assert sol.x[i - 1] <= sum((sol.y[j] for j in member[i]), Fraction(0))
+
+
+# -- checks on a tampered LP result ------------------------------------------
+
+
+def test_check_pair_rejects_a_tampered_pair():
+    ctx = chain_ctx()
+    # sum(x) = 2 at guess 1, t = 1
+    with pytest.raises(OracleSoundnessError, match="^averaged iterate left the region$"):
+        _check_pair(ctx, 1, FractionalPair((1, 1, 0, 0), (1, 0, 0), 1))
+    # in the region, but element 1 is covered twice with f_1 = 1
+    with pytest.raises(
+        OracleSoundnessError, match="^constraint 1 exceeds the 1 \\+ 1\\.4\\*eps slack$"
+    ):
+        _check_pair(ctx, 1, FractionalPair((1, 0, 0, 0), (1, 0, 0), 1))
+
+
+def test_scale_to_pi0_rejects_a_tampered_pair():
+    over = FractionalPair((1, 0, 0, 0), (1, 0, 0), 1)
+    with pytest.raises(
+        OracleSoundnessError, match="^constraint excess beyond the solver contract$"
+    ):
+        scale_to_pi0(CHAIN, CHAIN_F, over, QUARTER)
+    # all-zero sums keep every y_j = 1: a budget of m = 3 > 1 + 2 * eps * m
+    chain_k1 = SetSystem(4, 3, 1, CHAIN.sets)
+    zeros = FractionalPair((0, 0, 0, 0), (0, 0, 0), 1)
+    with pytest.raises(OracleSoundnessError, match="^rescaled budget exceeds k \\+ 2\\*eps\\*m$"):
+        scale_to_pi0(chain_k1, CHAIN_F, zeros, QUARTER)
 
 
 # -- the solver contract, property based -----------------------------------
