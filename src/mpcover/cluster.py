@@ -7,11 +7,12 @@ budget of mem_c * n * ceil(log2(n+2))**mem_e bits per round, and a round in
 which any inbox exceeds the budget raises BudgetError.
 
 The accounting plane is separate from the data plane.  The rounds and the
-largest inbox of a broadcast or a converge-cast depend only on its shape:
-m, the vector width and the entry width.  Both are charged in closed form
-through charge(); a converge-cast's sum is computed directly, without
-replaying the tree.  step_round is for every other round: per-receiver
-inboxes are summed from explicit (sender, receiver, bits) triples.
+largest inbox of a broadcast, a gather to central or a converge-cast depend
+only on its shape: m, the vector width and the entry width.  All three are
+charged in closed form through charge(); a converge-cast's sum is computed
+directly, without replaying the tree.  step_round is for every other round:
+per-receiver inboxes are summed from explicit (sender, receiver, bits)
+triples.
 
 Every charge appends an entry to a round log.  Long loops (the
 weight-update iterations) run inside coalesce blocks, which fold every
@@ -137,19 +138,28 @@ class Cluster:
         """Central sends the same payload to every other machine, 1 round."""
         self.charge(label, 1, payload_bits if self.m > 1 else 0)
 
-    def convergecast_sum(self, vectors, entry_bits: int, label: str = "convergecast_sum"):
-        """Sum per-machine vectors along a fixed binary tree rooted at central.
+    def gather(self, bits_each: int, label: str = "gather") -> None:
+        """Every machine but central sends central bits_each bits, 1 round."""
+        if bits_each < 0:
+            raise ValueError(f"'{label}': message size must be nonnegative, got {bits_each}")
+        self.charge(label, 1, (self.m - 1) * bits_each)
 
-        vectors: array of shape (m, width), one row per machine, nonnegative
-        entries of at most entry_bits bits.  Costs ceil(log2 m) rounds; every
-        merge message is accounted at width * (entry_bits + ceil(log2 m))
-        bits, the worst-case width of a partial sum.  Returns the exact sum.
-        """
+    def convergecast(self, width: int, entry_bits: int, label: str = "convergecast") -> None:
+        """Charge a sum of per-machine vectors along a fixed binary tree
+        rooted at central: width entries of at most entry_bits bits each.
+        Costs ceil(log2 m) rounds; every merge message is accounted at
+        width * (entry_bits + ceil(log2 m)) bits, the worst-case width of a
+        partial sum."""
+        depth = ceil_log2(self.m)
+        self.charge(label, depth, width * (entry_bits + depth) if depth else 0)
+
+    def convergecast_sum(self, vectors, entry_bits: int, label: str = "convergecast_sum"):
+        """convergecast() of vectors, an array of shape (m, width) with one
+        row per machine and nonnegative entries; returns their exact sum."""
         arr = np.asarray(vectors)
         if arr.ndim != 2 or arr.shape[0] != self.m:
             raise ValueError(f"'{label}': expected shape ({self.m}, width), got {arr.shape}")
-        depth = ceil_log2(self.m)
-        self.charge(label, depth, arr.shape[1] * (entry_bits + depth) if depth else 0)
+        self.convergecast(arr.shape[1], entry_bits, label)
         return arr.sum(axis=0)
 
     # -- composition -------------------------------------------------------

@@ -26,11 +26,10 @@ shifted left by c (right by -c when c is negative).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-
-import numpy as np
 
 from .cluster import Cluster, ceil_log2
 from .fixmath import exp2_frac
@@ -108,7 +107,6 @@ class LpContext:
                 f"eps={self.eps} too small for n={n}: accumulators outgrow "
                 f"the {self.abits}-bit broadcast width"
             )
-        self.f_arr = np.array(self.f, dtype=np.int64)
         self.d = [fv << self.s for fv in self.f]  # -A_i = c * d_i + r, 0 <= r < d_i
         self.rows = [[e - 1 for e in s] for s in sys.sets]
         self.member: list[list[int]] = [[] for _ in range(n)]  # sets containing each element
@@ -116,27 +114,28 @@ class LpContext:
             for i in row:
                 self.member[i].append(j)
         self.inc = incidence(sys)  # bool m x n, row j is set j + 1
+        # moves() rests on f_i being exactly the number of sets containing i
+        if self.inc.sum(axis=0).tolist() != list(self.f):
+            raise ValueError("frequency vector must be the column sums of the incidence")
         self.f_lcm = math.lcm(*set(self.f))
         self.lcm_over_f = [self.f_lcm // fv for fv in self.f]
         self.wcap_log2 = (4 * n * n).bit_length()  # weights stay below 4n^2
         self.wsum_cap = (4 * n * n) << self.b
         self.qhat_bits = self.b + 3 * ceil_log2(max(n, 2)) + 3
         self.n_pow5 = max(n, 1) ** 5
-        self._tabs: dict[int, list[int]] = {}
-
-    def _tab(self, fv: int) -> list[int]:
-        tab = self._tabs.get(fv)
-        if tab is None:
+        tabs = {}  # per frequency class f: exp2_frac(r, f * 2**s, b) for each r
+        for fv in sorted(set(self.f)):
             den = fv << self.s
-            tab = self._tabs[fv] = [exp2_frac(r, den, self.b) for r in range(den)]
-        return tab
+            tabs[fv] = [exp2_frac(r, den, self.b) for r in range(den)]
+        self.tab = [tabs[fv] for fv in self.f]  # each element's class table
 
-    def weights(self, a: np.ndarray) -> tuple[list[int], int]:
-        """Scaled weights W_i = floor-approx of 2**(-eps*A_i/f_i) * 2**b.
+    def weights(self, a) -> tuple[list[int], int]:
+        """Scaled weights W_i = floor-approx of 2**(-eps*A_i/f_i) * 2**b
+        at the n accumulator values a.
 
         Returns (list of Python ints, their exact sum).
         """
-        w = self.rederive(range(self.n), a.tolist())
+        w = self.rederive(range(self.n), list(map(int, a)))
         total = sum(w)
         # the potential argument keeps the weight sum below 4n^2
         if total > self.wsum_cap:
@@ -147,26 +146,48 @@ class LpContext:
         """Scaled weights of the entries idx at accumulator values a_vals,
         each from its frequency class table shifted by c."""
         out = []
-        f, d, cap = self.f, self.d, self.wcap_log2
+        tab, d, cap = self.tab, self.d, self.wcap_log2
         for i, ai in zip(idx, a_vals):
             c, r = divmod(-ai, d[i])
             if c > cap:
                 raise OracleSoundnessError("weight above the 4n^2 potential cap")
-            base = self._tab(f[i])[r]
+            base = tab[i][r]
             out.append(base << c if c >= 0 else base >> -c)
         return out
 
-    def exact_check(self, w, lhs_hat_scaled: int, sum_w_scaled: int, x_ind, cnt, feasible: bool):
+    def moves(self, x_idx, y_idx) -> dict[int, int]:
+        """The nonzero errors f_i - x_i - cnt_i of an oracle point, as
+        {element: error}.
+
+        x_idx are the chosen elements and y_idx the sets left out of z.  The
+        kept sets containing i number f_i minus the left-out ones, so the
+        error is (left-out sets containing i) - x_i: it can be nonzero only
+        on the members of the k left-out sets and on the chosen elements.
+        """
+        err = dict.fromkeys(x_idx, -1)
+        get, rows = err.get, self.rows
+        for j in y_idx:
+            for i in rows[j]:
+                e = get(i, 0) + 1
+                if e:
+                    err[i] = e
+                else:
+                    del err[i]
+        return err
+
+    def exact_check(self, w, lhs_hat_scaled: int, sum_w_scaled: int, cover, feasible: bool):
         """Exact rational soundness of the truncation, per oracle call.
 
         lhs denotes the true weighted constraint sum at the chosen point,
-        computed from the exact weights; lhs_hat is its truncated stand-in.
-        Verifies lhs - 1/n^5 <= lhs_hat <= lhs, and lhs <= sum w + 1/n^5
-        whenever the oracle accepted.  Everything is cleared to the common
-        denominator lcm(f) * 2**b so the comparisons are plain integers.
+        computed from the exact weights and cover_i = x_i + cnt_i, the
+        point's left-hand side of constraint i times f_i; lhs_hat is its
+        truncated stand-in.  Verifies lhs - 1/n^5 <= lhs_hat <= lhs, and
+        lhs <= sum w + 1/n^5 whenever the oracle accepted.  Everything is
+        cleared to the common denominator lcm(f) * 2**b so the comparisons
+        are plain integers.
         """
         lcm = self.f_lcm
-        lhs_lcm = sum(map(mul, w, map(mul, (x_ind + cnt).tolist(), self.lcm_over_f)))
+        lhs_lcm = sum(map(mul, w, map(mul, cover, self.lcm_over_f)))
         slack_lcm_p5 = (lcm << self.b)  # slack * lcm * n^5
         hat_lcm = lhs_hat_scaled * lcm
         if not hat_lcm <= lhs_lcm:
@@ -183,36 +204,47 @@ class WeightAccumulator:
     q (sums of p over each set) and the weight total.
 
     The constructor derives all of it once through ctx.weights.  update()
-    re-derives w and p only where its errors are nonzero and moves q and
+    re-derives w and p only where the accumulators moved and moves q and
     the total by exact integer differences, so the state always matches a.
     """
 
     def __init__(self, ctx: LpContext):
         self.ctx = ctx
         self.n = ctx.n
-        self.a = np.zeros(ctx.n, dtype=np.int64)
+        self.a = [0] * ctx.n
         self.t = 0
         self.absmax = 0  # |A|max after the last update
         self.w, self.total = ctx.weights(self.a)
         self.p = [wi // fv for wi, fv in zip(self.w, ctx.f)]
         self.q = [sum(map(self.p.__getitem__, row)) for row in ctx.rows]
 
-    def update(self, errors: np.ndarray) -> None:
+    def update(self, moves: dict[int, int]) -> None:
+        """Add one iteration's errors, given as {element: error}; every
+        element not in moves has error 0."""
         lim = 2 * self.n
-        emin, emax = int(errors.min()), int(errors.max())
+        errs = moves.values()
+        emin, emax = min(errs, default=0), max(errs, default=0)
+        if len(moves) < self.n:  # the implicit zeros count too
+            emin, emax = min(emin, 0), max(emax, 0)
         if emin < -lim or emax > lim:
             raise OracleSoundnessError(f"per-iteration error outside [-2n, 2n]: {emin}..{emax}")
-        self.a += errors
+        a, idx = self.a, list(moves)
+        at_max = self.absmax in map(abs, map(a.__getitem__, idx))
+        for i, e in moves.items():
+            a[i] += e
+        vals = list(map(a.__getitem__, idx))
         self.t += 1
-        self.absmax = int(np.abs(self.a).max(initial=0))
+        top = max(map(abs, vals), default=0)
+        if top >= self.absmax:
+            self.absmax = top
+        elif at_max:  # an entry at |A|max moved toward 0
+            self.absmax = max(map(abs, a))
         if self.absmax > lim * self.t:
             raise OracleSoundnessError("accumulator magnitude exceeded 2*n*t")
         ctx, w, p, q = self.ctx, self.w, self.p, self.q
         f, member = ctx.f, ctx.member
-        moved = errors.nonzero()[0]
-        idx = moved.tolist()
         total = self.total
-        for i, wi in zip(idx, ctx.rederive(idx, self.a[moved].tolist())):
+        for i, wi in zip(idx, ctx.rederive(idx, vals)):
             total += wi - w[i]
             w[i] = wi
             dp = wi // f[i] - p[i]
@@ -225,9 +257,13 @@ class WeightAccumulator:
 
 @dataclass(frozen=True)
 class OracleStep:
+    """An oracle point: the chosen elements x_idx, the m - k kept sets z_idx
+    and the k sets y_idx left out of z, each in ascending cost order."""
+
     feasible: bool
-    x_idx: np.ndarray
-    z_idx: np.ndarray
+    x_idx: list[int]
+    z_idx: list[int]
+    y_idx: list[int]
     lhs_hat_scaled: int
     sum_w_scaled: int
 
@@ -253,20 +289,17 @@ def oracle_step(ctx: LpContext, acc: WeightAccumulator, length: int, cluster: Cl
         raise OracleSoundnessError("weight sum above the 4n^2 potential cap")
     if max(q, default=0).bit_length() > ctx.qhat_bits:
         raise OracleSoundnessError("set cost outgrew its message width")
-    cluster.step_round(
-        ((j, cluster.central, ctx.qhat_bits) for j in range(1, m + 1) if j != cluster.central),
-        label="oracle.cost_gather",
-    )
+    cluster.gather(ctx.qhat_bits, label="oracle.cost_gather")
     xs = sorted(range(n), key=p.__getitem__)[:length]
-    zs = sorted(range(m), key=q.__getitem__)[: m - k]
+    order = sorted(range(m), key=q.__getitem__)
+    zs, ys = order[: m - k], order[m - k :]
     lhs_hat = sum(map(p.__getitem__, xs)) + sum(map(q.__getitem__, zs))
     feasible = lhs_hat <= sum_w
     if feasible:
         cluster.broadcast(n + m, label="oracle.point_broadcast")
     else:
         cluster.broadcast(1, label="oracle.reject_broadcast")
-    x_idx, z_idx = np.array(xs, dtype=np.intp), np.array(zs, dtype=np.intp)
-    return OracleStep(feasible, x_idx, z_idx, lhs_hat, sum_w)
+    return OracleStep(feasible, xs, zs, ys, lhs_hat, sum_w)
 
 
 def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None:
@@ -275,35 +308,39 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
     A None is a certificate that no point of the region satisfies all
     constraints at slack 0; a pair satisfies every constraint within
     1 + 1.4 * eps (checked, exact).
+
+    Each iteration is built from the oracle's picks (see LpContext.moves):
+    its nonzero errors, the cover counts x_i + cnt_i = f_i - error_i the
+    exact check reads, and the averaged iterate, whose sum_z_j is t_total
+    minus the iterations that left set j out.
     """
-    n, m, k = ctx.n, ctx.m, ctx.k
+    n, m, t_total = ctx.n, ctx.m, ctx.t_total
     acc = WeightAccumulator(ctx)
-    sum_x = np.zeros(n, dtype=np.int64)
-    sum_z = np.zeros(m, dtype=np.int64)
+    picked: Counter[int] = Counter()  # iterations that chose each element
+    left_out: Counter[int] = Counter()  # iterations that left each set out of z
     with cluster.coalesce(f"mwu[L={length}]"):
-        for _ in range(ctx.t_total):
+        for _ in range(t_total):
             step = oracle_step(ctx, acc, length, cluster)
-            x_ind = np.zeros(n, dtype=np.int64)
-            x_ind[step.x_idx] = 1
+            moves = ctx.moves(step.x_idx, step.y_idx)
+            cover = list(ctx.f)
+            for i, e in moves.items():
+                cover[i] -= e
             if not step.feasible:
-                cnt = ctx.inc[step.z_idx].sum(axis=0)
-                ctx.exact_check(acc.w, step.lhs_hat_scaled, step.sum_w_scaled, x_ind, cnt, False)
+                ctx.exact_check(acc.w, step.lhs_hat_scaled, step.sum_w_scaled, cover, False)
                 return None
-            z_mask = np.zeros(m, dtype=bool)
-            z_mask[step.z_idx] = True
-            cnt = cluster.convergecast_sum(
-                ctx.inc & z_mask[:, None], entry_bits=1, label="mwu.cover_count"
-            )
-            ctx.exact_check(acc.w, step.lhs_hat_scaled, step.sum_w_scaled, x_ind, cnt, True)
-            acc.update(ctx.f_arr - x_ind - cnt)
+            cluster.convergecast(n, entry_bits=1, label="mwu.cover_count")
+            ctx.exact_check(acc.w, step.lhs_hat_scaled, step.sum_w_scaled, cover, True)
+            acc.update(moves)
             # unreachable: LpContext checks that 2*n*t_total fits in abits - 1
             # bits, and update() keeps |A| <= 2*n*t with t <= t_total
             if acc.absmax.bit_length() + 1 > ctx.abits:
                 raise OracleSoundnessError("accumulator outgrew its broadcast width")
             cluster.broadcast(n * ctx.abits, label="mwu.acc_broadcast")
-            sum_x += x_ind
-            sum_z += z_mask
-    pair = FractionalPair(tuple(sum_x.tolist()), tuple(sum_z.tolist()), ctx.t_total)
+            picked.update(step.x_idx)
+            left_out.update(step.y_idx)
+    pair = FractionalPair(
+        tuple(picked[i] for i in range(n)), tuple(t_total - left_out[j] for j in range(m)), t_total
+    )
     _check_pair(ctx, length, pair)
     return pair
 

@@ -307,10 +307,7 @@ def bounded_frequency_solve(sys: SetSystem, eta: Fraction, cfg: PipelineConfig) 
     f_max = max(int(np.max(f_vec, initial=0)), 1)
     keep_count = math.ceil(sys.k * f_max / eta)
     if keep_count < sys.m:
-        pre.step_round(
-            ((j, pre.central, ceil_log2(sys.n + 1)) for j in range(2, sys.m + 1)),
-            label="bfreq.size_gather",
-        )
+        pre.gather(ceil_log2(sys.n + 1), label="bfreq.size_gather")
         order = sorted(range(1, sys.m + 1), key=lambda j: (-len(sys.sets[j - 1]), j))
         kept_sets = sorted(order[:keep_count])
         pre.broadcast(sys.m, label="bfreq.keep_broadcast")

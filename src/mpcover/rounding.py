@@ -130,6 +130,8 @@ def best_of_repetitions(
             if best is None or cand < best:
                 best = cand
         cluster.absorb_parallel(lanes, label=f"round.batch[{start}]")
+    # unreachable: repetitions(m) = ceil(8 * ln(m + 1) / eps) >= 1 for m >= 1 and
+    # eps > 0, and batch_size >= 1, so the first batch draws a candidate
     if best is None:
         raise OracleSoundnessError("the repetition schedule drew no candidate")
     return best[2], -best[0], reps

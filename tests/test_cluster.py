@@ -68,6 +68,26 @@ def test_convergecast_message_width():
     assert cl.peak_inbox_bits == 6 * (3 + 2)
 
 
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_gather_to_central(m):
+    # every machine but central sends 7 bits, all into central's inbox
+    cl = Cluster(m, 8)
+    cl.gather(7, label="sizes")
+    assert cl.log == [RoundLogEntry("sizes", 1, (m - 1) * 7)]
+    with pytest.raises(ValueError, match="nonnegative"):
+        cl.gather(-1)
+    assert cl.rounds == 1
+
+
+def test_charge_only_convergecast_matches_convergecast_sum():
+    for m in (1, 2, 5, 8):
+        counted, summed = Cluster(m, 6), Cluster(m, 6)
+        counted.convergecast(6, entry_bits=3, label="cast")
+        summed.convergecast_sum(np.ones((m, 6), dtype=np.int64), entry_bits=3, label="cast")
+        assert counted.log == summed.log
+        assert (counted.rounds, counted.peak_inbox_bits) == (summed.rounds, summed.peak_inbox_bits)
+
+
 def test_broadcast():
     cl = Cluster(5, 4)
     cl.broadcast(12, label="hello")
@@ -181,6 +201,12 @@ class ReplayCluster:
     def broadcast(self, payload_bits, label):
         self.step_round([(1, j, payload_bits) for j in range(2, self.m + 1)], label)
 
+    def gather(self, bits_each, label):
+        self.step_round([(j, 1, bits_each) for j in range(2, self.m + 1)], label)
+
+    def convergecast(self, width, entry_bits, label):
+        self.convergecast_sum(np.zeros((self.m, width), dtype=np.int64), entry_bits, label)
+
     def convergecast_sum(self, vectors, entry_bits, label):
         partial = np.array(vectors, dtype=np.int64)
         msg_bits = partial.shape[1] * (entry_bits + ceil_log2(self.m))
@@ -213,6 +239,8 @@ def _ops(m: int):
     receivers = st.integers(1, m)
     leaf = st.one_of(
         st.tuples(st.just("broadcast"), st.integers(0, 40)),
+        st.tuples(st.just("gather"), st.integers(0, 40)),
+        st.tuples(st.just("count"), st.integers(0, 4), st.integers(0, 6)),
         st.tuples(st.just("cast"), st.integers(0, 4), st.integers(0, 6), st.integers(0, 2**16)),
         st.tuples(
             st.just("step"),
@@ -236,6 +264,10 @@ def _run_program(cl, ops, sums, depth=0):
         try:
             if op[0] == "broadcast":
                 cl.broadcast(op[1], label="bcast")
+            elif op[0] == "gather":
+                cl.gather(op[1], label="gather")
+            elif op[0] == "count":
+                cl.convergecast(op[1], op[2], label="count")
             elif op[0] == "step":
                 cl.step_round(op[1], label="step")
             else:

@@ -44,13 +44,18 @@ def truncated_pq(ctx: LpContext, w) -> TruncatedPQ:
     return TruncatedPQ(p, tuple(sum(p[i] for i in row) for row in ctx.rows), ctx.b)
 
 
+def sparse(errors) -> dict[int, int]:
+    """The nonzero entries of a dense error row, as update() takes them."""
+    return {i: int(e) for i, e in enumerate(errors) if e}
+
+
 def drive_to(acc: WeightAccumulator, target) -> None:
     """Move the accumulator to `target` through update(), at most 2n per
     entry and step, as the solver's own error rows would."""
     lim = 2 * acc.n
     target = np.asarray(target, dtype=np.int64)
-    while (acc.a != target).any():
-        acc.update(np.clip(target - acc.a, -lim, lim))
+    while acc.a != target.tolist():
+        acc.update(sparse(np.clip(target - acc.a, -lim, lim)))
 
 
 # -- parameters ------------------------------------------------------------
@@ -78,16 +83,21 @@ def test_weight_accumulator_bounds():
     three = SetSystem(3, 2, 1, ((1, 2), (2, 3)))
     ctx = LpContext(three, frequency(three), 1, QUARTER)
     acc = WeightAccumulator(ctx)
-    acc.update(np.array([6, -6, 0]))
+    acc.update({0: 6, 1: -6})
     assert acc.t == 1
+    # the range counts the errors left implicit at 0
     with pytest.raises(
         OracleSoundnessError, match=r"^per-iteration error outside \[-2n, 2n\]: 0\.\.7$"
     ):
-        acc.update(np.array([7, 0, 0]))
+        acc.update({0: 7})
+    with pytest.raises(
+        OracleSoundnessError, match=r"^per-iteration error outside \[-2n, 2n\]: -7\.\.1$"
+    ):
+        acc.update({0: -7, 1: 1, 2: 1})
     acc2 = WeightAccumulator(ctx)
-    acc2.a[:] = (13, 0, 0)  # stale state beyond 2*n*t after one update
+    acc2.a[0] = 13  # stale state beyond 2*n*t after one update
     with pytest.raises(OracleSoundnessError, match=r"^accumulator magnitude exceeded 2\*n\*t$"):
-        acc2.update(np.array([0, 0, 0]))
+        acc2.update({0: 0})
 
 
 def test_context_validation():
@@ -95,6 +105,11 @@ def test_context_validation():
         LpContext(CHAIN, (1, 2, 2), 2, QUARTER)
     with pytest.raises(ValueError):
         LpContext(CHAIN, (0, 2, 2, 1), 2, QUARTER)
+    # positive and of length n, but not the number of sets containing each element
+    with pytest.raises(
+        ValueError, match="^frequency vector must be the column sums of the incidence$"
+    ):
+        LpContext(CHAIN, (1, 2, 2, 2), 2, QUARTER)
     # m + 1 must stay under n**4 for the truncation slack to mean anything
     wide = SetSystem(20, 20, 1, tuple((j,) for j in range(1, 21)))
     small = SetSystem(2, 2, 1, ((1,), (2,)))
@@ -115,8 +130,9 @@ def test_uniform_weights_and_oracle_step():
     one = 1 << ctx.b
     assert pq.p_scaled == (one, one // 2, one // 2, one)
     assert pq.q_scaled == (3 * one // 2, one, 3 * one // 2)
-    assert st_.x_idx.tolist() == [1, 2, 0]
-    assert st_.z_idx.tolist() == [1]
+    assert st_.x_idx == [1, 2, 0]
+    assert st_.z_idx == [1]
+    assert st_.y_idx == [0, 2]
     assert st_.lhs_hat_scaled == 3 * one
     assert st_.sum_w_scaled == 4 * one
     assert st_.feasible
@@ -135,31 +151,33 @@ def test_weights_cap_is_enforced():
         ctx.weights(np.array([-6 * d for d in ctx.d]))
 
 
+# x = elements 1..3, z = set 2: x_i + cnt_i per element
+CHAIN_COVER = [1 + 0, 1 + 1, 1 + 1, 0 + 0]
+
+
 def test_exact_check_rejects_tampered_values():
     ctx = chain_ctx()
-    w, total = ctx.weights(np.zeros(4, dtype=np.int64))
-    x_ind = np.array([1, 1, 1, 0])
-    cnt = np.array([0, 1, 1, 0])
-    lhs = sum(int(w[i]) * int(x_ind[i] + cnt[i]) // CHAIN_F[i] for i in range(4))
-    ctx.exact_check(w, lhs, total, x_ind, cnt, True)
+    w, total = ctx.weights([0] * 4)
+    cover = CHAIN_COVER
+    lhs = sum(w[i] * cover[i] // CHAIN_F[i] for i in range(4))
+    ctx.exact_check(w, lhs, total, cover, True)
     with pytest.raises(OracleSoundnessError, match="truncated objective exceeds the exact one"):
-        ctx.exact_check(w, lhs + (1 << ctx.b), total, x_ind, cnt, True)
+        ctx.exact_check(w, lhs + (1 << ctx.b), total, cover, True)
     with pytest.raises(OracleSoundnessError, match="accepted point violates the weighted budget"):
-        ctx.exact_check(w, lhs, total // 4, x_ind, cnt, True)
+        ctx.exact_check(w, lhs, total // 4, cover, True)
 
 
 def test_exact_check_rejects_truncation_loss():
     ctx = chain_ctx()
-    w, total = ctx.weights(np.zeros(4, dtype=np.int64))
-    x_ind = np.array([1, 1, 1, 0])
-    cnt = np.array([0, 1, 1, 0])
-    lhs = sum(int(w[i]) * int(x_ind[i] + cnt[i]) // CHAIN_F[i] for i in range(4))
+    w, total = ctx.weights([0] * 4)
+    cover = CHAIN_COVER
+    lhs = sum(w[i] * cover[i] // CHAIN_F[i] for i in range(4))
     # a truncated objective 1/n^5 below the exact one is still sound ...
-    ctx.exact_check(w, lhs - (1 << ctx.b) // ctx.n_pow5, total, x_ind, cnt, False)
+    ctx.exact_check(w, lhs - (1 << ctx.b) // ctx.n_pow5, total, cover, False)
     # ... one that lost half of it is not, accepted or rejected
     for feasible in (True, False):
         with pytest.raises(OracleSoundnessError, match="truncation lost more than 1/n\\^5"):
-            ctx.exact_check(w, lhs // 2, total, x_ind, cnt, feasible)
+            ctx.exact_check(w, lhs // 2, total, cover, feasible)
 
 
 # -- the lane's maintained state ---------------------------------------------
@@ -197,8 +215,9 @@ def test_set_cost_width_check_fires():
 
 
 def assert_state_matches_scratch(ctx: LpContext, acc: WeightAccumulator) -> None:
-    """The accumulator's kept w, total, p and q equal a from-scratch
+    """The accumulator's kept w, total, p, q and |A|max equal a from-scratch
     derivation at its current values."""
+    assert acc.absmax == max(map(abs, acc.a))
     w, total = ctx.weights(acc.a)
     assert acc.w == w
     assert acc.total == total
@@ -222,17 +241,17 @@ def test_maintained_state_matches_from_scratch(seed, data):
     length = data.draw(st.integers(0, n), label="length")
 
     def update_and_compare(errors):
-        acc.update(errors)
+        acc.update(sparse(errors))
         assert_state_matches_scratch(ctx, acc)
 
     assert_state_matches_scratch(ctx, acc)
     # a ramp down to c = 3 and back up to c < 0 on every entry ...
     crossed = np.zeros(n, dtype=bool)
     for target in (lo, hi):
-        while (acc.a != target).any():
-            before = acc.a.copy()
-            update_and_compare(np.clip(target - acc.a, -2 * n, 2 * n))
-            crossed |= (before <= 0) & (acc.a > 0)  # shift c >= 0, then c < 0
+        while acc.a != target.tolist():
+            before = np.array(acc.a)
+            update_and_compare(np.clip(target - before, -2 * n, 2 * n))
+            crossed |= (before <= 0) & (np.array(acc.a) > 0)  # shift c >= 0, then c < 0
     assert crossed.all()
     # ... then random moves
     moves = data.draw(
@@ -240,7 +259,8 @@ def test_maintained_state_matches_from_scratch(seed, data):
         label="moves",
     )
     for move in moves:
-        update_and_compare(np.clip(acc.a + np.array(move), lo, hi) - acc.a)
+        a = np.array(acc.a)
+        update_and_compare(np.clip(a + np.array(move), lo, hi) - a)
     # the oracle reads the kept total
     assert oracle_step(ctx, acc, length, Cluster(m, n)).sum_w_scaled == acc.total
 
@@ -269,9 +289,9 @@ def counting_derivations(counts: dict):
             counts["rederived"] += len(idx)
         return rederive(ctx, idx, a_vals)
 
-    def counted_update(acc, errors):
-        counts["nonzero"] += int(np.count_nonzero(errors))
-        return update(acc, errors)
+    def counted_update(acc, moves):
+        counts["nonzero"] += sum(1 for e in moves.values() if e)
+        return update(acc, moves)
 
     def counted_step(ctx, acc, length, cluster):
         lanes[id(acc)] = acc
@@ -301,6 +321,29 @@ def test_weights_rederived_only_where_the_accumulator_moved(sys_, length):
     guesses = len(res.feasible_guesses) + len(res.infeasible_guesses)
     assert counts["lanes"] == counts["full"] == guesses > 1
     assert counts["rederived"] == counts["nonzero"] > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_moves_are_the_nonzero_dense_errors(seed, data):
+    n = data.draw(st.integers(5, 12), label="n")
+    m = data.draw(st.integers(2, 5), label="m")
+    covered = normalize_covered(generate_random(n, m, 1, density=0.5, seed=seed))[0]
+    f = frequency(covered)
+    assume(covered.n >= 4 and len(set(f)) >= 2)
+    n, m = covered.n, covered.m
+    k = data.draw(st.integers(1, m), label="k")
+    ctx = LpContext(SetSystem(n, m, k, covered.sets), f, k, QUARTER)
+    # random oracle picks: any chosen elements, any split into kept and left-out sets
+    x_idx = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="x")
+    order = data.draw(st.permutations(range(m)), label="sets")
+    z_idx, y_idx = order[: m - k], order[m - k :]
+    x_ind = np.zeros(n, dtype=np.int64)
+    x_ind[x_idx] = 1
+    cnt = ctx.inc[z_idx].sum(axis=0)
+    moves = ctx.moves(x_idx, y_idx)
+    assert moves == sparse(np.array(f) - x_ind - cnt)
+    assert [fv - moves.get(i, 0) for i, fv in enumerate(f)] == (x_ind + cnt).tolist()
 
 
 # -- the weight-update loop ------------------------------------------------
@@ -352,9 +395,9 @@ def recording_iterations(records: list):
         )
         return st_
 
-    def recorded_update(acc, errors):
-        update(acc, errors)
-        records[-1]["acc_absmax"] = int(np.abs(acc.a).max(initial=0))
+    def recorded_update(acc, moves):
+        update(acc, moves)
+        records[-1]["acc_absmax"] = max(map(abs, acc.a))
         records[-1]["acc_t"] = acc.t
 
     with pytest.MonkeyPatch.context() as mp:

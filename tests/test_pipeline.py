@@ -207,7 +207,7 @@ def test_lp_rejection_falls_back_to_greedy(monkeypatch):
 def test_audit_error_on_tiny_bound(monkeypatch):
     monkeypatch.setattr(pipeline_mod, "ROUND_AUDIT_SUB", 0)
     sys_ = generate_random(30, 8, 3, density=0.25, seed=4)
-    with pytest.raises(AuditError):
+    with pytest.raises(AuditError, match=r"^\d+ rounds exceed the audit bound 0$"):
         run_pipeline(sys_, PipelineConfig(eps=Fraction(1, 10)))
 
 
