@@ -247,6 +247,8 @@ def cmd_audit(args) -> int:
         if "meta" in row:
             meta, meta_line = row["meta"], lineno
             n, m = (_log_int(meta, key, lineno, lo=1) for key in ("n", "m"))
+            if not isinstance(meta.get("subsample", True), bool):
+                raise ValueError(f"line {lineno}: 'subsample' must be true or false")
             continue
         total += _log_int(row, "rounds", lineno)
         peak = max(peak, _log_int(row, "peak_bits", lineno))
@@ -262,7 +264,7 @@ def cmd_audit(args) -> int:
         eps = 0
     if eps <= 0:
         raise ValueError(f"line {meta_line}: epsilon {meta['epsilon']!r} is not positive")
-    bound = round_audit_bound(n, m, eps, bool(meta.get("subsample", True)))
+    bound = round_audit_bound(n, m, eps, meta.get("subsample", True))
     _emit({"rounds": total, "bound": bound, "peak_bits": peak})
     if total > bound:
         print(f"audit: {total} rounds exceed the bound {bound}", file=_sys.stderr)

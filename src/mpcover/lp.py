@@ -33,7 +33,7 @@ from operator import mul
 
 from .cluster import Cluster, ceil_log2
 from .fixmath import exp2_frac
-from .instance import SetSystem, incidence
+from .instance import SetSystem
 
 TRUNC_BITS_PER_LOG = 10
 # Runtime bound asserted on the averaged iterate: max constraint value must
@@ -85,18 +85,23 @@ class LpSolution:
 
 
 class LpContext:
-    """Shared precomputation for one (instance, frequency, eps) triple."""
+    """Shared precomputation for one (instance, eps) pair: f_i counts the
+    sets containing element i and k is the instance's budget."""
 
-    def __init__(self, sys: SetSystem, f, k: int, eps: Fraction):
+    def __init__(self, sys: SetSystem, eps: Fraction):
         self.sys = sys
-        self.n = sys.n
-        self.m = sys.m
-        self.k = k
-        self.f = tuple(int(v) for v in f)
-        if len(self.f) != sys.n or any(v < 1 for v in self.f):
-            raise ValueError("frequency vector must be positive and length n")
+        self.n = n = sys.n
+        self.m = m = sys.m
+        self.k = sys.k
+        self.rows = [[e - 1 for e in s] for s in sys.sets]
+        self.member: list[list[int]] = [[] for _ in range(n)]  # sets containing each element
+        for j, row in enumerate(self.rows):
+            for i in row:
+                self.member[i].append(j)
+        self.f = tuple(map(len, self.member))
+        if 0 in self.f:
+            raise ValueError("every element must lie in some set; normalize the instance first")
         self.eps, self.s = round_eps_down(eps)
-        n, m = self.n, self.m
         if not (1 + m <= max(n, 2) ** 4):
             raise ValueError("m too large for the 1/n^5 truncation slack")
         self.b = TRUNC_BITS_PER_LOG * ceil_log2(max(n, 1))
@@ -108,15 +113,6 @@ class LpContext:
                 f"the {self.abits}-bit broadcast width"
             )
         self.d = [fv << self.s for fv in self.f]  # -A_i = c * d_i + r, 0 <= r < d_i
-        self.rows = [[e - 1 for e in s] for s in sys.sets]
-        self.member: list[list[int]] = [[] for _ in range(n)]  # sets containing each element
-        for j, row in enumerate(self.rows):
-            for i in row:
-                self.member[i].append(j)
-        self.inc = incidence(sys)  # bool m x n, row j is set j + 1
-        # moves() rests on f_i being exactly the number of sets containing i
-        if self.inc.sum(axis=0).tolist() != list(self.f):
-            raise ValueError("frequency vector must be the column sums of the incidence")
         self.f_lcm = math.lcm(*set(self.f))
         self.lcm_over_f = [self.f_lcm // fv for fv in self.f]
         self.wcap_log2 = (4 * n * n).bit_length()  # weights stay below 4n^2
@@ -384,28 +380,20 @@ def guess_grid(n: int, eps: Fraction) -> list[int]:
 class Pi1Result:
     l_star: int
     pair: FractionalPair | None
-    eps: Fraction
     feasible_guesses: tuple[int, ...]
     infeasible_guesses: tuple[int, ...]
 
 
-def solve_pi1(
-    sys: SetSystem,
-    f,
-    k: int,
-    eps: Fraction,
-    cluster: Cluster,
-) -> Pi1Result:
+def solve_pi1(ctx: LpContext, cluster: Cluster) -> Pi1Result:
     """Try every guess in the grid, batched, and keep the largest feasible.
 
     Guesses run in parallel batches of ceil(log2(n+1)): a batch costs the
     rounds of its slowest member while inbox bits add up.  Any guess at or
     below the LP optimum is feasible, so l_star * (1+eps) >= that optimum.
     """
-    ctx = LpContext(sys, f, k, eps)
-    grid = guess_grid(sys.n, ctx.eps)
-    batch_size = max(1, ceil_log2(sys.n + 1))
-    best: tuple[int, FractionalPair] | None = None
+    grid = guess_grid(ctx.n, ctx.eps)
+    batch_size = max(1, ceil_log2(ctx.n + 1))
+    best: tuple[int, FractionalPair | None] = (0, None)
     feas: list[int] = []
     infeas: list[int] = []
     for start in range(0, len(grid), batch_size):
@@ -419,15 +407,13 @@ def solve_pi1(
                 infeas.append(length)
             else:
                 feas.append(length)
-                if best is None or length > best[0]:
+                if length > best[0]:
                     best = (length, pair)
         cluster.absorb_parallel(lanes, label=f"pi1.batch[{batch[0]}..{batch[-1]}]")
-    if best is None:
-        return Pi1Result(0, None, ctx.eps, tuple(feas), tuple(infeas))
-    return Pi1Result(best[0], best[1], ctx.eps, tuple(feas), tuple(infeas))
+    return Pi1Result(*best, tuple(feas), tuple(infeas))
 
 
-def scale_to_pi0(sys: SetSystem, f, pair: FractionalPair, eps: Fraction) -> LpSolution:
+def scale_to_pi0(ctx: LpContext, pair: FractionalPair) -> LpSolution:
     """Turn the averaged complement-form iterate into a clean relaxation.
 
     Divides x and z by 1 + sigma, where sigma is the measured worst
@@ -437,23 +423,16 @@ def scale_to_pi0(sys: SetSystem, f, pair: FractionalPair, eps: Fraction) -> LpSo
       sum(y) <= k + 2 * eps * m,
       sum(x) >= (1 - 4 * eps) * (sum of the input x).
     """
-    eps = Fraction(eps)
-    t = pair.rounds_t
-    n, m, k = sys.n, sys.m, sys.k
-    f = tuple(int(v) for v in f)
-    member: list[list[int]] = [[] for _ in range(n)]
-    for j, s in enumerate(sys.sets):
-        for e in s:
-            member[e - 1].append(j)
+    eps, t, member = ctx.eps, pair.rounds_t, ctx.member
     cntz = [sum(map(pair.sum_z.__getitem__, js)) for js in member]
-    excess = [Fraction(sx + cz, t * fv) - 1 for sx, cz, fv in zip(pair.sum_x, cntz, f)]
+    excess = [Fraction(sx + cz, t * fv) - 1 for sx, cz, fv in zip(pair.sum_x, cntz, ctx.f)]
     sigma = max(excess + [Fraction(0)])
     if sigma > Fraction(SLACK_NUM, SLACK_DEN) * eps:
         raise OracleSoundnessError("constraint excess beyond the solver contract")
     den = 1 + sigma
     x = tuple(Fraction(v, t) / den for v in pair.sum_x)
     y = tuple(1 - Fraction(v, t) / den for v in pair.sum_z)
-    for i in range(n):
+    for i in range(ctx.n):
         covered = sum((y[j] for j in member[i]), Fraction(0))
         # unreachable: covered = f_i - cntz_i / (t * (1 + sigma)), so x_i > covered
         # holds exactly when excess_i > sigma, and sigma is the largest excess
@@ -461,7 +440,7 @@ def scale_to_pi0(sys: SetSystem, f, pair: FractionalPair, eps: Fraction) -> LpSo
             raise OracleSoundnessError("rescaled x exceeds its fractional cover")
     objective = sum(x, Fraction(0))
     budget_used = sum(y, Fraction(0))
-    if budget_used > k + 2 * eps * m:
+    if budget_used > ctx.k + 2 * eps * ctx.m:
         raise OracleSoundnessError("rescaled budget exceeds k + 2*eps*m")
     # unreachable: objective = sum(x) / t / (1 + sigma), and sigma <= 1.4 * eps
     # gives 1 / (1 + sigma) >= 1 - sigma >= 1 - 1.4 * eps > 1 - 4 * eps

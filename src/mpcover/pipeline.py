@@ -35,7 +35,7 @@ from .instance import (
     normalize_covered,
     set_masks,
 )
-from .lp import OracleSoundnessError, scale_to_pi0, solve_pi1
+from .lp import LpContext, OracleSoundnessError, scale_to_pi0, solve_pi1
 from .prefix import prefix_coverage, trim_to_k
 from .rounding import RoundingConfig, best_of_repetitions
 
@@ -264,18 +264,18 @@ def solve_max_coverage(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
         sys_lp, rate = sys1, 1.0
     subsampled_n = sys_lp.n if rate < 1 else None
 
-    f = frequency(sys_lp)
     cast_f = cluster.convergecast_sum(incidence(sys_lp), entry_bits=1, label="freq.cast")
-    if tuple(int(v) for v in cast_f) != f:
+    if tuple(int(v) for v in cast_f) != frequency(sys_lp):
         raise OracleSoundnessError("converge-cast frequencies disagree with frequency()")
     cluster.broadcast(sys_lp.n * ceil_log2(sys_lp.m + 1), label="freq.broadcast")
 
-    pi1 = solve_pi1(sys_lp, f, sys_lp.k, stage_eps, cluster)
+    ctx = LpContext(sys_lp, stage_eps)
+    pi1 = solve_pi1(ctx, cluster)
     if pi1.pair is None:
         # even L=1 rejected: nothing usable from the LP, greedy still applies
         sel, cov1 = greedy_fallback(sys1, cluster)
         return finish(sel, cov1, None, "greedy")
-    sol = scale_to_pi0(sys_lp, f, pi1.pair, pi1.eps)
+    sol = scale_to_pi0(ctx, pi1.pair)
 
     budget = sum(sol.y, Fraction(0))
     kprime = min(sys_lp.m, max(int(sys_lp.k + 2 * stage_eps * sys_lp.m), math.ceil(budget)))

@@ -29,7 +29,7 @@ from mpcover import (
 from mpcover.baselines import exact_opt, oracle_minimum
 from mpcover.cli import main as cli_main
 from mpcover.cluster import ceil_log2
-from mpcover.instance import frequency, normalize_covered
+from mpcover.instance import frequency, incidence, normalize_covered
 from mpcover.lp import LpContext, WeightAccumulator, oracle_step, scale_to_pi0, solve_pi1
 from mpcover.pipeline import _pad_budget
 from mpcover.prefix import prefix_coverage, trim_to_k
@@ -89,15 +89,23 @@ def lp_solutions(roster):
     out = []
     for sys_ in roster:
         sys1, _ = normalize_covered(sys_)
-        f = frequency(sys1)
+        ctx = LpContext(sys1, LP_STAGE_EPS)
         records = []
         cl = Cluster(sys1.m, sys1.n)
         with recording_iterations(records):
-            res = solve_pi1(sys1, f, sys1.k, LP_STAGE_EPS, cl)
+            res = solve_pi1(ctx, cl)
         assert res.pair is not None
-        sol = scale_to_pi0(sys1, f, res.pair, res.eps)
+        sol = scale_to_pi0(ctx, res.pair)
         out.append(
-            {"sys1": sys1, "f": f, "res": res, "sol": sol, "records": records, "log": cl.log}
+            {
+                "sys1": sys1,
+                "f": frequency(sys1),
+                "ctx": ctx,
+                "res": res,
+                "sol": sol,
+                "records": records,
+                "log": cl.log,
+            }
         )
     return out
 
@@ -125,11 +133,10 @@ def oracle_trials():
             for j in member[e - 1]:
                 sets[j].append(e)
         sys_ = SetSystem(n, m, k, tuple(tuple(sorted(set(s))) for s in sets))
-        f = frequency(sys_)
         ctx = None
         for eps in (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)):
             try:
-                ctx = LpContext(sys_, f, k, eps)
+                ctx = LpContext(sys_, eps)
                 break
             except ValueError:
                 continue
@@ -169,7 +176,7 @@ def test_criterion_02_lp_solver_contract(lp_solutions):
     worst = Fraction(0)
     for entry in lp_solutions:
         sys1, res = entry["sys1"], entry["res"]
-        assert res.eps == LP_STAGE_EPS
+        assert entry["ctx"].eps == LP_STAGE_EPS
         assert res.l_star == max(res.feasible_guesses)
         t = res.pair.rounds_t
         x = [Fraction(v, t) for v in res.pair.sum_x]
@@ -210,7 +217,7 @@ def test_criterion_04_truncation_soundness(oracle_trials, lp_solutions):
         ctx, st, w = tr["ctx"], tr["st"], tr["w"]
         x_ind = np.zeros(ctx.n, dtype=np.int64)
         x_ind[st.x_idx] = 1
-        cnt = ctx.inc[st.z_idx].sum(axis=0)
+        cnt = incidence(ctx.sys)[st.z_idx].sum(axis=0)
         scale = 1 << ctx.b
         lhs = sum(
             Fraction(w[i] * int(x_ind[i] + cnt[i]), ctx.f[i] * scale)

@@ -361,9 +361,15 @@ GOOD_ROW = json.dumps({"primitive": "x", "rounds": 3, "peak_bits": 2})
         (f'{GOOD_META}\n{{"primitive": "x", "rounds": "3", "peak_bits": 2}}\n', 2, "'rounds'"),
         ('{"meta": {"n": 8, "m": 3, "epsilon": "0"}}\n', 1, "epsilon"),
         ('{"meta": [8, 3]}\n', 1, "expected a JSON object"),
+        (
+            f'\n{{"meta": {{"n": 52, "m": 17, "epsilon": "1/4", "subsample": "false"}}}}\n'
+            f"{GOOD_ROW}\n",
+            2,
+            "'subsample' must be true or false",
+        ),
     ],
     ids=["no-peak-bits", "meta-without-n", "not-an-object", "bad-json", "string-rounds",
-         "zero-epsilon", "meta-not-an-object"],
+         "zero-epsilon", "meta-not-an-object", "string-subsample"],
 )
 def test_audit_malformed_log_names_its_line(tmp_path, capsys, text, line, reason):
     p = tmp_path / "log.jsonl"

@@ -29,7 +29,7 @@ from mpcover import (
 from mpcover.baselines import greedy_sequential
 from mpcover.cli import main
 from mpcover.instance import coverage, frequency
-from mpcover.lp import FractionalPair, Pi1Result
+from mpcover.lp import FractionalPair, LpContext, Pi1Result
 from mpcover.prefix import prefix_coverage
 from mpcover.rounding import RoundingConfig, best_of_repetitions
 from test_pipeline import tile_system
@@ -165,12 +165,12 @@ CHAIN = SetSystem(4, 3, 2, ((1, 2), (2, 3), (3, 4)))
 TILES = tile_system(17, 2)  # n = 52: the LP route at eps = 1/4
 
 
-def _lp_skipped(sys_: SetSystem, f, k, eps, cluster):
+def _lp_skipped(ctx: LpContext, cluster):
     """solve_pi1's stand-in: keep the first m - k sets whole, choose no element.
 
     It passes scale_to_pi0's checks, so the run goes on to rounding at once."""
-    pair = FractionalPair((0,) * sys_.n, (1,) * (sys_.m - k) + (0,) * k, 1)
-    return Pi1Result(1, pair, eps, (1,), ())
+    pair = FractionalPair((0,) * ctx.n, (1,) * (ctx.m - ctx.k) + (0,) * ctx.k, 1)
+    return Pi1Result(1, pair, (1,), ())
 
 
 @dataclass(frozen=True)

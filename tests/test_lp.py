@@ -11,7 +11,7 @@ import mpcover.lp as lp_mod
 from mpcover import Cluster, OracleSoundnessError, SetSystem, generate_random
 from mpcover.baselines import TruncatedPQ
 from mpcover.cluster import ceil_log2
-from mpcover.instance import frequency, normalize_covered
+from mpcover.instance import frequency, incidence, normalize_covered
 from mpcover.lp import (
     FractionalPair,
     LpContext,
@@ -34,7 +34,7 @@ MULTI = SetSystem(9, 5, 2, ((1, 2, 3, 4), (2, 3, 5, 6), (3, 6, 7, 8), (1, 3, 4, 
 
 
 def chain_ctx() -> LpContext:
-    return LpContext(CHAIN, CHAIN_F, 2, QUARTER)
+    return LpContext(CHAIN, QUARTER)
 
 
 def truncated_pq(ctx: LpContext, w) -> TruncatedPQ:
@@ -81,7 +81,7 @@ def test_iteration_count():
 
 def test_weight_accumulator_bounds():
     three = SetSystem(3, 2, 1, ((1, 2), (2, 3)))
-    ctx = LpContext(three, frequency(three), 1, QUARTER)
+    ctx = LpContext(three, QUARTER)
     acc = WeightAccumulator(ctx)
     acc.update({0: 6, 1: -6})
     assert acc.t == 1
@@ -101,21 +101,20 @@ def test_weight_accumulator_bounds():
 
 
 def test_context_validation():
-    with pytest.raises(ValueError):
-        LpContext(CHAIN, (1, 2, 2), 2, QUARTER)
-    with pytest.raises(ValueError):
-        LpContext(CHAIN, (0, 2, 2, 1), 2, QUARTER)
-    # positive and of length n, but not the number of sets containing each element
+    ctx = chain_ctx()
+    assert ctx.f == CHAIN_F and ctx.k == CHAIN.k
+    # element 4 lies in no set
+    uncovered = SetSystem(4, 2, 1, ((1, 2), (2, 3)))
     with pytest.raises(
-        ValueError, match="^frequency vector must be the column sums of the incidence$"
+        ValueError, match="^every element must lie in some set; normalize the instance first$"
     ):
-        LpContext(CHAIN, (1, 2, 2, 2), 2, QUARTER)
+        LpContext(uncovered, QUARTER)
     # m + 1 must stay under n**4 for the truncation slack to mean anything
     wide = SetSystem(20, 20, 1, tuple((j,) for j in range(1, 21)))
     small = SetSystem(2, 2, 1, ((1,), (2,)))
-    LpContext(wide, frequency(wide), 1, QUARTER)
+    LpContext(wide, QUARTER)
     with pytest.raises(ValueError, match="accumulator|broadcast"):
-        LpContext(small, frequency(small), 1, Fraction(1, 2**12))
+        LpContext(small, Fraction(1, 2**12))
 
 
 # -- weights and the oracle ------------------------------------------------
@@ -230,11 +229,13 @@ def assert_state_matches_scratch(ctx: LpContext, acc: WeightAccumulator) -> None
 def test_maintained_state_matches_from_scratch(seed, data):
     n = data.draw(st.integers(5, 9), label="n")
     m = data.draw(st.integers(3, 5), label="m")
-    sys_ = normalize_covered(generate_random(n, m, 2, density=0.5, seed=seed))[0]
+    raw = generate_random(n, m, 2, density=0.5, seed=seed)
+    assume(any(raw.sets))  # normalize_covered rejects an instance covering nothing
+    sys_ = normalize_covered(raw)[0]
     f = frequency(sys_)
     assume(sys_.n >= 4 and len(set(f)) >= 2)
     n, m = sys_.n, sys_.m
-    ctx = LpContext(sys_, f, sys_.k, QUARTER)
+    ctx = LpContext(sys_, QUARTER)
     lo = np.array([-3 * d for d in ctx.d])  # c <= 3 keeps the weight sum under 4n^2
     hi = -lo
     acc = WeightAccumulator(ctx)
@@ -309,7 +310,7 @@ def counting_derivations(counts: dict):
 @pytest.mark.parametrize("sys_, length", [(CHAIN, 3), (MULTI, 7)], ids=["chain", "multi"])
 def test_weights_rederived_only_where_the_accumulator_moved(sys_, length):
     counts: dict = {}
-    ctx = LpContext(sys_, frequency(sys_), sys_.k, QUARTER)
+    ctx = LpContext(sys_, QUARTER)
     with counting_derivations(counts):
         pair = _mwu(ctx, length, Cluster(sys_.m, sys_.n))
     assert pair is not None
@@ -317,7 +318,7 @@ def test_weights_rederived_only_where_the_accumulator_moved(sys_, length):
     assert counts["rederived"] == counts["nonzero"] > 0
     # one full derivation per lane, also across a guess batch
     with counting_derivations(counts):
-        res = solve_pi1(sys_, frequency(sys_), sys_.k, QUARTER, Cluster(sys_.m, sys_.n))
+        res = solve_pi1(LpContext(sys_, QUARTER), Cluster(sys_.m, sys_.n))
     guesses = len(res.feasible_guesses) + len(res.infeasible_guesses)
     assert counts["lanes"] == counts["full"] == guesses > 1
     assert counts["rederived"] == counts["nonzero"] > 0
@@ -328,19 +329,21 @@ def test_weights_rederived_only_where_the_accumulator_moved(sys_, length):
 def test_moves_are_the_nonzero_dense_errors(seed, data):
     n = data.draw(st.integers(5, 12), label="n")
     m = data.draw(st.integers(2, 5), label="m")
-    covered = normalize_covered(generate_random(n, m, 1, density=0.5, seed=seed))[0]
+    raw = generate_random(n, m, 1, density=0.5, seed=seed)
+    assume(any(raw.sets))  # normalize_covered rejects an instance covering nothing
+    covered = normalize_covered(raw)[0]
     f = frequency(covered)
     assume(covered.n >= 4 and len(set(f)) >= 2)
     n, m = covered.n, covered.m
     k = data.draw(st.integers(1, m), label="k")
-    ctx = LpContext(SetSystem(n, m, k, covered.sets), f, k, QUARTER)
+    ctx = LpContext(SetSystem(n, m, k, covered.sets), QUARTER)
     # random oracle picks: any chosen elements, any split into kept and left-out sets
     x_idx = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="x")
     order = data.draw(st.permutations(range(m)), label="sets")
     z_idx, y_idx = order[: m - k], order[m - k :]
     x_ind = np.zeros(n, dtype=np.int64)
     x_ind[x_idx] = 1
-    cnt = ctx.inc[z_idx].sum(axis=0)
+    cnt = incidence(ctx.sys)[z_idx].sum(axis=0)
     moves = ctx.moves(x_idx, y_idx)
     assert moves == sparse(np.array(f) - x_ind - cnt)
     assert [fv - moves.get(i, 0) for i, fv in enumerate(f)] == (x_ind + cnt).tolist()
@@ -371,7 +374,7 @@ def test_mwu_fixed_point_shorter_objective():
 def test_mwu_detects_infeasible_guess_in_two_rounds():
     singles = SetSystem(4, 4, 1, ((1,), (2,), (3,), (4,)))
     cl = Cluster(4, 4)
-    ctx = LpContext(singles, frequency(singles), 1, QUARTER)
+    ctx = LpContext(singles, QUARTER)
     assert _mwu(ctx, 4, cl) is None
     assert cl.rounds == 2
 
@@ -434,12 +437,13 @@ def test_guess_grid():
 
 def test_solve_pi1_chain():
     cl = Cluster(3, 4)
-    res = solve_pi1(CHAIN, CHAIN_F, 2, QUARTER, cl)
+    ctx = chain_ctx()
+    res = solve_pi1(ctx, cl)
     assert res.l_star == 4
     assert res.pair.sum_x == (70, 70, 70, 70)
     assert res.feasible_guesses == (1, 2, 3, 4)
     assert res.infeasible_guesses == ()
-    assert res.eps == QUARTER
+    assert ctx.eps == QUARTER
     labels = [e.primitive for e in cl.log]
     assert labels == ["pi1.batch[1..3]", "pi1.batch[4..4]"]
     cl.check_log_consistent()
@@ -449,7 +453,7 @@ def test_solve_pi1_nothing_feasible_shape(monkeypatch):
     # l_star = 1 is always reachable on a covered instance, so force the
     # all-rejected branch to pin its result shape
     monkeypatch.setattr(lp_mod, "_mwu", lambda ctx, length, cluster: None)
-    res = solve_pi1(CHAIN, CHAIN_F, 2, QUARTER, Cluster(3, 4))
+    res = solve_pi1(chain_ctx(), Cluster(3, 4))
     assert res.l_star == 0
     assert res.pair is None
     assert res.feasible_guesses == ()
@@ -457,8 +461,9 @@ def test_solve_pi1_nothing_feasible_shape(monkeypatch):
 
 
 def test_scale_to_pi0_chain():
-    res = solve_pi1(CHAIN, CHAIN_F, 2, QUARTER, Cluster(3, 4))
-    sol = scale_to_pi0(CHAIN, CHAIN_F, res.pair, res.eps)
+    ctx = chain_ctx()
+    res = solve_pi1(ctx, Cluster(3, 4))
+    sol = scale_to_pi0(ctx, res.pair)
     assert sol.sigma == 0
     assert sol.objective == 4
     assert sol.budget_used == 2
@@ -468,9 +473,9 @@ def test_scale_to_pi0_chain():
 
 def test_scale_to_pi0_invariants_hold_under_slack():
     sys_ = SetSystem(6, 4, 2, ((1, 2, 3), (3, 4), (4, 5, 6), (1, 6)))
-    f = frequency(sys_)
-    res = solve_pi1(sys_, f, 2, QUARTER, Cluster(4, 6))
-    sol = scale_to_pi0(sys_, f, res.pair, res.eps)
+    ctx = LpContext(sys_, QUARTER)
+    res = solve_pi1(ctx, Cluster(4, 6))
+    sol = scale_to_pi0(ctx, res.pair)
     assert 0 <= sol.sigma <= Fraction(7, 5) * QUARTER
     assert sol.budget_used <= 2 + 2 * QUARTER * 4
     member = {i: [j for j, s in enumerate(sys_.sets) if i in s] for i in range(1, 7)}
@@ -498,12 +503,12 @@ def test_scale_to_pi0_rejects_a_tampered_pair():
     with pytest.raises(
         OracleSoundnessError, match="^constraint excess beyond the solver contract$"
     ):
-        scale_to_pi0(CHAIN, CHAIN_F, over, QUARTER)
+        scale_to_pi0(chain_ctx(), over)
     # all-zero sums keep every y_j = 1: a budget of m = 3 > 1 + 2 * eps * m
     chain_k1 = SetSystem(4, 3, 1, CHAIN.sets)
     zeros = FractionalPair((0, 0, 0, 0), (0, 0, 0), 1)
     with pytest.raises(OracleSoundnessError, match="^rescaled budget exceeds k \\+ 2\\*eps\\*m$"):
-        scale_to_pi0(chain_k1, CHAIN_F, zeros, QUARTER)
+        scale_to_pi0(LpContext(chain_k1, QUARTER), zeros)
 
 
 # -- the solver contract, property based -----------------------------------
@@ -517,7 +522,7 @@ def test_mwu_contract_random_instances(seed, n, m):
     f = frequency(sys_)
     if not all(f):
         return
-    ctx = LpContext(sys_, f, k, QUARTER)
+    ctx = LpContext(sys_, QUARTER)
     for length in guess_grid(n, ctx.eps):
         pair = _mwu(ctx, length, Cluster(m, n))
         if pair is None:

@@ -11,6 +11,7 @@ from mpcover import (
     Cluster,
     PipelineConfig,
     SetSystem,
+    coverage,
     generate_random,
     log_to_jsonl,
     run_pipeline,
@@ -190,6 +191,23 @@ def test_path_lp_end_to_end_tiles():
     )
 
 
+def test_path_lp_subsampled_end_to_end(monkeypatch):
+    """The subsampled LP route: at the pinned SUBSAMPLE_FACTOR the rate
+    saturates on every instance small enough for a test, so a tiny factor
+    makes the tiles subsample; the run then goes through the LP, rounding,
+    prefix marginals and the trim on the kept universe."""
+    monkeypatch.setattr(pipeline_mod, "SUBSAMPLE_FACTOR", Fraction(1, 8192))
+    sys_ = tile_system(17, 2)
+    eps = Fraction(1, 4)
+    rep = run_pipeline(sys_, PipelineConfig(eps=eps, seed=7))
+    assert rep.config["path"] == "lp"
+    assert rep.subsampled_n is not None and rep.subsampled_n < sys_.n
+    assert "subsample.keep_broadcast" in {e.primitive for e in rep.log}
+    assert rep.coverage == coverage(sys_, rep.selection)
+    assert len(rep.selection) <= sys_.k
+    assert rep.coverage >= (1 - 1 / math.e - eps) * exact_opt(sys_).value
+
+
 def test_lp_rejection_falls_back_to_greedy(monkeypatch):
     from mpcover.lp import Pi1Result
 
@@ -197,7 +215,7 @@ def test_lp_rejection_falls_back_to_greedy(monkeypatch):
     monkeypatch.setattr(
         pipeline_mod,
         "solve_pi1",
-        lambda *a, **kw: Pi1Result(0, None, Fraction(1, 32), (), (1,)),
+        lambda *a, **kw: Pi1Result(0, None, (), (1,)),
     )
     rep = run_pipeline(sys_, PipelineConfig(eps=Fraction(1, 4), seed=7))
     assert rep.config["path"] == "greedy"
