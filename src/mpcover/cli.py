@@ -258,12 +258,16 @@ def cmd_audit(args) -> int:
     if not meta.get("epsilon"):
         print("RoundLog meta has no epsilon", file=_sys.stderr)
         return 2
-    try:
-        eps = Fraction(meta["epsilon"])
-    except (TypeError, ValueError, OverflowError):
-        eps = 0
-    if eps <= 0:
-        raise ValueError(f"line {meta_line}: epsilon {meta['epsilon']!r} is not positive")
+    eps = None
+    if type(meta["epsilon"]) in (str, int, float):  # not a bool, which Fraction reads as 0 or 1
+        try:
+            eps = Fraction(meta["epsilon"])
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    if eps is None or not 0 < eps <= Fraction(1, 4):
+        raise ValueError(
+            f"line {meta_line}: epsilon {meta['epsilon']!r} is not a rational in (0, 1/4]"
+        )
     bound = round_audit_bound(n, m, eps, meta.get("subsample", True))
     _emit({"rounds": total, "bound": bound, "peak_bits": peak})
     if total > bound:

@@ -6,6 +6,9 @@ rounds).  Only received bits are accounted: every machine has an inbox
 budget of mem_c * n * ceil(log2(n+2))**mem_e bits per round, and a round in
 which any inbox exceeds the budget raises BudgetError.
 
+A run charges every round to one Cluster.  When a run drops machines (as
+bounded-frequency mode drops its smaller sets), keep_machines narrows it.
+
 The accounting plane is separate from the data plane.  The rounds and the
 largest inbox of a broadcast, a gather to central or a converge-cast depend
 only on its shape: m, the vector width and the entry width.  All three are
@@ -67,6 +70,8 @@ class Cluster:
             mem_c = DEFAULT_MEM_C
         if mem_e is None:
             mem_e = DEFAULT_MEM_E
+        if not all(type(v) is int and v >= 0 for v in (mem_c, mem_e)):
+            raise ValueError(f"mem_c and mem_e must be integers >= 0, got {mem_c!r}, {mem_e!r}")
         self.m = m
         self.n = n
         self.mem_c = mem_c
@@ -163,6 +168,12 @@ class Cluster:
         return arr.sum(axis=0)
 
     # -- composition -------------------------------------------------------
+
+    def keep_machines(self, m: int) -> None:
+        """Narrow the run to machines 1..m: later primitives and lanes count m."""
+        if not 1 <= m <= self.m:
+            raise ValueError(f"can only keep 1 to {self.m} machines, got {m}")
+        self.m = m
 
     def lane(self) -> "Cluster":
         """Fresh cluster for one member of a parallel batch, run while this

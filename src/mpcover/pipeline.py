@@ -13,9 +13,11 @@ The user's eps is split eight ways because four stages each consume O(eps)
 of the guarantee (LP slack, rescaling, rounding, trimming) with constants
 at most 2; the end-to-end statistical target is 1 - 1/e - eps.
 
-Every run returns a RunReport whose coverage is recomputed on the original
-instance, and whose round total is asserted against the audit bound
-computed from the user's parameters (see round_audit_bound).
+Both entry points, solve_max_coverage and bounded_frequency_solve, charge
+every round to one Cluster and run the stages on it (_run_stages).  Both
+return through _report: coverage is recomputed on the original instance,
+and the round total is checked against the audit bound at the original
+shape and the run's eps (see round_audit_bound).
 """
 
 from __future__ import annotations
@@ -200,44 +202,9 @@ def greedy_fallback(sys: SetSystem, cluster: Cluster) -> tuple[tuple[int, ...], 
     return tuple(picks), covered.bit_count()
 
 
-def solve_max_coverage(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
-    """The full run; see the module docstring for the stage order."""
-    if cfg.eps is None:
-        raise ValueError("solve_max_coverage needs eps; use run_pipeline for eta mode")
-    eps = Fraction(cfg.eps)
-    cluster = Cluster(sys.m, sys.n, cfg.mem_c, cfg.mem_e)
-    config_echo = {
-        "epsilon": str(eps),
-        "seed": cfg.seed,
-        "subsample": cfg.subsample,
-        "eta": None,
-        "mem_c": cluster.mem_c,
-        "mem_e": cluster.mem_e,
-        "path": None,
-    }
-
-    def finish(selection, l_star, subsampled_n, path):
-        selection = tuple(selection)
-        cov = coverage(sys, selection)
-        if len(selection) > sys.k:
-            raise AuditError(f"selection of {len(selection)} sets exceeds the budget k={sys.k}")
-        bound = round_audit_bound(sys.n, sys.m, eps, cfg.subsample)
-        if cluster.rounds > bound:
-            raise AuditError(f"{cluster.rounds} rounds exceed the audit bound {bound}")
-        cluster.check_log_consistent()
-        config_echo["path"] = path
-        return RunReport(
-            selection=selection,
-            coverage=cov,
-            rounds=cluster.rounds,
-            peak_bits=cluster.peak_inbox_bits,
-            l_star=l_star,
-            subsampled_n=subsampled_n,
-            seed=cfg.seed,
-            config=config_echo,
-            log=tuple(cluster.log),
-        )
-
+def _run_stages(sys: SetSystem, eps: Fraction, cfg: PipelineConfig, cluster: Cluster):
+    """normalize, gate, subsample, LP, round and trim on `cluster`; returns
+    (selection, l_star, subsampled_n, path)."""
     # one converge-cast tells central which elements are covered at all;
     # it also settles the trivial paths
     covered_counts = cluster.convergecast_sum(
@@ -245,15 +212,15 @@ def solve_max_coverage(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
     )
     covered_n = int(np.count_nonzero(covered_counts))
     if covered_n == 0:
-        return finish((), 0, None, "empty")
+        return (), 0, None, "empty"
     if sys.k >= sys.m:
-        return finish(tuple(range(1, sys.m + 1)), covered_n, None, "all_sets")
+        return tuple(range(1, sys.m + 1)), covered_n, None, "all_sets"
     cluster.broadcast(sys.n, label="normalize.keep_broadcast")
     sys1, _kept1 = normalize_covered(sys)
 
     if 1 / eps >= Fraction(sys1.n, GREEDY_GATE):
         sel, cov1 = greedy_fallback(sys1, cluster)
-        return finish(sel, cov1, None, "greedy")
+        return sel, cov1, None, "greedy"
 
     stage_eps = eps / EPS_STAGES
     if cfg.subsample:
@@ -274,7 +241,7 @@ def solve_max_coverage(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
     if pi1.pair is None:
         # even L=1 rejected: nothing usable from the LP, greedy still applies
         sel, cov1 = greedy_fallback(sys1, cluster)
-        return finish(sel, cov1, None, "greedy")
+        return sel, cov1, None, "greedy"
     sol = scale_to_pi0(ctx, pi1.pair)
 
     budget = sum(sol.y, Fraction(0))
@@ -286,74 +253,93 @@ def solve_max_coverage(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
     if len(sel) > sys1.k:
         marg = prefix_coverage(sys1, sel, cluster)
         sel, _bound = trim_to_k(sys1, marg, sys1.k, cluster)
-    return finish(sel, pi1.l_star, subsampled_n, "lp")
+    return sel, pi1.l_star, subsampled_n, "lp"
 
 
-def bounded_frequency_solve(sys: SetSystem, eta: Fraction, cfg: PipelineConfig) -> RunReport:
-    """Frequency-parameterized variant: keep only the ceil(k*f/eta) largest
-    sets (f = max element frequency, ties keep the lower index), then run
-    the standard pipeline at eps = eta**2 / f on the reduced instance.
-
-    The reduction is safe because replacing any solution set with a larger
-    kept one loses at most the overlap the frequency bound allows.  Set
-    indices are mapped back before reporting; coverage is recomputed on the
-    original instance.
-    """
-    eta = Fraction(eta)
-    if not 0 < eta <= Fraction(1, 4):
-        raise ValueError(f"eta must be in (0, 1/4], got {eta}")
-    pre = Cluster(sys.m, sys.n, cfg.mem_c, cfg.mem_e)
-    f_vec = pre.convergecast_sum(incidence(sys), entry_bits=1, label="bfreq.freq_cast")
-    f_max = max(int(np.max(f_vec, initial=0)), 1)
-    keep_count = math.ceil(sys.k * f_max / eta)
-    if keep_count < sys.m:
-        pre.gather(ceil_log2(sys.n + 1), label="bfreq.size_gather")
-        order = sorted(range(1, sys.m + 1), key=lambda j: (-len(sys.sets[j - 1]), j))
-        kept_sets = sorted(order[:keep_count])
-        pre.broadcast(sys.m, label="bfreq.keep_broadcast")
-        reduced = SetSystem(
-            n=sys.n,
-            m=keep_count,
-            k=sys.k,
-            sets=tuple(sys.sets[j - 1] for j in kept_sets),
-        )
-    else:
-        kept_sets = list(range(1, sys.m + 1))
-        reduced = sys
-    inner_eps = eta * eta / f_max
-    inner_cfg = PipelineConfig(
-        eps=inner_eps,
-        seed=cfg.seed,
-        subsample=cfg.subsample,
-        mem_c=cfg.mem_c,
-        mem_e=cfg.mem_e,
-    )
-    inner = solve_max_coverage(reduced, inner_cfg)
-    pre.check_log_consistent()
-    # the bound `mpcover audit` applies to the whole log: original shape, inner eps
-    rounds = pre.rounds + inner.rounds
-    bound = round_audit_bound(sys.n, sys.m, inner_eps, cfg.subsample)
-    if rounds > bound:
-        raise AuditError(f"{rounds} rounds exceed the audit bound {bound}")
-    selection = tuple(sorted(kept_sets[j - 1] for j in inner.selection))
+def _report(sys, eps, cfg, cluster, selection, l_star, subsampled_n, path) -> RunReport:
+    """The RunReport of a whole run on `cluster`, for _run_stages' outcome
+    with the selection in the original set indices: coverage is recomputed
+    on the original instance `sys`, the selection is checked against k and
+    the rounds against the audit bound at the original shape and run's eps."""
+    selection = tuple(selection)
     cov = coverage(sys, selection)
-    config_echo = dict(inner.config)
-    config_echo["eta"] = str(eta)
+    if len(selection) > sys.k:
+        raise AuditError(f"selection of {len(selection)} sets exceeds the budget k={sys.k}")
+    bound = round_audit_bound(sys.n, sys.m, eps, cfg.subsample)
+    if cluster.rounds > bound:
+        raise AuditError(f"{cluster.rounds} rounds exceed the audit bound {bound}")
+    cluster.check_log_consistent()
+    config = {
+        "epsilon": str(eps),
+        "seed": cfg.seed,
+        "subsample": cfg.subsample,
+        "eta": None if cfg.eta is None else str(Fraction(cfg.eta)),
+        "mem_c": cluster.mem_c,
+        "mem_e": cluster.mem_e,
+        "path": path,
+    }
     return RunReport(
         selection=selection,
         coverage=cov,
-        rounds=rounds,
-        peak_bits=max(pre.peak_inbox_bits, inner.peak_bits),
-        l_star=inner.l_star,
-        subsampled_n=inner.subsampled_n,
+        rounds=cluster.rounds,
+        peak_bits=cluster.peak_inbox_bits,
+        l_star=l_star,
+        subsampled_n=subsampled_n,
         seed=cfg.seed,
-        config=config_echo,
-        log=tuple(pre.log) + inner.log,
+        config=config,
+        log=tuple(cluster.log),
     )
+
+
+def solve_max_coverage(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
+    """The full run; see the module docstring for the stage order."""
+    if cfg.eps is None:
+        raise ValueError("solve_max_coverage needs eps; use run_pipeline for eta mode")
+    eps = Fraction(cfg.eps)
+    cluster = Cluster(sys.m, sys.n, cfg.mem_c, cfg.mem_e)
+    return _report(sys, eps, cfg, cluster, *_run_stages(sys, eps, cfg, cluster))
+
+
+def bounded_frequency_solve(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
+    """Frequency-parameterized variant: keep only the ceil(k*f/eta) largest
+    sets (f = max element frequency, ties keep the lower index), then run
+    the standard stages at eps = eta**2 / f on the reduced instance.
+
+    The reduction is safe because replacing any solution set with a larger
+    kept one loses at most the overlap the frequency bound allows.  The
+    dropped sets' machines leave the run's one Cluster before the stages
+    start.  The stages' own rounds must meet the audit bound at the reduced
+    shape, and the whole run the bound at the original one.  Set indices
+    are mapped back before reporting.
+    """
+    if cfg.eta is None:
+        raise ValueError("bounded_frequency_solve needs eta; use run_pipeline for eps mode")
+    eta = Fraction(cfg.eta)
+    cluster = Cluster(sys.m, sys.n, cfg.mem_c, cfg.mem_e)
+    f_vec = cluster.convergecast_sum(incidence(sys), entry_bits=1, label="bfreq.freq_cast")
+    f_max = max(int(np.max(f_vec, initial=0)), 1)
+    keep_count = math.ceil(sys.k * f_max / eta)
+    kept_sets, reduced = range(1, sys.m + 1), sys
+    if keep_count < sys.m:
+        cluster.gather(ceil_log2(sys.n + 1), label="bfreq.size_gather")
+        order = sorted(range(1, sys.m + 1), key=lambda j: (-len(sys.sets[j - 1]), j))
+        kept_sets = sorted(order[:keep_count])
+        cluster.broadcast(sys.m, label="bfreq.keep_broadcast")
+        cluster.keep_machines(keep_count)
+        reduced = SetSystem(sys.n, keep_count, sys.k, tuple(sys.sets[j - 1] for j in kept_sets))
+    inner_eps = eta * eta / f_max
+    pre_rounds = cluster.rounds
+    selection, *outcome = _run_stages(reduced, inner_eps, cfg, cluster)
+    rounds = cluster.rounds - pre_rounds
+    bound = round_audit_bound(reduced.n, reduced.m, inner_eps, cfg.subsample)
+    if rounds > bound:
+        raise AuditError(f"{rounds} rounds exceed the audit bound {bound}")
+    selection = sorted(kept_sets[j - 1] for j in selection)
+    return _report(sys, inner_eps, cfg, cluster, selection, *outcome)
 
 
 def run_pipeline(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
     """Dispatch on the config: eta set -> frequency-reduced mode."""
     if cfg.eta is not None:
-        return bounded_frequency_solve(sys, cfg.eta, cfg)
+        return bounded_frequency_solve(sys, cfg)
     return solve_max_coverage(sys, cfg)

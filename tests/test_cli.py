@@ -250,6 +250,38 @@ def test_run_budget_violation_in_a_lane_names_the_run_round(tmp_path, capsys):
     assert sum(r["rounds"] for r in rows) == 12
 
 
+def test_run_budget_violation_in_eta_mode_names_the_run_round(tmp_path, capsys):
+    # 25 disjoint tiles of 9 (n = 225, m = 25, k = 5): the set reduction keeps
+    # 20 sets in 7 rounds, the stages' normalize and frequency take 12 more, and
+    # the first accumulator broadcast of the LP overflows the 2250-bit budget
+    inst = tmp_path / "tiles.txt"
+    tiles = [" ".join(str(9 * i + j) for j in range(1, 10)) for i in range(25)]
+    inst.write_text("225 25 5\n" + "\n".join(tiles) + "\n")
+    argv = ["run", "--input", str(inst), "--eta", "0.25", "--mem-c", "10", "--mem-e", "0"]
+    rc, out, err = run_main([*argv, "--json"], capsys)
+    assert rc == 3 and out == ""
+    assert "'mwu.acc_broadcast'" in err and "round 27," in err
+    lines = inst.with_suffix(".txt.roundlog.jsonl").read_text().splitlines()
+    assert [json.loads(ln)["primitive"] for ln in lines[1:]] == [
+        "bfreq.freq_cast",
+        "bfreq.size_gather",
+        "bfreq.keep_broadcast",
+        "normalize.cover_cast",
+        "normalize.keep_broadcast",
+        "freq.cast",
+        "freq.broadcast",
+    ]
+
+
+@pytest.mark.parametrize("flag, value", [("--mem-c", "-3"), ("--mem-e", "-1")])
+def test_run_rejects_negative_memory_constants(small_path, capsys, flag, value):
+    rc, out, err = run_main(
+        ["run", "--input", str(small_path), "--epsilon", "0.25", flag, value], capsys
+    )
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and f"{value}" in err and err.count("\n") == 1
+
+
 def test_run_soundness_failure_exit_5(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise OracleSoundnessError("truncation lost more than 1/n^5")
@@ -360,6 +392,9 @@ GOOD_ROW = json.dumps({"primitive": "x", "rounds": 3, "peak_bits": 2})
         (f"{GOOD_META}\n{GOOD_ROW}\n\n\n{{\"rounds\": 1,\n", 5, "column"),
         (f'{GOOD_META}\n{{"primitive": "x", "rounds": "3", "peak_bits": 2}}\n', 2, "'rounds'"),
         ('{"meta": {"n": 8, "m": 3, "epsilon": "0"}}\n', 1, "epsilon"),
+        (f'{{"meta": {{"n": 8, "m": 3, "epsilon": "1/0"}}}}\n{GOOD_ROW}\n', 1, "epsilon '1/0'"),
+        (f'{{"meta": {{"n": 8, "m": 3, "epsilon": true}}}}\n{GOOD_ROW}\n', 1, "epsilon True"),
+        (f'{GOOD_ROW}\n{{"meta": {{"n": 8, "m": 3, "epsilon": "1e400"}}}}\n', 2, "(0, 1/4]"),
         ('{"meta": [8, 3]}\n', 1, "expected a JSON object"),
         (
             f'\n{{"meta": {{"n": 52, "m": 17, "epsilon": "1/4", "subsample": "false"}}}}\n'
@@ -369,7 +404,8 @@ GOOD_ROW = json.dumps({"primitive": "x", "rounds": 3, "peak_bits": 2})
         ),
     ],
     ids=["no-peak-bits", "meta-without-n", "not-an-object", "bad-json", "string-rounds",
-         "zero-epsilon", "meta-not-an-object", "string-subsample"],
+         "zero-epsilon", "zero-denominator-epsilon", "bool-epsilon", "huge-epsilon",
+         "meta-not-an-object", "string-subsample"],
 )
 def test_audit_malformed_log_names_its_line(tmp_path, capsys, text, line, reason):
     p = tmp_path / "log.jsonl"

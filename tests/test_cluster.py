@@ -22,6 +22,11 @@ def test_budget_formula():
     cl = Cluster(2, 4)
     assert (cl.mem_c, cl.mem_e) == (DEFAULT_MEM_C, DEFAULT_MEM_E)
     assert cl.budget_bits == DEFAULT_MEM_C * 4 * ceil_log2(6) ** DEFAULT_MEM_E
+    # a zero budget is legal; negative or non-integer constants are not
+    assert Cluster(2, 4, mem_c=0).budget_bits == 0
+    for mem in ({"mem_c": -3}, {"mem_e": -1}, {"mem_c": 2.0}, {"mem_e": True}):
+        with pytest.raises(ValueError, match="mem_c and mem_e must be integers >= 0"):
+            Cluster(2, 4, **mem)
 
 
 def test_step_round_accounting():
@@ -135,6 +140,27 @@ def test_lane_budget_violation_carries_the_outermost_cluster():
     assert inner.rounds == 0
 
 
+def test_keep_machines_narrows_every_later_primitive():
+    cl = Cluster(8, 16)
+    cl.keep_machines(5)
+    cl.gather(7, label="gather")
+    cl.convergecast(3, entry_bits=1, label="cast")
+    assert cl.log == [RoundLogEntry("gather", 1, 4 * 7), RoundLogEntry("cast", 3, 3 * (1 + 3))]
+    cl.convergecast_sum(np.ones((5, 2), dtype=np.int64), entry_bits=1)
+    with pytest.raises(ValueError, match=r"expected shape \(5, width\)"):
+        cl.convergecast_sum(np.ones((8, 2), dtype=np.int64), entry_bits=1)
+    with pytest.raises(ValueError, match=r"receiver 6 outside \[1, 5\]"):
+        cl.step_round([(1, 6, 1)])
+    assert cl.lane().m == 5
+    cl.keep_machines(1)
+    cl.broadcast(12, label="alone")
+    assert cl.log[-1] == RoundLogEntry("alone", 1, 0)
+    for m in (0, 2):
+        with pytest.raises(ValueError, match="machines"):
+            cl.keep_machines(m)
+    assert cl.m == 1
+
+
 def test_coalesce_collapses_entries():
     cl = Cluster(2, 4)
     with cl.coalesce("outer"):
@@ -198,6 +224,9 @@ class ReplayCluster:
             inbox[receiver] = inbox.get(receiver, 0) + bits
         self.log.append(RoundLogEntry(label, 1, self._round(inbox)))
 
+    def keep_machines(self, m):
+        self.m = m
+
     def broadcast(self, payload_bits, label):
         self.step_round([(1, j, payload_bits) for j in range(2, self.m + 1)], label)
 
@@ -241,6 +270,7 @@ def _ops(m: int):
         st.tuples(st.just("broadcast"), st.integers(0, 40)),
         st.tuples(st.just("gather"), st.integers(0, 40)),
         st.tuples(st.just("count"), st.integers(0, 4), st.integers(0, 6)),
+        st.tuples(st.just("keep"), st.integers(1, m)),
         st.tuples(st.just("cast"), st.integers(0, 4), st.integers(0, 6), st.integers(0, 2**16)),
         st.tuples(
             st.just("step"),
@@ -268,8 +298,10 @@ def _run_program(cl, ops, sums, depth=0):
                 cl.gather(op[1], label="gather")
             elif op[0] == "count":
                 cl.convergecast(op[1], op[2], label="count")
+            elif op[0] == "keep":
+                cl.keep_machines(min(op[1], cl.m))
             elif op[0] == "step":
-                cl.step_round(op[1], label="step")
+                cl.step_round([d for d in op[1] if d[1] <= cl.m], label="step")
             else:
                 _, width, entry_bits, seed = op
                 vectors = np.random.default_rng(seed).integers(

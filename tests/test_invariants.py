@@ -76,14 +76,14 @@ SOUNDNESS_RAISES = {
     ("lp.py", "scale_to_pi0", "rescaling lost more than the 4*eps factor"): ARGUED,
     ("baselines.py", "greedy_sequential", "greedy's running union disagrees with coverage()"):
         f"{INJECTED}[greedy_union]",
-    ("pipeline.py", "solve_max_coverage.finish", "selection of {} sets exceeds the budget k={}"):
+    ("pipeline.py", "_report", "selection of {} sets exceeds the budget k={}"):
         f"{INJECTED}[selection_over_k]",
-    ("pipeline.py", "solve_max_coverage.finish", "{} rounds exceed the audit bound {}"):
+    ("pipeline.py", "_report", "{} rounds exceed the audit bound {}"):
         "test_pipeline.py::test_audit_error_on_tiny_bound",
-    ("pipeline.py", "solve_max_coverage", "converge-cast frequencies disagree with frequency()"):
+    ("pipeline.py", "_run_stages", "converge-cast frequencies disagree with frequency()"):
         f"{INJECTED}[freq_cast]",
     ("pipeline.py", "bounded_frequency_solve", "{} rounds exceed the audit bound {}"):
-        "test_pipeline.py::test_bounded_frequency_audits_pre_and_inner_rounds",
+        "test_pipeline.py::test_bounded_frequency_audits_the_stages_at_the_reduced_shape",
     ("prefix.py", "prefix_coverage", "marginals do not sum to the selection's coverage"):
         f"{INJECTED}[marginals]",
     ("prefix.py", "trim_to_k", "trim bound {} exceeds actual coverage {}"):

@@ -47,6 +47,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(eps=Fraction(1, 3))
     with pytest.raises(ValueError):
+        PipelineConfig(eta=Fraction(1, 3))
+    with pytest.raises(ValueError):
         PipelineConfig(eps=Fraction(0))
     with pytest.raises(ValueError):
         PipelineConfig(eps=Fraction(1, 4), seed=2**64)
@@ -313,12 +315,30 @@ def test_bounded_frequency_audits_pre_and_inner_rounds(monkeypatch):
         run_pipeline(sys_, cfg)
 
 
+def test_bounded_frequency_audits_the_stages_at_the_reduced_shape(monkeypatch):
+    # 8 disjoint sets at k=1, eta=1/4: the stages run on the 4 kept sets
+    sets = ((1, 2, 3), (4, 5, 6), (7, 8), (9, 10), (11, 12), (13,), (14,), (15,))
+    sys_ = SetSystem(15, 8, 1, sets)
+    cfg = PipelineConfig(eta=Fraction(1, 4), seed=0)
+    rep = run_pipeline(sys_, cfg)
+    inner = rep.rounds - sum(e.rounds for e in rep.log if e.primitive.startswith("bfreq."))
+    real_bound = pipeline_mod.round_audit_bound
+    # only the stages, audited at m = 4, exceed the bound; the whole run meets its own
+    monkeypatch.setattr(
+        pipeline_mod,
+        "round_audit_bound",
+        lambda n, m, eps, sub: inner - 1 if m == 4 else real_bound(n, m, eps, sub),
+    )
+    with pytest.raises(AuditError, match=f"^{inner} rounds exceed the audit bound {inner - 1}$"):
+        run_pipeline(sys_, cfg)
+
+
 def test_bounded_frequency_eta_validation():
     sys_ = SetSystem(2, 2, 1, ((1,), (2,)))
     from mpcover import bounded_frequency_solve
 
     with pytest.raises(ValueError, match="eta"):
-        bounded_frequency_solve(sys_, Fraction(1, 3), PipelineConfig(eps=Fraction(1, 4)))
+        bounded_frequency_solve(sys_, PipelineConfig(eps=Fraction(1, 4)))
 
 
 # -- determinism -----------------------------------------------------------
