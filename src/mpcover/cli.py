@@ -119,7 +119,8 @@ def _config(args) -> PipelineConfig:
 def _roundlog_meta(sys_: SetSystem, args, config: dict | None = None) -> dict:
     """First JSONL line of a RoundLog; config (when the run finished) pins
     the derived epsilon and resolved memory constants so audits replay with
-    the values the run actually used."""
+    the values the run actually used.  A budget violation in
+    bounded-frequency mode passes only the derived epsilon."""
     config = config or {}
     eps = config.get("epsilon")
     if eps is None and args.epsilon is not None:
@@ -162,7 +163,9 @@ def cmd_run(args) -> int:
     except BudgetError as err:
         cluster = getattr(err, "cluster", None)
         if args.json and cluster is not None:
-            _write_roundlog(args, sys_, cluster.log, None)
+            eps = getattr(err, "epsilon", None)  # the derived eps of bounded-frequency mode
+            config = None if eps is None else {"epsilon": str(eps)}
+            _write_roundlog(args, sys_, cluster.log, config)
         print(f"budget violation: {err}", file=_sys.stderr)
         return 3
     _emit(report.to_json())

@@ -195,13 +195,13 @@ class Cluster:
     @contextmanager
     def coalesce(self, label: str):
         """Log everything charged inside the block as one entry: rounds
-        summed, peak the largest.  Blocks nest; a block left by an exception
-        still logs what it charged, so the log keeps summing to the round
-        counter."""
+        summed, peak the largest.  Yields that running [rounds, peak]
+        record.  Blocks nest; a block left by an exception still logs what
+        it charged, so the log keeps summing to the round counter."""
         block = [0, 0]
         self._blocks.append(block)
         try:
-            yield
+            yield block
         finally:
             self._blocks.pop()
             self._record(label, block[0], block[1])

@@ -29,7 +29,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .cluster import Cluster, ceil_log2
 from .fixmath import exp2_frac
@@ -171,19 +170,24 @@ class LpContext:
                     del err[i]
         return err
 
-    def exact_check(self, w, lhs_hat_scaled: int, sum_w_scaled: int, cover, feasible: bool):
+    def exact_check(self, acc, lhs_hat_scaled: int, sum_w_scaled: int, moves, feasible: bool):
         """Exact rational soundness of the truncation, per oracle call.
 
         lhs denotes the true weighted constraint sum at the chosen point,
-        computed from the exact weights and cover_i = x_i + cnt_i, the
-        point's left-hand side of constraint i times f_i; lhs_hat is its
-        truncated stand-in.  Verifies lhs - 1/n^5 <= lhs_hat <= lhs, and
-        lhs <= sum w + 1/n^5 whenever the oracle accepted.  Everything is
-        cleared to the common denominator lcm(f) * 2**b so the comparisons
-        are plain integers.
+        computed from the lane's exact weights acc.w and cover_i = x_i +
+        cnt_i, the point's left-hand side of constraint i times f_i;
+        lhs_hat is its truncated stand-in.  Verifies lhs - 1/n^5 <= lhs_hat
+        <= lhs, and lhs <= sum w + 1/n^5 whenever the oracle accepted.
+        Everything is cleared to the common denominator lcm(f) * 2**b so the
+        comparisons are plain integers.
+
+        cover_i = f_i - e_i with the point's errors e (see moves), and e_i = 0
+        outside the moves, so lhs * lcm = lcm * sum w - sum over the moves of
+        w_i * e_i * lcm / f_i.  This reads the moves only, and relies on
+        acc.total == sum(acc.w), which oracle_step trusts as well.
         """
-        lcm = self.f_lcm
-        lhs_lcm = sum(map(mul, w, map(mul, cover, self.lcm_over_f)))
+        lcm, w, lcm_over_f = self.f_lcm, acc.w, self.lcm_over_f
+        lhs_lcm = acc.total * lcm - sum([w[i] * e * lcm_over_f[i] for i, e in moves.items()])
         slack_lcm_p5 = (lcm << self.b)  # slack * lcm * n^5
         hat_lcm = lhs_hat_scaled * lcm
         if not hat_lcm <= lhs_lcm:
@@ -216,22 +220,38 @@ class WeightAccumulator:
 
     def update(self, moves: dict[int, int]) -> None:
         """Add one iteration's errors, given as {element: error}; every
-        element not in moves has error 0."""
-        lim = 2 * self.n
-        errs = moves.values()
-        emin, emax = min(errs, default=0), max(errs, default=0)
-        if len(moves) < self.n:  # the implicit zeros count too
-            emin, emax = min(emin, 0), max(emax, 0)
-        if emin < -lim or emax > lim:
-            raise OracleSoundnessError(f"per-iteration error outside [-2n, 2n]: {emin}..{emax}")
-        a, idx = self.a, list(moves)
-        at_max = self.absmax in map(abs, map(a.__getitem__, idx))
+        element not in moves has error 0.
+
+        One pass over the moves checks the error range, moves a and tracks
+        |A|max; then rederive gives the moved weights, and a second pass
+        moves w, the total, p and q.  A failed check leaves the state
+        unusable, as it ends the run.
+        """
+        lim, a, absmax = 2 * self.n, self.a, self.absmax
+        lo = hi = top = 0  # error range with the implicit zeros, largest moved |A|
+        at_max = False  # an entry at |A|max moved
+        vals = []
         for i, e in moves.items():
-            a[i] += e
-        vals = list(map(a.__getitem__, idx))
+            if e < lo:
+                lo = e
+            elif e > hi:
+                hi = e
+            v = a[i]
+            if v == absmax or v == -absmax:
+                at_max = True
+            v += e
+            a[i] = v
+            vals.append(v)
+            if v > top:
+                top = v
+            elif -v > top:
+                top = -v
+        if lo < -lim or hi > lim:
+            if len(moves) == self.n:  # no implicit zeros
+                lo, hi = min(moves.values()), max(moves.values())
+            raise OracleSoundnessError(f"per-iteration error outside [-2n, 2n]: {lo}..{hi}")
         self.t += 1
-        top = max(map(abs, vals), default=0)
-        if top >= self.absmax:
+        if top >= absmax:
             self.absmax = top
         elif at_max:  # an entry at |A|max moved toward 0
             self.absmax = max(map(abs, a))
@@ -240,7 +260,7 @@ class WeightAccumulator:
         ctx, w, p, q = self.ctx, self.w, self.p, self.q
         f, member = ctx.f, ctx.member
         total = self.total
-        for i, wi in zip(idx, ctx.rederive(idx, vals)):
+        for i, wi in zip(moves, ctx.rederive(moves, vals)):
             total += wi - w[i]
             w[i] = wi
             dp = wi // f[i] - p[i]
@@ -264,14 +284,14 @@ class OracleStep:
     sum_w_scaled: int
 
 
-def oracle_step(ctx: LpContext, acc: WeightAccumulator, length: int, cluster: Cluster) -> OracleStep:
+def oracle_step(ctx: LpContext, acc: WeightAccumulator, length: int) -> OracleStep:
     """One linear-oracle call: cheapest `length` elements, m-k cheapest sets.
 
-    Costs two rounds: every machine ships its truncated set cost to central,
-    central answers with the chosen indicator vectors (or a 1-bit reject).
     Declares infeasible exactly when even the minimizer of the truncated
     objective exceeds the weight sum, which is sound because truncation only
-    ever lowers costs.
+    ever lowers costs.  Data plane only: _mwu charges the call's two rounds
+    (the set-cost gather to central, then the chosen indicator vectors or a
+    1-bit reject broadcast).
 
     Reads the costs and the weight total that `acc` keeps current (see
     WeightAccumulator) and checks, on every call, the weight-sum cap and
@@ -285,17 +305,11 @@ def oracle_step(ctx: LpContext, acc: WeightAccumulator, length: int, cluster: Cl
         raise OracleSoundnessError("weight sum above the 4n^2 potential cap")
     if max(q, default=0).bit_length() > ctx.qhat_bits:
         raise OracleSoundnessError("set cost outgrew its message width")
-    cluster.gather(ctx.qhat_bits, label="oracle.cost_gather")
     xs = sorted(range(n), key=p.__getitem__)[:length]
     order = sorted(range(m), key=q.__getitem__)
     zs, ys = order[: m - k], order[m - k :]
     lhs_hat = sum(map(p.__getitem__, xs)) + sum(map(q.__getitem__, zs))
-    feasible = lhs_hat <= sum_w
-    if feasible:
-        cluster.broadcast(n + m, label="oracle.point_broadcast")
-    else:
-        cluster.broadcast(1, label="oracle.reject_broadcast")
-    return OracleStep(feasible, xs, zs, ys, lhs_hat, sum_w)
+    return OracleStep(lhs_hat <= sum_w, xs, zs, ys, lhs_hat, sum_w)
 
 
 def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None:
@@ -306,34 +320,54 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
     1 + 1.4 * eps (checked, exact).
 
     Each iteration is built from the oracle's picks (see LpContext.moves):
-    its nonzero errors, the cover counts x_i + cnt_i = f_i - error_i the
-    exact check reads, and the averaged iterate, whose sum_z_j is t_total
-    minus the iterations that left set j out.
+    its nonzero errors, which the exact check reads, and the averaged
+    iterate, whose sum_z_j is t_total minus the iterations that left set j
+    out.
+
+    An accepted iteration costs the oracle's cost gather and point
+    broadcast, the cover-count cast and the accumulator broadcast, at the
+    same widths every time.  Iteration 1 charges them one by one, so a
+    budget violation names its primitive and round; the later accepted
+    iterations are counted and charged together at iteration 1's rounds and
+    peak when the loop ends.  A rejection charges its gather and reject
+    broadcast one by one.  An iteration after the first that a failed check
+    cuts short is not charged; the check ends the run.
     """
     n, m, t_total = ctx.n, ctx.m, ctx.t_total
     acc = WeightAccumulator(ctx)
     picked: Counter[int] = Counter()  # iterations that chose each element
     left_out: Counter[int] = Counter()  # iterations that left each set out of z
-    with cluster.coalesce(f"mwu[L={length}]"):
-        for _ in range(t_total):
-            step = oracle_step(ctx, acc, length, cluster)
-            moves = ctx.moves(step.x_idx, step.y_idx)
-            cover = list(ctx.f)
-            for i, e in moves.items():
-                cover[i] -= e
-            if not step.feasible:
-                ctx.exact_check(acc.w, step.lhs_hat_scaled, step.sum_w_scaled, cover, False)
-                return None
-            cluster.convergecast(n, entry_bits=1, label="mwu.cover_count")
-            ctx.exact_check(acc.w, step.lhs_hat_scaled, step.sum_w_scaled, cover, True)
-            acc.update(moves)
-            # unreachable: LpContext checks that 2*n*t_total fits in abits - 1
-            # bits, and update() keeps |A| <= 2*n*t with t <= t_total
-            if acc.absmax.bit_length() + 1 > ctx.abits:
-                raise OracleSoundnessError("accumulator outgrew its broadcast width")
-            cluster.broadcast(n * ctx.abits, label="mwu.acc_broadcast")
-            picked.update(step.x_idx)
-            left_out.update(step.y_idx)
+    with cluster.coalesce(f"mwu[L={length}]") as charged:
+        later = 0  # accepted iterations after the first, charged when the loop ends
+        try:
+            for t in range(t_total):
+                step = oracle_step(ctx, acc, length)
+                moves = ctx.moves(step.x_idx, step.y_idx)
+                if not step.feasible:
+                    cluster.gather(ctx.qhat_bits, label="oracle.cost_gather")
+                    cluster.broadcast(1, label="oracle.reject_broadcast")
+                    ctx.exact_check(acc, step.lhs_hat_scaled, step.sum_w_scaled, moves, False)
+                    return None
+                if not t:
+                    cluster.gather(ctx.qhat_bits, label="oracle.cost_gather")
+                    cluster.broadcast(n + m, label="oracle.point_broadcast")
+                    cluster.convergecast(n, entry_bits=1, label="mwu.cover_count")
+                ctx.exact_check(acc, step.lhs_hat_scaled, step.sum_w_scaled, moves, True)
+                acc.update(moves)
+                # unreachable: LpContext checks that 2*n*t_total fits in abits - 1
+                # bits, and update() keeps |A| <= 2*n*t with t <= t_total
+                if acc.absmax.bit_length() + 1 > ctx.abits:
+                    raise OracleSoundnessError("accumulator outgrew its broadcast width")
+                if t:
+                    later += 1
+                else:
+                    cluster.broadcast(n * ctx.abits, label="mwu.acc_broadcast")
+                    rounds_1, peak_1 = charged  # iteration 1's charges
+                picked.update(step.x_idx)
+                left_out.update(step.y_idx)
+        finally:
+            if later:
+                cluster.charge("mwu.iterations", later * rounds_1, peak_1)
     pair = FractionalPair(
         tuple(picked[i] for i in range(n)), tuple(t_total - left_out[j] for j in range(m)), t_total
     )

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cluster import Cluster, RoundLogEntry, ceil_log2
+from .cluster import BudgetError, Cluster, RoundLogEntry, ceil_log2
 from .instance import (
     SetSystem,
     coverage,
@@ -310,7 +310,8 @@ def bounded_frequency_solve(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
     dropped sets' machines leave the run's one Cluster before the stages
     start.  The stages' own rounds must meet the audit bound at the reduced
     shape, and the whole run the bound at the original one.  Set indices
-    are mapped back before reporting.
+    are mapped back before reporting.  A BudgetError raised once eps is
+    derived carries it as err.epsilon, for the partial log's meta line.
     """
     if cfg.eta is None:
         raise ValueError("bounded_frequency_solve needs eta; use run_pipeline for eps mode")
@@ -318,18 +319,22 @@ def bounded_frequency_solve(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
     cluster = Cluster(sys.m, sys.n, cfg.mem_c, cfg.mem_e)
     f_vec = cluster.convergecast_sum(incidence(sys), entry_bits=1, label="bfreq.freq_cast")
     f_max = max(int(np.max(f_vec, initial=0)), 1)
+    inner_eps = eta * eta / f_max
     keep_count = math.ceil(sys.k * f_max / eta)
     kept_sets, reduced = range(1, sys.m + 1), sys
-    if keep_count < sys.m:
-        cluster.gather(ceil_log2(sys.n + 1), label="bfreq.size_gather")
-        order = sorted(range(1, sys.m + 1), key=lambda j: (-len(sys.sets[j - 1]), j))
-        kept_sets = sorted(order[:keep_count])
-        cluster.broadcast(sys.m, label="bfreq.keep_broadcast")
-        cluster.keep_machines(keep_count)
-        reduced = SetSystem(sys.n, keep_count, sys.k, tuple(sys.sets[j - 1] for j in kept_sets))
-    inner_eps = eta * eta / f_max
-    pre_rounds = cluster.rounds
-    selection, *outcome = _run_stages(reduced, inner_eps, cfg, cluster)
+    try:
+        if keep_count < sys.m:
+            cluster.gather(ceil_log2(sys.n + 1), label="bfreq.size_gather")
+            order = sorted(range(1, sys.m + 1), key=lambda j: (-len(sys.sets[j - 1]), j))
+            kept_sets = sorted(order[:keep_count])
+            cluster.broadcast(sys.m, label="bfreq.keep_broadcast")
+            cluster.keep_machines(keep_count)
+            reduced = SetSystem(sys.n, keep_count, sys.k, tuple(sys.sets[j - 1] for j in kept_sets))
+        pre_rounds = cluster.rounds
+        selection, *outcome = _run_stages(reduced, inner_eps, cfg, cluster)
+    except BudgetError as err:
+        err.epsilon = inner_eps
+        raise
     rounds = cluster.rounds - pre_rounds
     bound = round_audit_bound(reduced.n, reduced.m, inner_eps, cfg.subsample)
     if rounds > bound:

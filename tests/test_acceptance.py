@@ -146,7 +146,7 @@ def oracle_trials():
         # floor(-14 * eps / f) <= 3 doublings keeps the weight sum under 4n^2
         drive_to(acc, rng.integers(-14, 31, size=n))
         length = int(rng.integers(1, n + 1))
-        st = oracle_step(ctx, acc, length, Cluster(m, n))
+        st = oracle_step(ctx, acc, length)
         trials.append({"ctx": ctx, "st": st, "w": list(acc.w), "length": length})
     return {"trials": trials, "elapsed": time.monotonic() - t0}
 

@@ -271,6 +271,10 @@ def test_run_budget_violation_in_eta_mode_names_the_run_round(tmp_path, capsys):
         "freq.cast",
         "freq.broadcast",
     ]
+    # the meta line records the derived eps = eta^2 / f_max, so the partial log audits
+    assert json.loads(lines[0])["meta"]["epsilon"] == "1/16"
+    rc, out, err = run_main(["audit", "--input", str(inst) + ".roundlog.jsonl"], capsys)
+    assert rc == 0, err
 
 
 @pytest.mark.parametrize("flag, value", [("--mem-c", "-3"), ("--mem-e", "-1")])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import mpcover.lp as lp_mod
 from mpcover import Cluster, OracleSoundnessError, SetSystem, generate_random
@@ -58,6 +58,41 @@ def drive_to(acc: WeightAccumulator, target) -> None:
         acc.update(sparse(np.clip(target - acc.a, -lim, lim)))
 
 
+@contextmanager
+def recording_charges(charges: list):
+    """Record every Cluster.charge as (label, rounds, peak)."""
+    charge = Cluster.charge
+
+    def recorded_charge(cluster, label, rounds, peak):
+        charges.append((label, rounds, peak))
+        return charge(cluster, label, rounds, peak)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Cluster, "charge", recorded_charge)
+        yield
+
+
+def covered_instance(seed: int, data) -> SetSystem:
+    """A small random covered instance with at least two frequency classes
+    and a drawn k."""
+    n = data.draw(st.integers(5, 12), label="n")
+    m = data.draw(st.integers(2, 5), label="m")
+    raw = generate_random(n, m, 1, density=0.5, seed=seed)
+    assume(any(raw.sets))  # normalize_covered rejects an instance covering nothing
+    covered = normalize_covered(raw)[0]
+    assume(covered.n >= 4 and len(set(frequency(covered))) >= 2)
+    k = data.draw(st.integers(1, covered.m), label="k")
+    return SetSystem(covered.n, covered.m, k, covered.sets)
+
+
+def random_point(ctx: LpContext, data) -> tuple[list[int], list[int], list[int]]:
+    """Random oracle picks: any chosen elements x, any split of the sets into
+    the m - k kept (z) and the k left out (y)."""
+    x_idx = data.draw(st.lists(st.integers(0, ctx.n - 1), unique=True), label="x")
+    order = data.draw(st.permutations(range(ctx.m)), label="sets")
+    return x_idx, order[: ctx.m - ctx.k], order[ctx.m - ctx.k :]
+
+
 # -- parameters ------------------------------------------------------------
 
 
@@ -94,6 +129,11 @@ def test_weight_accumulator_bounds():
         OracleSoundnessError, match=r"^per-iteration error outside \[-2n, 2n\]: -7\.\.1$"
     ):
         acc.update({0: -7, 1: 1, 2: 1})
+    # with every entry moved there are no implicit zeros
+    with pytest.raises(
+        OracleSoundnessError, match=r"^per-iteration error outside \[-2n, 2n\]: 1\.\.7$"
+    ):
+        acc.update({0: 7, 1: 1, 2: 1})
     acc2 = WeightAccumulator(ctx)
     acc2.a[0] = 13  # stale state beyond 2*n*t after one update
     with pytest.raises(OracleSoundnessError, match=r"^accumulator magnitude exceeded 2\*n\*t$"):
@@ -123,8 +163,7 @@ def test_context_validation():
 def test_uniform_weights_and_oracle_step():
     ctx = chain_ctx()
     acc = WeightAccumulator(ctx)
-    cl = Cluster(3, 4)
-    st_ = oracle_step(ctx, acc, 3, cl)
+    st_ = oracle_step(ctx, acc, 3)
     pq = truncated_pq(ctx, list(acc.w))
     one = 1 << ctx.b
     assert pq.p_scaled == (one, one // 2, one // 2, one)
@@ -135,7 +174,14 @@ def test_uniform_weights_and_oracle_step():
     assert st_.lhs_hat_scaled == 3 * one
     assert st_.sum_w_scaled == 4 * one
     assert st_.feasible
-    assert cl.rounds == 2  # cost gather, then the point broadcast
+    charges = []
+    with recording_charges(charges):
+        _mwu(ctx, 3, Cluster(3, 4))
+    # the oracle's two rounds: cost gather, then the point broadcast
+    assert [c[:2] for c in charges[:2]] == [
+        ("oracle.cost_gather", 1),
+        ("oracle.point_broadcast", 1),
+    ]
 
 
 def test_weights_cap_is_enforced():
@@ -154,29 +200,38 @@ def test_weights_cap_is_enforced():
 CHAIN_COVER = [1 + 0, 1 + 1, 1 + 1, 0 + 0]
 
 
+def chain_point(ctx: LpContext) -> tuple[WeightAccumulator, dict[int, int]]:
+    """Uniform weights and the errors of the point behind CHAIN_COVER: the
+    kept set 2 leaves sets 1 and 3 out."""
+    acc = WeightAccumulator(ctx)
+    moves = ctx.moves([0, 1, 2], [0, 2])
+    assert [fv - moves.get(i, 0) for i, fv in enumerate(CHAIN_F)] == CHAIN_COVER
+    return acc, moves
+
+
 def test_exact_check_rejects_tampered_values():
     ctx = chain_ctx()
-    w, total = ctx.weights([0] * 4)
-    cover = CHAIN_COVER
+    acc, moves = chain_point(ctx)
+    w, total, cover = acc.w, acc.total, CHAIN_COVER
     lhs = sum(w[i] * cover[i] // CHAIN_F[i] for i in range(4))
-    ctx.exact_check(w, lhs, total, cover, True)
+    ctx.exact_check(acc, lhs, total, moves, True)
     with pytest.raises(OracleSoundnessError, match="truncated objective exceeds the exact one"):
-        ctx.exact_check(w, lhs + (1 << ctx.b), total, cover, True)
+        ctx.exact_check(acc, lhs + (1 << ctx.b), total, moves, True)
     with pytest.raises(OracleSoundnessError, match="accepted point violates the weighted budget"):
-        ctx.exact_check(w, lhs, total // 4, cover, True)
+        ctx.exact_check(acc, lhs, total // 4, moves, True)
 
 
 def test_exact_check_rejects_truncation_loss():
     ctx = chain_ctx()
-    w, total = ctx.weights([0] * 4)
-    cover = CHAIN_COVER
+    acc, moves = chain_point(ctx)
+    w, total, cover = acc.w, acc.total, CHAIN_COVER
     lhs = sum(w[i] * cover[i] // CHAIN_F[i] for i in range(4))
     # a truncated objective 1/n^5 below the exact one is still sound ...
-    ctx.exact_check(w, lhs - (1 << ctx.b) // ctx.n_pow5, total, cover, False)
+    ctx.exact_check(acc, lhs - (1 << ctx.b) // ctx.n_pow5, total, moves, False)
     # ... one that lost half of it is not, accepted or rejected
     for feasible in (True, False):
         with pytest.raises(OracleSoundnessError, match="truncation lost more than 1/n\\^5"):
-            ctx.exact_check(w, lhs // 2, total, cover, feasible)
+            ctx.exact_check(acc, lhs // 2, total, moves, feasible)
 
 
 # -- the lane's maintained state ---------------------------------------------
@@ -185,7 +240,7 @@ def test_exact_check_rejects_truncation_loss():
 def test_weight_cap_fires_on_an_entry_changed_mid_run():
     ctx = chain_ctx()
     acc = WeightAccumulator(ctx)
-    oracle_step(ctx, acc, 3, Cluster(3, 4))
+    oracle_step(ctx, acc, 3)
     target = np.zeros(4, dtype=np.int64)
     target[2] = -(ctx.wcap_log2 + 1) * ctx.d[2]
     with pytest.raises(OracleSoundnessError, match="^weight above the 4n\\^2 potential cap$"):
@@ -195,22 +250,22 @@ def test_weight_cap_fires_on_an_entry_changed_mid_run():
 def test_weight_sum_cap_fires_mid_run():
     ctx = chain_ctx()
     acc = WeightAccumulator(ctx)
-    oracle_step(ctx, acc, 3, Cluster(3, 4))
+    oracle_step(ctx, acc, 3)
     # each weight 2**6 stays under its own cap; together they pass 4n^2 = 64
     drive_to(acc, [-6 * d for d in ctx.d])
     assert 6 <= ctx.wcap_log2
     with pytest.raises(OracleSoundnessError, match="^weight sum above the 4n\\^2 potential cap$"):
-        oracle_step(ctx, acc, 3, Cluster(3, 4))
+        oracle_step(ctx, acc, 3)
 
 
 def test_set_cost_width_check_fires():
     ctx = chain_ctx()
     acc = WeightAccumulator(ctx)
-    oracle_step(ctx, acc, 3, Cluster(3, 4))
+    oracle_step(ctx, acc, 3)
     # a set cost one bit wider than its message, in the lane's kept state
     acc.q[1] = 1 << ctx.qhat_bits
     with pytest.raises(OracleSoundnessError, match="^set cost outgrew its message width$"):
-        oracle_step(ctx, acc, 3, Cluster(3, 4))
+        oracle_step(ctx, acc, 3)
 
 
 def assert_state_matches_scratch(ctx: LpContext, acc: WeightAccumulator) -> None:
@@ -234,7 +289,7 @@ def test_maintained_state_matches_from_scratch(seed, data):
     sys_ = normalize_covered(raw)[0]
     f = frequency(sys_)
     assume(sys_.n >= 4 and len(set(f)) >= 2)
-    n, m = sys_.n, sys_.m
+    n = sys_.n
     ctx = LpContext(sys_, QUARTER)
     lo = np.array([-3 * d for d in ctx.d])  # c <= 3 keeps the weight sum under 4n^2
     hi = -lo
@@ -263,7 +318,7 @@ def test_maintained_state_matches_from_scratch(seed, data):
         a = np.array(acc.a)
         update_and_compare(np.clip(a + np.array(move), lo, hi) - a)
     # the oracle reads the kept total
-    assert oracle_step(ctx, acc, length, Cluster(m, n)).sum_w_scaled == acc.total
+    assert oracle_step(ctx, acc, length).sum_w_scaled == acc.total
 
 
 @contextmanager
@@ -294,10 +349,10 @@ def counting_derivations(counts: dict):
         counts["nonzero"] += sum(1 for e in moves.values() if e)
         return update(acc, moves)
 
-    def counted_step(ctx, acc, length, cluster):
+    def counted_step(ctx, acc, length):
         lanes[id(acc)] = acc
         counts["lanes"] = len(lanes)
-        return step(ctx, acc, length, cluster)
+        return step(ctx, acc, length)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(LpContext, "weights", counted_weights)
@@ -327,26 +382,37 @@ def test_weights_rederived_only_where_the_accumulator_moved(sys_, length):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_moves_are_the_nonzero_dense_errors(seed, data):
-    n = data.draw(st.integers(5, 12), label="n")
-    m = data.draw(st.integers(2, 5), label="m")
-    raw = generate_random(n, m, 1, density=0.5, seed=seed)
-    assume(any(raw.sets))  # normalize_covered rejects an instance covering nothing
-    covered = normalize_covered(raw)[0]
-    f = frequency(covered)
-    assume(covered.n >= 4 and len(set(f)) >= 2)
-    n, m = covered.n, covered.m
-    k = data.draw(st.integers(1, m), label="k")
-    ctx = LpContext(SetSystem(n, m, k, covered.sets), QUARTER)
-    # random oracle picks: any chosen elements, any split into kept and left-out sets
-    x_idx = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="x")
-    order = data.draw(st.permutations(range(m)), label="sets")
-    z_idx, y_idx = order[: m - k], order[m - k :]
+    ctx = LpContext(covered_instance(seed, data), QUARTER)
+    n, f = ctx.n, ctx.f
+    x_idx, z_idx, y_idx = random_point(ctx, data)
     x_ind = np.zeros(n, dtype=np.int64)
     x_ind[x_idx] = 1
     cnt = incidence(ctx.sys)[z_idx].sum(axis=0)
     moves = ctx.moves(x_idx, y_idx)
     assert moves == sparse(np.array(f) - x_ind - cnt)
     assert [fv - moves.get(i, 0) for i, fv in enumerate(f)] == (x_ind + cnt).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_exact_check_from_moves_equals_the_dense_sum(seed, data):
+    ctx = LpContext(covered_instance(seed, data), QUARTER)
+    n, lcm = ctx.n, ctx.f_lcm
+    acc = WeightAccumulator(ctx)
+    # a random kept state, c <= 3 keeping the weight sum under 4n^2
+    drive_to(acc, [data.draw(st.integers(-3 * d, 3 * d), label="a") for d in ctx.d])
+    x_idx, z_idx, y_idx = random_point(ctx, data)
+    moves = ctx.moves(x_idx, y_idx)
+    x_ind = np.zeros(n, dtype=np.int64)
+    x_ind[x_idx] = 1
+    cover = (x_ind + incidence(ctx.sys)[z_idx].sum(axis=0)).tolist()
+    dense = sum(wi * ci * lf for wi, ci, lf in zip(acc.w, cover, ctx.lcm_over_f))
+    w = acc.w
+    assert lcm * acc.total - sum(w[i] * e * ctx.lcm_over_f[i] for i, e in moves.items()) == dense
+    # exact_check reads that sum: the floor of lhs passes, one unit above it does not
+    ctx.exact_check(acc, dense // lcm, acc.total, moves, False)
+    with pytest.raises(OracleSoundnessError, match="^truncated objective exceeds the exact one$"):
+        ctx.exact_check(acc, dense // lcm + 1, acc.total, moves, False)
 
 
 # -- the weight-update loop ------------------------------------------------
@@ -371,10 +437,12 @@ def test_mwu_fixed_point_shorter_objective():
     assert pair.sum_z == (21, 28, 21)
 
 
+SINGLES = SetSystem(4, 4, 1, ((1,), (2,), (3,), (4,)))
+
+
 def test_mwu_detects_infeasible_guess_in_two_rounds():
-    singles = SetSystem(4, 4, 1, ((1,), (2,), (3,), (4,)))
     cl = Cluster(4, 4)
-    ctx = LpContext(singles, QUARTER)
+    ctx = LpContext(SINGLES, QUARTER)
     assert _mwu(ctx, 4, cl) is None
     assert cl.rounds == 2
 
@@ -386,8 +454,8 @@ def recording_iterations(records: list):
     right after its update."""
     step, update = lp_mod.oracle_step, WeightAccumulator.update
 
-    def recorded_step(ctx, acc, length, cluster):
-        st_ = step(ctx, acc, length, cluster)
+    def recorded_step(ctx, acc, length):
+        st_ = step(ctx, acc, length)
         records.append(
             {
                 "t": acc.t,
@@ -407,6 +475,59 @@ def recording_iterations(records: list):
         mp.setattr(lp_mod, "oracle_step", recorded_step)
         mp.setattr(WeightAccumulator, "update", recorded_update)
         yield
+
+
+def replay_loop_charges(ctx: LpContext, length: int) -> str:
+    """Run _mwu on a fresh lane and check its coalesced entry, rounds and
+    peak against a reference lane that charges each recorded iteration
+    through the primitives: the cost gather, then the point or reject
+    broadcast, then the cover-count cast and the accumulator broadcast.
+    Returns the guess's outcome."""
+    n, m = ctx.n, ctx.m
+    records, charges = [], []
+    lane = Cluster(m, n).lane()
+    with recording_iterations(records), recording_charges(charges):
+        pair = _mwu(ctx, length, lane)
+    ref = Cluster(m, n).lane()
+    with ref.coalesce(f"mwu[L={length}]"):
+        for r in records:
+            ref.gather(ctx.qhat_bits, label="oracle.cost_gather")
+            if r["feasible"]:
+                ref.broadcast(n + m, label="oracle.point_broadcast")
+                ref.convergecast(n, entry_bits=1, label="mwu.cover_count")
+                ref.broadcast(n * ctx.abits, label="mwu.acc_broadcast")
+            else:
+                ref.broadcast(1, label="oracle.reject_broadcast")
+    assert lane.log == ref.log
+    assert (lane.rounds, lane.peak_inbox_bits) == (ref.rounds, ref.peak_inbox_bits)
+    # iteration 1, the later accepted ones at once, and a rejection's two
+    assert len(charges) <= 4 + 1 + 2
+    if pair is not None:
+        assert len(records) == ctx.t_total and all(r["feasible"] for r in records)
+        return "accepted"
+    assert not records[-1]["feasible"] and all(r["feasible"] for r in records[:-1])
+    return "rejected at 1" if len(records) == 1 else "rejected later"
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_loop_charges_equal_a_per_iteration_replay(seed, data):
+    ctx = LpContext(covered_instance(seed, data), QUARTER)
+    length = data.draw(st.sampled_from(guess_grid(ctx.n, ctx.eps)), label="length")
+    event(replay_loop_charges(ctx, length))
+
+
+# guess 8 passes three oracle calls and is rejected at the fourth
+LATE_REJECT = SetSystem(8, 4, 2, ((3, 4, 5, 6, 7), (1, 3, 5, 8), (1, 2, 3, 4, 5, 6), (2, 3)))
+
+
+@pytest.mark.parametrize(
+    "sys_, length, outcome",
+    [(CHAIN, 3, "accepted"), (SINGLES, 4, "rejected at 1"), (LATE_REJECT, 8, "rejected later")],
+    ids=["accepted", "rejected-at-1", "rejected-later"],
+)
+def test_loop_charges_replay_each_outcome(sys_, length, outcome):
+    assert replay_loop_charges(LpContext(sys_, QUARTER), length) == outcome
 
 
 def test_mwu_per_iteration_records():
