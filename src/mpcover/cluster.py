@@ -13,7 +13,8 @@ The accounting plane is separate from the data plane.  The rounds and the
 largest inbox of a broadcast, a gather to central or a converge-cast depend
 only on its shape: m, the vector width and the entry width.  All three are
 charged in closed form through charge(); a converge-cast's sum is computed
-directly, without replaying the tree.  step_round is for every other round:
+directly, without replaying the tree, from a dense array or a sparse
+incidence alike.  step_round is for every other round:
 per-receiver inboxes are summed from explicit (sender, receiver, bits)
 triples.
 
@@ -159,13 +160,14 @@ class Cluster:
         self.charge(label, depth, width * (entry_bits + depth) if depth else 0)
 
     def convergecast_sum(self, vectors, entry_bits: int, label: str = "convergecast_sum"):
-        """convergecast() of vectors, an array of shape (m, width) with one
-        row per machine and nonnegative entries; returns their exact sum."""
-        arr = np.asarray(vectors)
-        if arr.ndim != 2 or arr.shape[0] != self.m:
-            raise ValueError(f"'{label}': expected shape ({self.m}, width), got {arr.shape}")
-        self.convergecast(arr.shape[1], entry_bits, label)
-        return arr.sum(axis=0)
+        """convergecast() of vectors, one row per machine with nonnegative
+        entries: a numpy array or an instance.Incidence of shape (m, width).
+        Returns their exact column sum, vectors.sum(axis=0)."""
+        shape = np.shape(vectors)
+        if len(shape) != 2 or shape[0] != self.m:
+            raise ValueError(f"'{label}': expected shape ({self.m}, width), got {shape}")
+        self.convergecast(shape[1], entry_bits, label)
+        return vectors.sum(axis=0)
 
     # -- composition -------------------------------------------------------
 

@@ -56,6 +56,61 @@ class SetSystem:
             masks.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
         return tuple(masks)
 
+    @functools.cached_property
+    def incidence(self) -> "Incidence":
+        """The sparse m x n incidence, built once per instance."""
+        sizes = np.fromiter(map(len, self.sets), dtype=np.intp, count=self.m)
+        offsets = np.zeros(self.m + 1, dtype=np.intp)
+        np.cumsum(sizes, out=offsets[1:])
+        ids = itertools.chain.from_iterable(self.sets)
+        ids = np.fromiter(ids, dtype=np.intp, count=offsets[-1]) - 1
+        return Incidence(ids, offsets, (self.m, self.n))
+
+
+class Incidence:
+    """Sparse m x n 0/1 matrix in CSR form: row r holds the 0-based column
+    ids ids[offsets[r]:offsets[r + 1]], ascending.  A SetSystem's view has
+    one row per set (row j-1 is set j) and one column per element.
+
+    It offers what the data plane needs from a dense matrix: shape, the
+    column sums sum(axis=0), the rows of a selection, and the transpose.
+    """
+
+    def __init__(self, ids: np.ndarray, offsets: np.ndarray, shape: tuple[int, int]):
+        self.ids = ids
+        self.offsets = offsets
+        self.shape = shape
+
+    def sum(self, axis: int = 0) -> np.ndarray:
+        """Column sums (axis 0 only): how many rows hold each column."""
+        if axis != 0:
+            raise ValueError(f"Incidence sums over axis 0 only, got axis={axis}")
+        return np.bincount(self.ids, minlength=self.shape[1])
+
+    def rows(self, sel) -> "Incidence":
+        """The same shape with only the rows in sel (0-based) kept and every
+        other row empty.  Costs O(rows + kept entries)."""
+        keep = np.zeros(self.shape[0], dtype=bool)
+        keep[np.asarray(sel, dtype=np.intp)] = True
+        sel = np.flatnonzero(keep)
+        starts = self.offsets[sel]
+        sizes = self.offsets[sel + 1] - starts
+        offsets = np.zeros_like(self.offsets)
+        offsets[sel + 1] = sizes
+        np.cumsum(offsets, out=offsets)
+        # entry t of kept row r is entry t - offsets[r] + starts[r] of self
+        shift = np.repeat(starts - offsets[sel], sizes)
+        return Incidence(self.ids[np.arange(offsets[-1]) + shift], offsets, self.shape)
+
+    def transpose(self) -> "Incidence":
+        """The n x m view: row i lists the rows that hold column i, ascending."""
+        m, n = self.shape
+        order = np.argsort(self.ids, kind="stable")  # stable keeps each column's rows ascending
+        row_of = np.repeat(np.arange(m), np.diff(self.offsets))
+        offsets = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(self.sum(axis=0), out=offsets[1:])
+        return Incidence(row_of[order], offsets, (n, m))
+
 
 def load_instance(text: str) -> SetSystem:
     """Parse the text format. Errors name the offending 1-based line."""
@@ -107,15 +162,6 @@ def set_masks(sys: SetSystem) -> tuple[int, ...]:
     return sys._masks
 
 
-def incidence(sys: SetSystem) -> np.ndarray:
-    """The m x n incidence matrix as bools: row j-1 is the indicator of set j."""
-    rows = np.zeros((sys.m, sys.n), dtype=bool)
-    sizes = [len(s) for s in sys.sets]
-    elems = np.fromiter(itertools.chain.from_iterable(sys.sets), dtype=np.intp, count=sum(sizes))
-    rows[np.repeat(np.arange(sys.m), sizes), elems - 1] = True
-    return rows
-
-
 def frequency(sys: SetSystem) -> tuple[int, ...]:
     """f_i = number of sets containing element i, for i in [1..n]."""
     f = [0] * sys.n
@@ -149,14 +195,17 @@ def normalize_covered(sys: SetSystem) -> tuple[SetSystem, tuple[int, ...]]:
     Returns the reduced system and the kept original ids in ascending order
     (new id i corresponds to old id kept[i-1]).  Set indices are unchanged.
     """
-    f = frequency(sys)
-    kept = tuple(i + 1 for i in range(sys.n) if f[i] > 0)
+    inc = sys.incidence
+    kept_idx = np.flatnonzero(inc.sum(axis=0))
+    kept = tuple((kept_idx + 1).tolist())
     if len(kept) == sys.n:
         return sys, kept
     if not kept:
         raise InstanceError("normalize: no element is covered by any set")
-    new_of_old = {old: new + 1 for new, old in enumerate(kept)}
-    sets = tuple(tuple(new_of_old[e] for e in s) for s in sys.sets)
+    new_of_old = np.zeros(sys.n, dtype=np.intp)
+    new_of_old[kept_idx] = np.arange(1, len(kept) + 1)
+    ids, bounds = new_of_old[inc.ids].tolist(), inc.offsets.tolist()
+    sets = tuple(tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:]))
     return SetSystem(n=len(kept), m=sys.m, k=sys.k, sets=sets), kept
 
 

@@ -26,7 +26,6 @@ shifted left by c (right by -c when c is negative).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -214,6 +213,7 @@ class WeightAccumulator:
         self.a = [0] * ctx.n
         self.t = 0
         self.absmax = 0  # |A|max after the last update
+        self.at_max = ctx.n  # entries with |A| == absmax
         self.w, self.total = ctx.weights(self.a)
         self.p = [wi // fv for wi, fv in zip(self.w, ctx.f)]
         self.q = [sum(map(self.p.__getitem__, row)) for row in ctx.rows]
@@ -223,13 +223,15 @@ class WeightAccumulator:
         element not in moves has error 0.
 
         One pass over the moves checks the error range, moves a and tracks
-        |A|max; then rederive gives the moved weights, and a second pass
-        moves w, the total, p and q.  A failed check leaves the state
-        unusable, as it ends the run.
+        |A|max and the count of entries at it; all n accumulators are
+        rescanned only when every entry at |A|max moved below it.  Then
+        rederive gives the moved weights, and a second pass moves w, the
+        total, p and q.  A failed check leaves the state unusable, as it
+        ends the run.
         """
-        lim, a, absmax = 2 * self.n, self.a, self.absmax
+        lim, a, absmax, at_max = 2 * self.n, self.a, self.absmax, self.at_max
         lo = hi = top = 0  # error range with the implicit zeros, largest moved |A|
-        at_max = False  # an entry at |A|max moved
+        at_top = 0  # moved entries with |A| == top
         vals = []
         for i, e in moves.items():
             if e < lo:
@@ -238,24 +240,31 @@ class WeightAccumulator:
                 hi = e
             v = a[i]
             if v == absmax or v == -absmax:
-                at_max = True
+                at_max -= 1
             v += e
             a[i] = v
             vals.append(v)
+            if v < 0:
+                v = -v
             if v > top:
-                top = v
-            elif -v > top:
-                top = -v
+                top, at_top = v, 1
+            elif v == top:
+                at_top += 1
         if lo < -lim or hi > lim:
             if len(moves) == self.n:  # no implicit zeros
                 lo, hi = min(moves.values()), max(moves.values())
             raise OracleSoundnessError(f"per-iteration error outside [-2n, 2n]: {lo}..{hi}")
         self.t += 1
-        if top >= absmax:
-            self.absmax = top
-        elif at_max:  # an entry at |A|max moved toward 0
-            self.absmax = max(map(abs, a))
-        if self.absmax > lim * self.t:
+        if top > absmax:
+            absmax, at_max = top, at_top
+        elif top == absmax:
+            at_max += at_top
+        elif not at_max:  # every entry at |A|max moved toward 0
+            absa = list(map(abs, a))
+            absmax = max(absa)
+            at_max = absa.count(absmax)
+        self.absmax, self.at_max = absmax, at_max
+        if absmax > lim * self.t:
             raise OracleSoundnessError("accumulator magnitude exceeded 2*n*t")
         ctx, w, p, q = self.ctx, self.w, self.p, self.q
         f, member = ctx.f, ctx.member
@@ -335,8 +344,8 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
     """
     n, m, t_total = ctx.n, ctx.m, ctx.t_total
     acc = WeightAccumulator(ctx)
-    picked: Counter[int] = Counter()  # iterations that chose each element
-    left_out: Counter[int] = Counter()  # iterations that left each set out of z
+    picked = [0] * n  # iterations that chose each element
+    left_out = [0] * m  # iterations that left each set out of z
     with cluster.coalesce(f"mwu[L={length}]") as charged:
         later = 0  # accepted iterations after the first, charged when the loop ends
         try:
@@ -363,14 +372,14 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
                 else:
                     cluster.broadcast(n * ctx.abits, label="mwu.acc_broadcast")
                     rounds_1, peak_1 = charged  # iteration 1's charges
-                picked.update(step.x_idx)
-                left_out.update(step.y_idx)
+                for i in step.x_idx:
+                    picked[i] += 1
+                for j in step.y_idx:
+                    left_out[j] += 1
         finally:
             if later:
                 cluster.charge("mwu.iterations", later * rounds_1, peak_1)
-    pair = FractionalPair(
-        tuple(picked[i] for i in range(n)), tuple(t_total - left_out[j] for j in range(m)), t_total
-    )
+    pair = FractionalPair(tuple(picked), tuple(t_total - c for c in left_out), t_total)
     _check_pair(ctx, length, pair)
     return pair
 

@@ -29,14 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cluster import BudgetError, Cluster, RoundLogEntry, ceil_log2
-from .instance import (
-    SetSystem,
-    coverage,
-    frequency,
-    incidence,
-    normalize_covered,
-    set_masks,
-)
+from .instance import SetSystem, coverage, frequency, normalize_covered
 from .lp import LpContext, OracleSoundnessError, scale_to_pi0, solve_pi1
 from .prefix import prefix_coverage, trim_to_k
 from .rounding import RoundingConfig, best_of_repetitions
@@ -173,17 +166,19 @@ def greedy_fallback(sys: SetSystem, cluster: Cluster) -> tuple[tuple[int, ...], 
     winner ships its element mask so everyone can update the covered set.
     Exactly k * (ceil(log2 m) + 2) rounds; picks are in selection order and
     match the sequential greedy with the same tie rule pick for pick.
+
+    Each set machine keeps its gain: it starts at the set's size and drops,
+    after each pick, by the set's elements that the winner newly covered.
+    A chosen set's gain is -1, below every open gain.
     """
     n, m, k = sys.n, sys.m, sys.k
-    masks = set_masks(sys)
+    inc = sys.incidence
+    sets_of = inc.transpose()  # element -> the sets holding it
+    gains = np.diff(inc.offsets)
+    covered = np.zeros(n, dtype=bool)
     pair_bits = ceil_log2(n + 1) + ceil_log2(m + 1)
-    covered = 0
     picks: list[int] = []
     for _ in range(k):
-        best = [
-            ((masks[j] & ~covered).bit_count() if (j + 1) not in picks else -1, -(j + 1))
-            for j in range(m)
-        ]
         # one tree level per round; each receiver takes one (gain, index) pair
         stride = 1
         while stride < m:
@@ -192,14 +187,17 @@ def greedy_fallback(sys: SetSystem, cluster: Cluster) -> tuple[tuple[int, ...], 
                 label="greedy.gain_reduce",
             )
             stride *= 2
-        gain, neg = max(best)
-        winner = -neg
+        best = int(np.argmax(gains))  # the first maximum: ties go to the lower index
         cluster.broadcast(ceil_log2(m + 1), label="greedy.winner_id")
         # the winner, not central, sends its mask to everyone: a broadcast's shape
         cluster.broadcast(n, label="greedy.winner_mask")
-        picks.append(winner)
-        covered |= masks[winner - 1]
-    return tuple(picks), covered.bit_count()
+        picks.append(best + 1)
+        elems = inc.ids[inc.offsets[best] : inc.offsets[best + 1]]
+        fresh = elems[~covered[elems]]
+        covered[fresh] = True
+        gains -= sets_of.rows(fresh).sum(axis=0)
+        gains[best] = -1
+    return tuple(picks), int(np.count_nonzero(covered))
 
 
 def _run_stages(sys: SetSystem, eps: Fraction, cfg: PipelineConfig, cluster: Cluster):
@@ -208,7 +206,7 @@ def _run_stages(sys: SetSystem, eps: Fraction, cfg: PipelineConfig, cluster: Clu
     # one converge-cast tells central which elements are covered at all;
     # it also settles the trivial paths
     covered_counts = cluster.convergecast_sum(
-        incidence(sys), entry_bits=1, label="normalize.cover_cast"
+        sys.incidence, entry_bits=1, label="normalize.cover_cast"
     )
     covered_n = int(np.count_nonzero(covered_counts))
     if covered_n == 0:
@@ -231,7 +229,7 @@ def _run_stages(sys: SetSystem, eps: Fraction, cfg: PipelineConfig, cluster: Clu
         sys_lp, rate = sys1, 1.0
     subsampled_n = sys_lp.n if rate < 1 else None
 
-    cast_f = cluster.convergecast_sum(incidence(sys_lp), entry_bits=1, label="freq.cast")
+    cast_f = cluster.convergecast_sum(sys_lp.incidence, entry_bits=1, label="freq.cast")
     if tuple(int(v) for v in cast_f) != frequency(sys_lp):
         raise OracleSoundnessError("converge-cast frequencies disagree with frequency()")
     cluster.broadcast(sys_lp.n * ceil_log2(sys_lp.m + 1), label="freq.broadcast")
@@ -317,7 +315,7 @@ def bounded_frequency_solve(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
         raise ValueError("bounded_frequency_solve needs eta; use run_pipeline for eps mode")
     eta = Fraction(cfg.eta)
     cluster = Cluster(sys.m, sys.n, cfg.mem_c, cfg.mem_e)
-    f_vec = cluster.convergecast_sum(incidence(sys), entry_bits=1, label="bfreq.freq_cast")
+    f_vec = cluster.convergecast_sum(sys.incidence, entry_bits=1, label="bfreq.freq_cast")
     f_max = max(int(np.max(f_vec, initial=0)), 1)
     inner_eps = eta * eta / f_max
     keep_count = math.ceil(sys.k * f_max / eta)

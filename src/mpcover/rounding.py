@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cluster import Cluster, ceil_log2
-from .instance import SetSystem, coverage, incidence
+from .instance import SetSystem, coverage
 from .lp import OracleSoundnessError
 
 REP_FACTOR = 8
@@ -111,7 +111,6 @@ def best_of_repetitions(
     reps = config.repetitions(m)
     cum, den = _cumulative_thresholds(y, kprime)
     best: tuple[int, int, tuple[int, ...]] | None = None  # (-cov, rep, sel)
-    rows = incidence(sys)
     for start in range(0, reps, config.batch_size):
         batch = range(start, min(start + config.batch_size, reps))
         cluster.broadcast(len(batch) * m, label="round.candidate_broadcast")
@@ -119,9 +118,8 @@ def best_of_repetitions(
         for r in batch:
             sel = _draw(cum, den, kprime, config.seed ^ r)
             lane = cluster.lane()
-            chosen = np.zeros((m, 1), dtype=bool)
-            chosen[[j - 1 for j in sel]] = True
-            summed = lane.convergecast_sum(rows & chosen, entry_bits=1, label="round.coverage_cast")
+            chosen = sys.incidence.rows([j - 1 for j in sel])
+            summed = lane.convergecast_sum(chosen, entry_bits=1, label="round.coverage_cast")
             cov = int(np.count_nonzero(summed))
             if cov != coverage(sys, sel):
                 raise OracleSoundnessError("converge-cast coverage disagrees with coverage()")

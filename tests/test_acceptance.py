@@ -29,11 +29,12 @@ from mpcover import (
 from mpcover.baselines import exact_opt, oracle_minimum
 from mpcover.cli import main as cli_main
 from mpcover.cluster import ceil_log2
-from mpcover.instance import frequency, incidence, normalize_covered
+from mpcover.instance import frequency, normalize_covered
 from mpcover.lp import LpContext, WeightAccumulator, oracle_step, scale_to_pi0, solve_pi1
 from mpcover.pipeline import _pad_budget
 from mpcover.prefix import prefix_coverage, trim_to_k
 from mpcover.rounding import randomized_round
+from test_instance import dense_incidence
 from test_lp import drive_to, recording_iterations, truncated_pq
 
 RATIO_EPS = 0.1
@@ -217,7 +218,7 @@ def test_criterion_04_truncation_soundness(oracle_trials, lp_solutions):
         ctx, st, w = tr["ctx"], tr["st"], tr["w"]
         x_ind = np.zeros(ctx.n, dtype=np.int64)
         x_ind[st.x_idx] = 1
-        cnt = incidence(ctx.sys)[st.z_idx].sum(axis=0)
+        cnt = dense_incidence(ctx.sys)[st.z_idx].sum(axis=0)
         scale = 1 << ctx.b
         lhs = sum(
             Fraction(w[i] * int(x_ind[i] + cnt[i]), ctx.f[i] * scale)

@@ -1,5 +1,6 @@
 """Instance parsing, masks, frequencies and normalization."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,9 +12,19 @@ from mpcover import (
     generate_random,
     load_instance,
 )
+from mpcover.cluster import Cluster
 from mpcover.instance import as_selection, frequency, normalize_covered, set_masks
 
 CHAIN = SetSystem(4, 3, 2, ((1, 2), (2, 3), (3, 4)))
+
+
+def dense_incidence(sys_: SetSystem) -> np.ndarray:
+    """The dense reference for SetSystem.incidence: the m x n bool matrix
+    whose row j-1 is the indicator of set j."""
+    rows = np.zeros((sys_.m, sys_.n), dtype=bool)
+    for j, s in enumerate(sys_.sets):
+        rows[j, [e - 1 for e in s]] = True
+    return rows
 
 
 def systems(max_n=10, max_m=6):
@@ -201,6 +212,8 @@ def test_normalize_preserves_selection_coverage(sys_):
     reduced, kept = normalize_covered(sys_)
     assert len(kept) == reduced.n
     assert reduced.m == sys_.m
+    assert kept == tuple(i + 1 for i, fv in enumerate(f) if fv)
+    assert reduced.sets == tuple(tuple(kept.index(e) + 1 for e in s) for s in sys_.sets)
     for sel in ((), (1,), tuple(range(1, sys_.m + 1))):
         assert coverage(reduced, sel) == coverage(sys_, sel)
 
@@ -211,3 +224,53 @@ def test_frequency_counts_match_masks(sys_):
     f = frequency(sys_)
     for i in range(sys_.n):
         assert f[i] == sum(1 for mk in masks if mk >> i & 1)
+
+
+# -- the sparse incidence against its dense reference ---------------------------
+
+
+def test_incidence_view_of_a_chain():
+    inc = CHAIN.incidence
+    assert inc is CHAIN.incidence
+    assert inc.shape == (3, 4)
+    assert inc.ids.tolist() == [0, 1, 1, 2, 2, 3]
+    assert inc.offsets.tolist() == [0, 2, 4, 6]
+    assert inc.sum(axis=0).tolist() == [1, 2, 2, 1]
+    assert inc.rows([2, 0]).sum(axis=0).tolist() == [1, 1, 1, 1]
+    assert inc.rows([]).sum(axis=0).tolist() == [0, 0, 0, 0]
+    assert inc.transpose().ids.tolist() == [0, 0, 1, 1, 2, 2]
+    with pytest.raises(ValueError, match="axis 0 only"):
+        inc.sum(axis=1)
+
+
+def row_ids(view, r: int) -> list[int]:
+    return view.ids[view.offsets[r] : view.offsets[r + 1]].tolist()
+
+
+@given(systems(max_n=12, max_m=8), st.data())
+def test_incidence_view_matches_the_dense_reference(sys_, data):
+    dense = dense_incidence(sys_)
+    inc = sys_.incidence
+    assert inc.shape == dense.shape
+    assert inc.sum(axis=0).tolist() == dense.sum(axis=0).tolist()
+    for r in range(sys_.m):
+        assert row_ids(inc, r) == np.flatnonzero(dense[r]).tolist()
+    sel = data.draw(st.lists(st.integers(0, sys_.m - 1), max_size=2 * sys_.m), label="rows")
+    chosen = dense & np.isin(np.arange(sys_.m), sel)[:, None]
+    picked = inc.rows(sel)
+    assert picked.shape == dense.shape
+    assert picked.sum(axis=0).tolist() == chosen.sum(axis=0).tolist()
+    for r in range(sys_.m):
+        assert row_ids(picked, r) == np.flatnonzero(chosen[r]).tolist()
+    by_elem = inc.transpose()
+    assert by_elem.shape == dense.T.shape
+    assert by_elem.sum(axis=0).tolist() == dense.T.sum(axis=0).tolist()
+    for i in range(sys_.n):
+        assert row_ids(by_elem, i) == np.flatnonzero(dense[:, i]).tolist()
+    cols = data.draw(st.lists(st.integers(0, sys_.n - 1), unique=True), label="columns")
+    assert by_elem.rows(cols).sum(axis=0).tolist() == dense[:, cols].sum(axis=1).tolist()
+    # a converge-cast charges the view as it charges the dense matrix
+    sparse_cl, dense_cl = Cluster(sys_.m, sys_.n), Cluster(sys_.m, sys_.n)
+    got = sparse_cl.convergecast_sum(picked, entry_bits=1, label="cast")
+    assert got.tolist() == dense_cl.convergecast_sum(chosen, entry_bits=1, label="cast").tolist()
+    assert sparse_cl.log == dense_cl.log

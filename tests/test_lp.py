@@ -11,7 +11,7 @@ import mpcover.lp as lp_mod
 from mpcover import Cluster, OracleSoundnessError, SetSystem, generate_random
 from mpcover.baselines import TruncatedPQ
 from mpcover.cluster import ceil_log2
-from mpcover.instance import frequency, incidence, normalize_covered
+from mpcover.instance import frequency, normalize_covered
 from mpcover.lp import (
     FractionalPair,
     LpContext,
@@ -25,6 +25,7 @@ from mpcover.lp import (
     scale_to_pi0,
     solve_pi1,
 )
+from test_instance import dense_incidence
 
 CHAIN = SetSystem(4, 3, 2, ((1, 2), (2, 3), (3, 4)))
 CHAIN_F = frequency(CHAIN)
@@ -272,6 +273,7 @@ def assert_state_matches_scratch(ctx: LpContext, acc: WeightAccumulator) -> None
     """The accumulator's kept w, total, p, q and |A|max equal a from-scratch
     derivation at its current values."""
     assert acc.absmax == max(map(abs, acc.a))
+    assert acc.at_max == [abs(v) for v in acc.a].count(acc.absmax)
     w, total = ctx.weights(acc.a)
     assert acc.w == w
     assert acc.total == total
@@ -319,6 +321,25 @@ def test_maintained_state_matches_from_scratch(seed, data):
         update_and_compare(np.clip(a + np.array(move), lo, hi) - a)
     # the oracle reads the kept total
     assert oracle_step(ctx, acc, length).sum_w_scaled == acc.total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_absmax_and_its_count_follow_sparse_moves(data):
+    """|A|max and the count of entries at it stay exact under moves of a
+    few entries, where an entry at the max can move toward 0 alone."""
+    ctx = LpContext(MULTI, QUARTER)
+    acc = WeightAccumulator(ctx)
+    for _ in range(data.draw(st.integers(1, 25), label="updates")):
+        moves = data.draw(
+            st.dictionaries(st.integers(0, ctx.n - 1), st.integers(-3, 3), max_size=3),
+            label="moves",
+        )
+        # keep every accumulator within the weight cap: |A_i| <= 2 d_i
+        moves = {i: e for i, e in moves.items() if abs(acc.a[i] + e) <= 2 * ctx.d[i]}
+        acc.update(moves)
+        assert acc.absmax == max(map(abs, acc.a))
+        assert acc.at_max == [abs(v) for v in acc.a].count(acc.absmax)
 
 
 @contextmanager
@@ -387,7 +408,7 @@ def test_moves_are_the_nonzero_dense_errors(seed, data):
     x_idx, z_idx, y_idx = random_point(ctx, data)
     x_ind = np.zeros(n, dtype=np.int64)
     x_ind[x_idx] = 1
-    cnt = incidence(ctx.sys)[z_idx].sum(axis=0)
+    cnt = dense_incidence(ctx.sys)[z_idx].sum(axis=0)
     moves = ctx.moves(x_idx, y_idx)
     assert moves == sparse(np.array(f) - x_ind - cnt)
     assert [fv - moves.get(i, 0) for i, fv in enumerate(f)] == (x_ind + cnt).tolist()
@@ -405,7 +426,7 @@ def test_exact_check_from_moves_equals_the_dense_sum(seed, data):
     moves = ctx.moves(x_idx, y_idx)
     x_ind = np.zeros(n, dtype=np.int64)
     x_ind[x_idx] = 1
-    cover = (x_ind + incidence(ctx.sys)[z_idx].sum(axis=0)).tolist()
+    cover = (x_ind + dense_incidence(ctx.sys)[z_idx].sum(axis=0)).tolist()
     dense = sum(wi * ci * lf for wi, ci, lf in zip(acc.w, cover, ctx.lcm_over_f))
     w = acc.w
     assert lcm * acc.total - sum(w[i] * e * ctx.lcm_over_f[i] for i, e in moves.items()) == dense

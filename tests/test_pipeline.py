@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from mpcover import (
     AuditError,
@@ -19,8 +20,10 @@ from mpcover import (
 )
 from mpcover.baselines import exact_opt, greedy_sequential
 from mpcover.cluster import ceil_log2
+from mpcover.instance import set_masks
 import mpcover.pipeline as pipeline_mod
 from mpcover.pipeline import _pad_budget, greedy_fallback, subsample_universe
+from test_instance import systems
 
 
 def tile_system(num_tiles: int, k: int) -> SetSystem:
@@ -127,6 +130,67 @@ def test_greedy_fallback_matches_sequential(seed):
     assert cov == ref.value
     assert cl.rounds == sys_.k * (ceil_log2(sys_.m) + 2)
     cl.check_log_consistent()
+
+
+def greedy_bigint_scan(sys_: SetSystem, cluster: Cluster) -> tuple[tuple[int, ...], int]:
+    """The reference greedy_fallback: every pick recomputes all m gains from
+    the big-int set masks; a chosen set's gain is -1."""
+    n, m, k = sys_.n, sys_.m, sys_.k
+    masks = set_masks(sys_)
+    pair_bits = ceil_log2(n + 1) + ceil_log2(m + 1)
+    covered = 0
+    picks: list[int] = []
+    for _ in range(k):
+        best = [
+            ((masks[j] & ~covered).bit_count() if (j + 1) not in picks else -1, -(j + 1))
+            for j in range(m)
+        ]
+        stride = 1
+        while stride < m:
+            cluster.step_round(
+                ((s, s - stride, pair_bits) for s in range(1 + stride, m + 1, 2 * stride)),
+                label="greedy.gain_reduce",
+            )
+            stride *= 2
+        gain, neg = max(best)
+        winner = -neg
+        cluster.broadcast(ceil_log2(m + 1), label="greedy.winner_id")
+        cluster.broadcast(n, label="greedy.winner_mask")
+        picks.append(winner)
+        covered |= masks[winner - 1]
+    return tuple(picks), covered.bit_count()
+
+
+def assert_greedy_matches_the_bigint_scan(sys_: SetSystem) -> None:
+    cl, ref_cl = Cluster(sys_.m, sys_.n), Cluster(sys_.m, sys_.n)
+    assert greedy_fallback(sys_, cl) == greedy_bigint_scan(sys_, ref_cl)
+    assert cl.log == ref_cl.log
+
+
+@pytest.mark.parametrize(
+    "sys_",
+    [
+        # after set 1, sets 2 and 4 tie at gain 0 below set 3, then tie again
+        SetSystem(4, 4, 4, ((1, 2), (1, 2), (3,), ())),
+        # identical sets: every gain ties, then every open gain is 0
+        SetSystem(3, 3, 3, ((1, 2, 3),) * 3),
+        # no set holds an element: all gains are 0 from the start
+        SetSystem(3, 3, 2, ((), (), ())),
+        # ties at a positive gain go to the lower index
+        SetSystem(6, 4, 3, ((1, 2), (3, 4), (5, 6), (2, 3))),
+    ],
+    ids=["zero-ties", "identical", "all-zero", "positive-ties"],
+)
+def test_greedy_fallback_matches_the_bigint_scan_on_ties(sys_):
+    assert_greedy_matches_the_bigint_scan(sys_)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(max_n=12, max_m=8))
+def test_greedy_fallback_matches_the_bigint_scan(sys_):
+    """Pick for pick, with the same coverage and round log; small universes
+    make tied and zero gains common."""
+    assert_greedy_matches_the_bigint_scan(sys_)
 
 
 # -- pipeline paths --------------------------------------------------------
