@@ -16,17 +16,6 @@ from .instance import SetSystem, coverage, set_masks
 from .lp import OracleSoundnessError
 
 EXACT_OPT_LIMIT = 10**7
-BRUTEFORCE_N = 12
-BRUTEFORCE_M = 8
-
-
-@dataclass(frozen=True)
-class TruncatedPQ:
-    """Per-element and per-set oracle costs on the common 2**-frac_bits grid."""
-
-    p_scaled: tuple[int, ...]
-    q_scaled: tuple[int, ...]
-    frac_bits: int
 
 
 @dataclass(frozen=True)
@@ -73,23 +62,3 @@ def greedy_sequential(sys: SetSystem) -> OptResult:
         raise OracleSoundnessError("greedy's running union disagrees with coverage()")
     return OptResult(covered.bit_count(), tuple(picks))
 
-
-def oracle_minimum(pq: TruncatedPQ, length: int, num_sets_kept: int) -> int:
-    """Exhaustive minimum of the truncated oracle objective.
-
-    Enumerates every x support of the given size and every z support of
-    size num_sets_kept and returns the smallest scaled objective.  Only for
-    cross-checking the sort-based oracle on toy sizes.
-    """
-    n, m = len(pq.p_scaled), len(pq.q_scaled)
-    if n > BRUTEFORCE_N or m > BRUTEFORCE_M:
-        raise ValueError("exhaustive oracle check is limited to toy sizes")
-    best_x = min(
-        (sum(pq.p_scaled[i] for i in xs) for xs in combinations(range(n), length)),
-        default=0,
-    )
-    best_z = min(
-        (sum(pq.q_scaled[j] for j in zs) for zs in combinations(range(m), num_sets_kept)),
-        default=0,
-    )
-    return best_x + best_z

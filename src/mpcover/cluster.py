@@ -14,9 +14,9 @@ largest inbox of a broadcast, a gather to central or a converge-cast depend
 only on its shape: m, the vector width and the entry width.  All three are
 charged in closed form through charge(); a converge-cast's sum is computed
 directly, without replaying the tree, from a dense array or a sparse
-incidence alike.  step_round is for every other round:
-per-receiver inboxes are summed from explicit (sender, receiver, bits)
-triples.
+incidence alike.  The other rounds of a run (the greedy argmax tree, the
+prefix-union levels) have fixed shapes too, and their callers charge them
+through charge() directly.
 
 Every charge appends an entry to a round log.  Long loops (the
 weight-update iterations) run inside coalesce blocks, which fold every
@@ -124,21 +124,6 @@ class Cluster:
             self.log.append(RoundLogEntry(label, rounds, peak))
 
     # -- primitives --------------------------------------------------------
-
-    def step_round(self, deliveries, label: str = "step_round") -> None:
-        """Deliver one irregular round of point-to-point messages.
-
-        deliveries: iterable of (sender, receiver, bits) triples; a
-        receiver's inbox is the sum of the bits sent to it.
-        """
-        inbox: dict[int, int] = {}
-        for _sender, receiver, bits in deliveries:
-            if bits < 0:
-                raise ValueError(f"'{label}': message size must be nonnegative, got {bits}")
-            if not 1 <= receiver <= self.m:
-                raise ValueError(f"'{label}': receiver {receiver} outside [1, {self.m}]")
-            inbox[receiver] = inbox.get(receiver, 0) + bits
-        self.charge(label, 1, max(inbox.values(), default=0))
 
     def broadcast(self, payload_bits: int, label: str = "broadcast") -> None:
         """Central sends the same payload to every other machine, 1 round."""

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cluster import BudgetError, Cluster, RoundLogEntry, ceil_log2
-from .instance import SetSystem, coverage, frequency, normalize_covered
+from .instance import SetSystem, frequency, normalize_covered
 from .lp import LpContext, OracleSoundnessError, scale_to_pi0, solve_pi1
 from .prefix import prefix_coverage, trim_to_k
 from .rounding import RoundingConfig, best_of_repetitions
@@ -180,13 +180,8 @@ def greedy_fallback(sys: SetSystem, cluster: Cluster) -> tuple[tuple[int, ...], 
     picks: list[int] = []
     for _ in range(k):
         # one tree level per round; each receiver takes one (gain, index) pair
-        stride = 1
-        while stride < m:
-            cluster.step_round(
-                ((s, s - stride, pair_bits) for s in range(1 + stride, m + 1, 2 * stride)),
-                label="greedy.gain_reduce",
-            )
-            stride *= 2
+        for _level in range(ceil_log2(m)):
+            cluster.charge("greedy.gain_reduce", 1, pair_bits)
         best = int(np.argmax(gains))  # the first maximum: ties go to the lower index
         cluster.broadcast(ceil_log2(m + 1), label="greedy.winner_id")
         # the winner, not central, sends its mask to everyone: a broadcast's shape
@@ -260,7 +255,7 @@ def _report(sys, eps, cfg, cluster, selection, l_star, subsampled_n, path) -> Ru
     on the original instance `sys`, the selection is checked against k and
     the rounds against the audit bound at the original shape and run's eps."""
     selection = tuple(selection)
-    cov = coverage(sys, selection)
+    cov = int(np.count_nonzero(sys.incidence.rows([j - 1 for j in selection]).sum(axis=0)))
     if len(selection) > sys.k:
         raise AuditError(f"selection of {len(selection)} sets exceeds the budget k={sys.k}")
     bound = round_audit_bound(sys.n, sys.m, eps, cfg.subsample)

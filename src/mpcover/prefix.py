@@ -8,12 +8,24 @@ own marginal, so dropping the g smallest-marginal sets keeps coverage at
 least total minus their mass.
 
 The marginals come from a recursive prefix-union: pair adjacent machines,
-recurse on the pair unions, then expand back.  An even level costs two
-rounds plus the half-size subproblem, an odd level peels the last machine
-for one round, so r machines finish in at most 3 * ceil(log2 r) rounds,
-plus one round to ship each predecessor's prefix size and one to gather
-the marginals.  Every message is either an n-bit element mask or a prefix
-size, well under the per-machine budget.
+recurse on the pair unions, then expand back.  Every round has a fixed
+shape and is charged as one round whose peak is the largest inbox:
+
+  prefix.pair_up     even level of r machines, before the r/2 subproblem:
+                     each odd-position machine takes one n-bit mask; peak n
+  prefix.expand      even level, after it: r/2 - 1 machines take one n-bit
+                     mask each; peak n, or 0 when r = 2 (the round is
+                     still charged)
+  prefix.tail        odd level r > 1, after the r - 1 subproblem: the last
+                     machine takes one n-bit mask; peak n
+  prefix.size_shift  when r > 1: each machine but the first takes its
+                     predecessor's prefix size; peak ceil(log2(n + 1))
+  prefix.phi_gather  central takes the marginal of every selected machine
+                     but itself; peak ceil(log2(n + 1)) times their number
+
+A single machine needs no union round, so r machines finish in at most
+3 * ceil(log2 r) + 2 rounds.  Every message is either an n-bit element mask
+or a prefix size, well under the per-machine budget.
 """
 
 from __future__ import annotations
@@ -37,23 +49,20 @@ class MarginalVector:
         return sum(self.phis)
 
 
-def _prefix_unions(ids: list[int], masks: list[int], n: int, cluster: Cluster) -> list[int]:
-    """Prefix-or of masks, one recursion level per call; ids name machines."""
-    r = len(ids)
+def _prefix_unions(masks: list[int], n: int, cluster: Cluster) -> list[int]:
+    """Prefix-or of masks, one recursion level per call."""
+    r = len(masks)
     if r == 1:
         return [masks[0]]
     if r % 2 == 1:
-        pre = _prefix_unions(ids[:-1], masks[:-1], n, cluster)
-        cluster.step_round([(ids[-2], ids[-1], n)], label="prefix.tail")
+        pre = _prefix_unions(masks[:-1], n, cluster)
+        cluster.charge("prefix.tail", 1, n)
         return pre + [pre[-1] | masks[-1]]
-    cluster.step_round(
-        [(ids[2 * i], ids[2 * i + 1], n) for i in range(r // 2)], label="prefix.pair_up"
-    )
+    cluster.charge("prefix.pair_up", 1, n)
     pair_masks = [masks[2 * i] | masks[2 * i + 1] for i in range(r // 2)]
-    sub = _prefix_unions(ids[1::2], pair_masks, n, cluster)
-    cluster.step_round(
-        [(ids[2 * i + 1], ids[2 * i + 2], n) for i in range(r // 2 - 1)], label="prefix.expand"
-    )
+    sub = _prefix_unions(pair_masks, n, cluster)
+    # r // 2 - 1 messages, none when r = 2
+    cluster.charge("prefix.expand", 1, n if r > 2 else 0)
     out = [0] * r
     for i in range(r // 2):
         out[2 * i + 1] = sub[i]
@@ -71,21 +80,17 @@ def prefix_coverage(sys: SetSystem, selection, cluster: Cluster) -> MarginalVect
     if not sel:
         return MarginalVector((), ())
     masks = set_masks(sys)
-    ids = list(sel)
-    r = len(ids)
-    prefixes = _prefix_unions(ids, [masks[j - 1] for j in ids], sys.n, cluster)
+    r = len(sel)
+    prefixes = _prefix_unions([masks[j - 1] for j in sel], sys.n, cluster)
     size_bits = ceil_log2(sys.n + 1)
     if r > 1:
-        cluster.step_round(
-            [(ids[i - 1], ids[i], size_bits) for i in range(1, r)], label="prefix.size_shift"
-        )
+        cluster.charge("prefix.size_shift", 1, size_bits)
     phis = [prefixes[0].bit_count()]
     for i in range(1, r):
         phis.append(prefixes[i].bit_count() - prefixes[i - 1].bit_count())
-    cluster.step_round(
-        ((ids[i], cluster.central, size_bits) for i in range(r) if ids[i] != cluster.central),
-        label="prefix.phi_gather",
-    )
+    # every selected machine but central sends central its marginal
+    senders = r - (cluster.central in sel)
+    cluster.charge("prefix.phi_gather", 1, size_bits * senders)
     if sum(phis) != coverage(sys, sel):
         raise OracleSoundnessError("marginals do not sum to the selection's coverage")
     return MarginalVector(sel, tuple(phis))

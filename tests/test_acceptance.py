@@ -26,7 +26,7 @@ from mpcover import (
     log_to_jsonl,
     solve_max_coverage,
 )
-from mpcover.baselines import exact_opt, oracle_minimum
+from mpcover.baselines import exact_opt
 from mpcover.cli import main as cli_main
 from mpcover.cluster import ceil_log2
 from mpcover.instance import frequency, normalize_covered
@@ -34,6 +34,7 @@ from mpcover.lp import LpContext, WeightAccumulator, oracle_step, scale_to_pi0, 
 from mpcover.pipeline import _pad_budget
 from mpcover.prefix import prefix_coverage, trim_to_k
 from mpcover.rounding import randomized_round
+from test_baselines import oracle_minimum
 from test_instance import dense_incidence
 from test_lp import drive_to, recording_iterations, truncated_pq
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpcover import BudgetError, Cluster, RoundLogEntry, log_to_jsonl
+from mpcover import BudgetError, Cluster, RoundLogEntry, SetSystem, log_to_jsonl
 from mpcover.cluster import DEFAULT_MEM_C, DEFAULT_MEM_E, LogDriftError, ceil_log2
+from mpcover.pipeline import greedy_fallback
 
 
 def test_ceil_log2():
@@ -29,30 +30,19 @@ def test_budget_formula():
             Cluster(2, 4, **mem)
 
 
-def test_step_round_accounting():
-    cl = Cluster(4, 8)
-    cl.step_round([(2, 1, 10), (3, 1, 5), (4, 3, 7)], label="probe")
-    assert cl.rounds == 1
-    assert cl.peak_inbox_bits == 15  # machine 1 got both messages
-    assert cl.log == [RoundLogEntry("probe", 1, 15)]
-
-
-def test_step_round_budget_violation_carries_cluster():
-    cl = Cluster(2, 2, mem_c=1, mem_e=1)
-    with pytest.raises(BudgetError) as exc:
-        cl.step_round([(2, 1, cl.budget_bits + 1)])
+def test_gain_reduce_budget_violation_carries_cluster():
+    # a budget of exactly one (gain, index) pair suffices; one bit under it,
+    # the first tree level of the first pick is over budget
+    sys_ = SetSystem(4, 4, 2, ((1, 2), (2, 3), (3,), (4,)))
+    pair_bits = ceil_log2(sys_.n + 1) + ceil_log2(sys_.m + 1)
+    assert greedy_fallback(sys_, Cluster(sys_.m, 1, mem_c=pair_bits, mem_e=0)) == ((1, 2), 3)
+    cl = Cluster(sys_.m, 1, mem_c=pair_bits - 1, mem_e=0)
+    cl.broadcast(1, label="warmup")
+    with pytest.raises(BudgetError, match="'greedy.gain_reduce' .* in round 2,") as exc:
+        greedy_fallback(sys_, cl)
     assert exc.value.cluster is cl
     # the failed round is not counted
-    assert cl.rounds == 0
-
-
-def test_step_round_rejects_malformed_deliveries():
-    cl = Cluster(3, 8)
-    with pytest.raises(ValueError, match="nonnegative"):
-        cl.step_round([(2, 1, 4), (3, 1, -1)])
-    with pytest.raises(ValueError, match="receiver"):
-        cl.step_round([(1, 4, 1)])
-    assert cl.rounds == 0 and cl.log == []
+    assert (cl.rounds, cl.log) == (1, [RoundLogEntry("warmup", 1, 1)])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
@@ -149,8 +139,6 @@ def test_keep_machines_narrows_every_later_primitive():
     cl.convergecast_sum(np.ones((5, 2), dtype=np.int64), entry_bits=1)
     with pytest.raises(ValueError, match=r"expected shape \(5, width\)"):
         cl.convergecast_sum(np.ones((8, 2), dtype=np.int64), entry_bits=1)
-    with pytest.raises(ValueError, match=r"receiver 6 outside \[1, 5\]"):
-        cl.step_round([(1, 6, 1)])
     assert cl.lane().m == 5
     cl.keep_machines(1)
     cl.broadcast(12, label="alone")
@@ -265,17 +253,12 @@ class ReplayCluster:
 
 
 def _ops(m: int):
-    receivers = st.integers(1, m)
     leaf = st.one_of(
         st.tuples(st.just("broadcast"), st.integers(0, 40)),
         st.tuples(st.just("gather"), st.integers(0, 40)),
         st.tuples(st.just("count"), st.integers(0, 4), st.integers(0, 6)),
         st.tuples(st.just("keep"), st.integers(1, m)),
         st.tuples(st.just("cast"), st.integers(0, 4), st.integers(0, 6), st.integers(0, 2**16)),
-        st.tuples(
-            st.just("step"),
-            st.lists(st.tuples(receivers, receivers, st.integers(0, 40)), max_size=6),
-        ),
     )
     op = st.recursive(
         leaf, lambda inner: st.tuples(st.just("block"), st.lists(inner, max_size=4)), max_leaves=12
@@ -300,8 +283,6 @@ def _run_program(cl, ops, sums, depth=0):
                 cl.convergecast(op[1], op[2], label="count")
             elif op[0] == "keep":
                 cl.keep_machines(min(op[1], cl.m))
-            elif op[0] == "step":
-                cl.step_round([d for d in op[1] if d[1] <= cl.m], label="step")
             else:
                 _, width, entry_bits, seed = op
                 vectors = np.random.default_rng(seed).integers(

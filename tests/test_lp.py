@@ -9,7 +9,6 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 import mpcover.lp as lp_mod
 from mpcover import Cluster, OracleSoundnessError, SetSystem, generate_random
-from mpcover.baselines import TruncatedPQ
 from mpcover.cluster import ceil_log2
 from mpcover.instance import frequency, normalize_covered
 from mpcover.lp import (
@@ -25,6 +24,7 @@ from mpcover.lp import (
     scale_to_pi0,
     solve_pi1,
 )
+from test_baselines import TruncatedPQ
 from test_instance import dense_incidence
 
 CHAIN = SetSystem(4, 3, 2, ((1, 2), (2, 3), (3, 4)))

@@ -23,6 +23,7 @@ from mpcover.cluster import ceil_log2
 from mpcover.instance import set_masks
 import mpcover.pipeline as pipeline_mod
 from mpcover.pipeline import _pad_budget, greedy_fallback, subsample_universe
+from test_cluster import ReplayCluster
 from test_instance import systems
 
 
@@ -132,9 +133,10 @@ def test_greedy_fallback_matches_sequential(seed):
     cl.check_log_consistent()
 
 
-def greedy_bigint_scan(sys_: SetSystem, cluster: Cluster) -> tuple[tuple[int, ...], int]:
+def greedy_bigint_scan(sys_: SetSystem, cluster: ReplayCluster) -> tuple[tuple[int, ...], int]:
     """The reference greedy_fallback: every pick recomputes all m gains from
-    the big-int set masks; a chosen set's gain is -1."""
+    the big-int set masks, and every tree level delivers its (gain, index)
+    pairs message by message; a chosen set's gain is -1."""
     n, m, k = sys_.n, sys_.m, sys_.k
     masks = set_masks(sys_)
     pair_bits = ceil_log2(n + 1) + ceil_log2(m + 1)
@@ -162,7 +164,8 @@ def greedy_bigint_scan(sys_: SetSystem, cluster: Cluster) -> tuple[tuple[int, ..
 
 
 def assert_greedy_matches_the_bigint_scan(sys_: SetSystem) -> None:
-    cl, ref_cl = Cluster(sys_.m, sys_.n), Cluster(sys_.m, sys_.n)
+    cl = Cluster(sys_.m, sys_.n)
+    ref_cl = ReplayCluster(sys_.m, cl.budget_bits)
     assert greedy_fallback(sys_, cl) == greedy_bigint_scan(sys_, ref_cl)
     assert cl.log == ref_cl.log
 
@@ -178,8 +181,10 @@ def assert_greedy_matches_the_bigint_scan(sys_: SetSystem) -> None:
         SetSystem(3, 3, 2, ((), (), ())),
         # ties at a positive gain go to the lower index
         SetSystem(6, 4, 3, ((1, 2), (3, 4), (5, 6), (2, 3))),
+        # 33 singletons over 12 elements: ties at 1, then 0, up a six-level tree
+        SetSystem(12, 33, 14, tuple((1 + j % 12,) for j in range(33))),
     ],
-    ids=["zero-ties", "identical", "all-zero", "positive-ties"],
+    ids=["zero-ties", "identical", "all-zero", "positive-ties", "deep-tree"],
 )
 def test_greedy_fallback_matches_the_bigint_scan_on_ties(sys_):
     assert_greedy_matches_the_bigint_scan(sys_)

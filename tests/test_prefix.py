@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from mpcover import Cluster, SetSystem, coverage
 from mpcover.cluster import ceil_log2
+from mpcover.instance import set_masks
 from mpcover.prefix import MarginalVector, prefix_coverage, trim_to_k
+from test_cluster import ReplayCluster
 
 
 def sequential_marginals(sys_, sel):
@@ -62,11 +64,68 @@ def test_marginals_match_sequential_scan(data):
 
 def test_round_bound_at_powers_and_odd_sizes():
     n = 8
-    for r in (1, 2, 3, 4, 5, 7, 8, 16, 31, 64):
+    for r in range(1, 131):
         sys_ = SetSystem(max(n, r), r, 1, tuple((1 + i % n,) for i in range(r)))
         cl = Cluster(r, max(n, r))
         prefix_coverage(sys_, tuple(range(1, r + 1)), cl)
         assert cl.rounds <= 3 * ceil_log2(r) + 2
+
+
+def replay_prefix_unions(ids, masks, n, cluster):
+    """The prefix recursion message by message: every round lists its
+    (sender, receiver, bits) deliveries; ids name the machines."""
+    r = len(ids)
+    if r == 1:
+        return [masks[0]]
+    if r % 2 == 1:
+        pre = replay_prefix_unions(ids[:-1], masks[:-1], n, cluster)
+        cluster.step_round([(ids[-2], ids[-1], n)], label="prefix.tail")
+        return pre + [pre[-1] | masks[-1]]
+    cluster.step_round(
+        [(ids[2 * i], ids[2 * i + 1], n) for i in range(r // 2)], label="prefix.pair_up"
+    )
+    pair_masks = [masks[2 * i] | masks[2 * i + 1] for i in range(r // 2)]
+    sub = replay_prefix_unions(ids[1::2], pair_masks, n, cluster)
+    cluster.step_round(
+        [(ids[2 * i + 1], ids[2 * i + 2], n) for i in range(r // 2 - 1)], label="prefix.expand"
+    )
+    out = [0] * r
+    for i in range(r // 2):
+        out[2 * i + 1] = sub[i]
+        out[2 * i] = masks[2 * i] if i == 0 else sub[i - 1] | masks[2 * i]
+    return out
+
+
+def replay_marginals(sys_, sel, cluster):
+    """prefix_coverage's marginals and rounds, delivered message by message
+    with machine 1 as central."""
+    masks = set_masks(sys_)
+    ids = list(sel)
+    r = len(ids)
+    prefixes = replay_prefix_unions(ids, [masks[j - 1] for j in ids], sys_.n, cluster)
+    size_bits = ceil_log2(sys_.n + 1)
+    if r > 1:
+        cluster.step_round(
+            [(ids[i - 1], ids[i], size_bits) for i in range(1, r)], label="prefix.size_shift"
+        )
+    cluster.step_round([(j, 1, size_bits) for j in ids if j != 1], label="prefix.phi_gather")
+    return [prefixes[0].bit_count()] + [
+        prefixes[i].bit_count() - prefixes[i - 1].bit_count() for i in range(1, r)
+    ]
+
+
+def test_prefix_charges_match_message_replay():
+    for r in range(1, 73):
+        # 2r sets; the odd indices hold central (set 1), the even ones do not
+        n = r + 5
+        sets = tuple(tuple(sorted({1 + i % n, 1 + (3 * i) % n})) for i in range(2 * r))
+        sys_ = SetSystem(n, 2 * r, 1, sets)
+        for sel in (tuple(range(1, 2 * r, 2)), tuple(range(2, 2 * r + 1, 2))):
+            cl = Cluster(sys_.m, sys_.n)
+            replay = ReplayCluster(sys_.m, cl.budget_bits)
+            phis = replay_marginals(sys_, sel, replay)
+            assert list(prefix_coverage(sys_, sel, cl).phis) == phis, (r, sel[0])
+            assert cl.log == replay.log, (r, sel[0])
 
 
 def test_trim_noop_when_within_budget():
