@@ -185,7 +185,7 @@ def cmd_compare(args) -> int:
     try:
         report = run_pipeline(sys_, cfg)
         gcluster = Cluster(sys_.m, sys_.n, args.mem_c, args.mem_e)
-        gsel, gcov = greedy_fallback(sys_, gcluster)
+        gsel, gcov = greedy_fallback(sys_.incidence, sys_.k, gcluster)
     except BudgetError as err:
         print(f"budget violation: {err}", file=_sys.stderr)
         return 3

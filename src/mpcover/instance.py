@@ -73,7 +73,8 @@ class Incidence:
     one row per set (row j-1 is set j) and one column per element.
 
     It offers what the data plane needs from a dense matrix: shape, the
-    column sums sum(axis=0), the rows of a selection, and the transpose.
+    column sums sum(axis=0), the rows of a selection, the transpose, and
+    the view without its empty columns.
     """
 
     def __init__(self, ids: np.ndarray, offsets: np.ndarray, shape: tuple[int, int]):
@@ -103,13 +104,27 @@ class Incidence:
         return Incidence(self.ids[np.arange(offsets[-1]) + shift], offsets, self.shape)
 
     def transpose(self) -> "Incidence":
-        """The n x m view: row i lists the rows that hold column i, ascending."""
+        """The n x m view: row i lists the rows that hold column i, ascending.
+
+        Each entry gets the one key column * m + row.  The keys are unique,
+        so the default (unstable) sort orders them by column and, within a
+        column, by row; the row reads back as key % m.  The keys are intp,
+        which assumes n * m < 2**63.
+        """
         m, n = self.shape
-        order = np.argsort(self.ids, kind="stable")  # stable keeps each column's rows ascending
         row_of = np.repeat(np.arange(m), np.diff(self.offsets))
         offsets = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(self.sum(axis=0), out=offsets[1:])
-        return Incidence(row_of[order], offsets, (n, m))
+        return Incidence(np.sort(self.ids * m + row_of) % m, offsets, (n, m))
+
+    def drop_empty_columns(self, counts: np.ndarray) -> "Incidence":
+        """The m x n' view without the columns whose count is 0, the rest
+        renumbered 0..n'-1 in order; counts is the column sums sum(axis=0).
+        Costs one lookup per entry; the offsets are shared with self."""
+        kept = np.flatnonzero(counts)
+        new_of_old = np.zeros(self.shape[1], dtype=np.intp)
+        new_of_old[kept] = np.arange(len(kept))
+        return Incidence(new_of_old[self.ids], self.offsets, (self.shape[0], len(kept)))
 
 
 def load_instance(text: str) -> SetSystem:
@@ -194,17 +209,18 @@ def normalize_covered(sys: SetSystem) -> tuple[SetSystem, tuple[int, ...]]:
 
     Returns the reduced system and the kept original ids in ascending order
     (new id i corresponds to old id kept[i-1]).  Set indices are unchanged.
+    The sets are read off Incidence.drop_empty_columns, the view the
+    pipeline's greedy gate runs on without building this system.
     """
     inc = sys.incidence
-    kept_idx = np.flatnonzero(inc.sum(axis=0))
-    kept = tuple((kept_idx + 1).tolist())
+    counts = inc.sum(axis=0)
+    kept = tuple((np.flatnonzero(counts) + 1).tolist())
     if len(kept) == sys.n:
         return sys, kept
     if not kept:
         raise InstanceError("normalize: no element is covered by any set")
-    new_of_old = np.zeros(sys.n, dtype=np.intp)
-    new_of_old[kept_idx] = np.arange(1, len(kept) + 1)
-    ids, bounds = new_of_old[inc.ids].tolist(), inc.offsets.tolist()
+    view = inc.drop_empty_columns(counts)
+    ids, bounds = (view.ids + 1).tolist(), view.offsets.tolist()
     sets = tuple(tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:]))
     return SetSystem(n=len(kept), m=sys.m, k=sys.k, sets=sets), kept
 

@@ -2,12 +2,13 @@
 
 The stages, in order: learn which elements are covered and drop the rest;
 take the greedy path outright when the instance is small relative to 1/eps
-(n' <= 10/eps); otherwise optionally subsample the universe, solve the
-covering LP by multiplicative weights, rescale, round the fractional cover
-to at most k + 2*eps*m sets, and trim back to k by dropping the sets with
-the smallest marginals.  Set indices are never renumbered, so a selection
-is valid on the original instance as-is; element renumbering stays
-internal.
+(n' <= 10/eps), on the incidence with its uncovered columns dropped;
+otherwise build the reduced instance, optionally subsample the universe,
+solve the covering LP by multiplicative weights, rescale, round the
+fractional cover to at most k + 2*eps*m sets, and trim back to k by
+dropping the sets with the smallest marginals.  Set indices are never
+renumbered, so a selection is valid on the original instance as-is;
+element renumbering stays internal.
 
 The user's eps is split eight ways because four stages each consume O(eps)
 of the guarantee (LP slack, rescaling, rounding, trimming) with constants
@@ -29,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cluster import BudgetError, Cluster, RoundLogEntry, ceil_log2
-from .instance import SetSystem, frequency, normalize_covered
+from .instance import Incidence, SetSystem, frequency, normalize_covered
 from .lp import LpContext, OracleSoundnessError, scale_to_pi0, solve_pi1
 from .prefix import prefix_coverage, trim_to_k
 from .rounding import RoundingConfig, best_of_repetitions
@@ -158,8 +159,9 @@ def _pad_budget(y, kprime: int):
     return y
 
 
-def greedy_fallback(sys: SetSystem, cluster: Cluster) -> tuple[tuple[int, ...], int]:
-    """Distributed greedy: k rounds of argmax-gain over a reduction tree.
+def greedy_fallback(inc: Incidence, k: int, cluster: Cluster) -> tuple[tuple[int, ...], int]:
+    """Distributed greedy: k picks of argmax-gain over a reduction tree, on
+    the m x n incidence `inc` (row j-1 is set j).
 
     Each iteration reduces (gain, index) pairs up the converge-cast tree
     (ties prefer the lower index), central announces the winner, and the
@@ -171,8 +173,7 @@ def greedy_fallback(sys: SetSystem, cluster: Cluster) -> tuple[tuple[int, ...], 
     after each pick, by the set's elements that the winner newly covered.
     A chosen set's gain is -1, below every open gain.
     """
-    n, m, k = sys.n, sys.m, sys.k
-    inc = sys.incidence
+    m, n = inc.shape
     sets_of = inc.transpose()  # element -> the sets holding it
     gains = np.diff(inc.offsets)
     covered = np.zeros(n, dtype=bool)
@@ -209,11 +210,13 @@ def _run_stages(sys: SetSystem, eps: Fraction, cfg: PipelineConfig, cluster: Clu
     if sys.k >= sys.m:
         return tuple(range(1, sys.m + 1)), covered_n, None, "all_sets"
     cluster.broadcast(sys.n, label="normalize.keep_broadcast")
-    sys1, _kept1 = normalize_covered(sys)
 
-    if 1 / eps >= Fraction(sys1.n, GREEDY_GATE):
-        sel, cov1 = greedy_fallback(sys1, cluster)
+    if 1 / eps >= Fraction(covered_n, GREEDY_GATE):
+        inc1 = sys.incidence.drop_empty_columns(covered_counts)
+        sel, cov1 = greedy_fallback(inc1, sys.k, cluster)
         return sel, cov1, None, "greedy"
+
+    sys1, _kept1 = normalize_covered(sys)
 
     stage_eps = eps / EPS_STAGES
     if cfg.subsample:
@@ -233,7 +236,7 @@ def _run_stages(sys: SetSystem, eps: Fraction, cfg: PipelineConfig, cluster: Clu
     pi1 = solve_pi1(ctx, cluster)
     if pi1.pair is None:
         # even L=1 rejected: nothing usable from the LP, greedy still applies
-        sel, cov1 = greedy_fallback(sys1, cluster)
+        sel, cov1 = greedy_fallback(sys1.incidence, sys1.k, cluster)
         return sel, cov1, None, "greedy"
     sol = scale_to_pi0(ctx, pi1.pair)
 
@@ -318,8 +321,10 @@ def bounded_frequency_solve(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
     try:
         if keep_count < sys.m:
             cluster.gather(ceil_log2(sys.n + 1), label="bfreq.size_gather")
-            order = sorted(range(1, sys.m + 1), key=lambda j: (-len(sys.sets[j - 1]), j))
-            kept_sets = sorted(order[:keep_count])
+            sizes = np.diff(sys.incidence.offsets)
+            # stable: among sets of equal size the lower index is kept
+            order = np.argsort(-sizes, kind="stable")
+            kept_sets = sorted((order[:keep_count] + 1).tolist())
             cluster.broadcast(sys.m, label="bfreq.keep_broadcast")
             cluster.keep_machines(keep_count)
             reduced = SetSystem(sys.n, keep_count, sys.k, tuple(sys.sets[j - 1] for j in kept_sets))

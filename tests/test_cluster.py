@@ -35,11 +35,12 @@ def test_gain_reduce_budget_violation_carries_cluster():
     # the first tree level of the first pick is over budget
     sys_ = SetSystem(4, 4, 2, ((1, 2), (2, 3), (3,), (4,)))
     pair_bits = ceil_log2(sys_.n + 1) + ceil_log2(sys_.m + 1)
-    assert greedy_fallback(sys_, Cluster(sys_.m, 1, mem_c=pair_bits, mem_e=0)) == ((1, 2), 3)
+    inc, k = sys_.incidence, sys_.k
+    assert greedy_fallback(inc, k, Cluster(sys_.m, 1, mem_c=pair_bits, mem_e=0)) == ((1, 2), 3)
     cl = Cluster(sys_.m, 1, mem_c=pair_bits - 1, mem_e=0)
     cl.broadcast(1, label="warmup")
     with pytest.raises(BudgetError, match="'greedy.gain_reduce' .* in round 2,") as exc:
-        greedy_fallback(sys_, cl)
+        greedy_fallback(inc, k, cl)
     assert exc.value.cluster is cl
     # the failed round is not counted
     assert (cl.rounds, cl.log) == (1, [RoundLogEntry("warmup", 1, 1)])

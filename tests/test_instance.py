@@ -243,6 +243,18 @@ def test_incidence_view_of_a_chain():
         inc.sum(axis=1)
 
 
+def test_transpose_lists_many_rows_of_one_column_in_order():
+    """64 rows share their columns, so the transpose sorts long runs of ties
+    in the column id; each column must still list its rows ascending, which
+    an unstable sort on the column id alone does not give."""
+    sys_ = SetSystem(5, 64, 1, tuple(((1, 3, 4), (2, 3), (3, 5), (1, 2, 3, 4, 5)) * 16))
+    by_elem = sys_.incidence.transpose()
+    dense = dense_incidence(sys_)
+    assert by_elem.shape == dense.T.shape
+    for i in range(sys_.n):
+        assert row_ids(by_elem, i) == np.flatnonzero(dense[:, i]).tolist()
+
+
 def row_ids(view, r: int) -> list[int]:
     return view.ids[view.offsets[r] : view.offsets[r + 1]].tolist()
 
@@ -269,6 +281,12 @@ def test_incidence_view_matches_the_dense_reference(sys_, data):
         assert row_ids(by_elem, i) == np.flatnonzero(dense[:, i]).tolist()
     cols = data.draw(st.lists(st.integers(0, sys_.n - 1), unique=True), label="columns")
     assert by_elem.rows(cols).sum(axis=0).tolist() == dense[:, cols].sum(axis=1).tolist()
+    # dropping the empty columns keeps the others in order, renumbered
+    compact = inc.drop_empty_columns(inc.sum(axis=0))
+    kept = dense[:, dense.any(axis=0)]
+    assert compact.shape == kept.shape
+    for r in range(sys_.m):
+        assert row_ids(compact, r) == np.flatnonzero(kept[r]).tolist()
     # a converge-cast charges the view as it charges the dense matrix
     sparse_cl, dense_cl = Cluster(sys_.m, sys_.n), Cluster(sys_.m, sys_.n)
     got = sparse_cl.convergecast_sum(picked, entry_bits=1, label="cast")

@@ -218,7 +218,7 @@ FAULTS = {
     "selection_over_k": Fault(
         AuditError,
         "selection of 3 sets exceeds the budget k=2",
-        ((pipeline_mod, "greedy_fallback", lambda s, cluster: ((1, 2, 3), 4)),),
+        ((pipeline_mod, "greedy_fallback", lambda inc, k, cluster: ((1, 2, 3), 4)),),
         lambda: run_pipeline(CHAIN, PipelineConfig(eps=Fraction(1, 4))),
         CHAIN,
         4,

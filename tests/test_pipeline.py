@@ -3,9 +3,10 @@
 import hashlib
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from mpcover import (
     AuditError,
@@ -20,7 +21,7 @@ from mpcover import (
 )
 from mpcover.baselines import exact_opt, greedy_sequential
 from mpcover.cluster import ceil_log2
-from mpcover.instance import set_masks
+from mpcover.instance import frequency, normalize_covered, set_masks
 import mpcover.pipeline as pipeline_mod
 from mpcover.pipeline import _pad_budget, greedy_fallback, subsample_universe
 from test_cluster import ReplayCluster
@@ -125,7 +126,7 @@ def test_pad_budget():
 def test_greedy_fallback_matches_sequential(seed):
     sys_ = generate_random(18, 7, 3, density=0.3, seed=seed)
     cl = Cluster(sys_.m, sys_.n)
-    picks, cov = greedy_fallback(sys_, cl)
+    picks, cov = greedy_fallback(sys_.incidence, sys_.k, cl)
     ref = greedy_sequential(sys_)
     assert picks == ref.selection
     assert cov == ref.value
@@ -166,7 +167,7 @@ def greedy_bigint_scan(sys_: SetSystem, cluster: ReplayCluster) -> tuple[tuple[i
 def assert_greedy_matches_the_bigint_scan(sys_: SetSystem) -> None:
     cl = Cluster(sys_.m, sys_.n)
     ref_cl = ReplayCluster(sys_.m, cl.budget_bits)
-    assert greedy_fallback(sys_, cl) == greedy_bigint_scan(sys_, ref_cl)
+    assert greedy_fallback(sys_.incidence, sys_.k, cl) == greedy_bigint_scan(sys_, ref_cl)
     assert cl.log == ref_cl.log
 
 
@@ -196,6 +197,48 @@ def test_greedy_fallback_matches_the_bigint_scan(sys_):
     """Pick for pick, with the same coverage and round log; small universes
     make tied and zero gains common."""
     assert_greedy_matches_the_bigint_scan(sys_)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(max_n=12, max_m=8), st.integers(1, 3), st.integers(0, 3))
+def test_greedy_on_the_relabelled_view_matches_the_normalized_system(sys_, spread, extra):
+    """The greedy gate's view, the incidence with its empty columns dropped,
+    gives the picks, coverage and round log of the rebuilt reduced system.
+    Element e moves to spread*e, and extra uncovered elements follow n."""
+    sparse = SetSystem(
+        spread * sys_.n + extra,
+        sys_.m,
+        sys_.k,
+        tuple(tuple(spread * e for e in s) for s in sys_.sets),
+    )
+    assume(any(sparse.sets))  # normalize_covered rejects an instance covering nothing
+    inc = sparse.incidence
+    view = inc.drop_empty_columns(inc.sum(axis=0))
+    reduced = normalize_covered(sparse)[0].incidence
+    assert view.shape == reduced.shape
+    assert view.ids.tolist() == reduced.ids.tolist()
+    cl, ref_cl = Cluster(sparse.m, sparse.n), Cluster(sparse.m, sparse.n)
+    assert greedy_fallback(view, sparse.k, cl) == greedy_fallback(reduced, sparse.k, ref_cl)
+    assert cl.log == ref_cl.log
+
+
+def test_only_the_lp_route_builds_the_reduced_system(monkeypatch):
+    """The greedy gate runs on the relabelled incidence; normalize_covered,
+    which rebuilds the reduced SetSystem, is called past the gate only."""
+
+    def refuse(sys_):
+        raise RuntimeError("normalize_covered called")
+
+    monkeypatch.setattr(pipeline_mod, "normalize_covered", refuse)
+    # 30 random elements, then 6 that no set covers: n' <= 30 <= 10/eps
+    base = generate_random(30, 8, 3, density=0.25, seed=4)
+    sys_ = SetSystem(36, base.m, base.k, base.sets)
+    rep = run_pipeline(sys_, PipelineConfig(eps=Fraction(1, 10), seed=5))
+    assert rep.config["path"] == "greedy"
+    assert rep.coverage == greedy_sequential(sys_).value
+    # n' = 52 > 10/eps: the LP route normalizes before anything else
+    with pytest.raises(RuntimeError, match="normalize_covered called"):
+        run_pipeline(tile_system(17, 2), PipelineConfig(eps=Fraction(1, 4), seed=7))
 
 
 # -- pipeline paths --------------------------------------------------------
@@ -354,6 +397,40 @@ def test_bounded_frequency_reduces_to_largest_sets():
     labels = [e_.primitive for e_ in rep.log]
     assert labels[:3] == ["bfreq.freq_cast", "bfreq.size_gather", "bfreq.keep_broadcast"]
     assert sum(e_.rounds for e_ in rep.log) == rep.rounds
+
+
+@st.composite
+def tied_disjoint_systems(draw):
+    """9 to 24 disjoint sets of 0 to 3 elements over 1..e-1, so sizes tie
+    often; element e is never covered, and sets 1 and 2 may share element
+    e+1, which makes f_max 2.  At k=1 and eta=1/4 at most 8 sets are kept."""
+    sizes = draw(st.lists(st.integers(0, 3), min_size=9, max_size=24))
+    sets, e = [], 1
+    for size in sizes:
+        sets.append(tuple(range(e, e + size)))
+        e += size
+    if draw(st.booleans()):
+        sets[0] += (e + 1,)
+        sets[1] += (e + 1,)
+    return SetSystem(e + 1, len(sets), 1, tuple(sets))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_disjoint_systems())
+def test_bounded_frequency_keeps_the_largest_sets_lower_index_first(sys_):
+    """The kept sets are the first ceil(k*f/eta) under the key (-size, index)."""
+    eta = Fraction(1, 4)
+    keep_count = math.ceil(sys_.k * max(max(frequency(sys_)), 1) / eta)
+    assert keep_count < sys_.m
+    order = sorted(range(1, sys_.m + 1), key=lambda j: (-len(sys_.sets[j - 1]), j))
+    want = tuple(sys_.sets[j - 1] for j in sorted(order[:keep_count]))
+    stages = []
+    run_stages = pipeline_mod._run_stages
+    with mock.patch.object(
+        pipeline_mod, "_run_stages", lambda s, *a: stages.append(s) or run_stages(s, *a)
+    ):
+        run_pipeline(sys_, PipelineConfig(eta=eta, seed=0))
+    assert [reduced.sets for reduced in stages] == [want]
 
 
 def test_bounded_frequency_selection_maps_back():
