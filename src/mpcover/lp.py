@@ -21,11 +21,23 @@ iterations, and its weight is w_i = 2**(-eps * A_i / f_i), materialized on
 the grid 2**-B with B = 10 * ceil(log2 n) as a Python int: with eps = 2**-s
 and -A_i = c * f_i * 2**s + r, it is fixmath.exp2_frac(r, f_i * 2**s, B)
 shifted left by c (right by -c when c is negative).
+
+Each guess runs as one lane: one loop (_mwu) over one state object
+(WeightAccumulator), with one call per iteration, the module-level
+oracle_step.  An iteration moves only a few of the n entries, so the lane
+keeps everything between iterations and touches only what moved.  The
+oracle's element and set orders are kept too, keyed by the unique ints
+p_i * n + i and q_j * m + j, which sort as (cost, index) does: re-sorting
+the nearly sorted lists gives exactly the stable order of a sort by cost.
+From the oracle's picks the loop builds the nonzero errors, runs the exact
+truncation check on them, and moves the accumulators, weights, costs, keys,
+totals and |A|max in one pass over them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,172 +137,75 @@ class LpContext:
 
     def weights(self, a) -> tuple[list[int], int]:
         """Scaled weights W_i = floor-approx of 2**(-eps*A_i/f_i) * 2**b
-        at the n accumulator values a.
+        at the n accumulator values a, each from its frequency class table
+        shifted by c (see the module docstring).  A lane starts from these,
+        at a = 0, and the tests compare its kept weights against them.
+        _mwu re-derives each weight an iteration moves with a second,
+        inlined copy of this arithmetic and of the per-weight cap check: a
+        call per moved entry is the overhead the loop exists to avoid.
 
         Returns (list of Python ints, their exact sum).
         """
-        w = self.rederive(range(self.n), list(map(int, a)))
+        w = []
+        tab, d, cap = self.tab, self.d, self.wcap_log2
+        for i, ai in enumerate(map(int, a)):
+            c, r = divmod(-ai, d[i])
+            if c > cap:
+                raise OracleSoundnessError("weight above the 4n^2 potential cap")
+            base = tab[i][r]
+            w.append(base << c if c >= 0 else base >> -c)
         total = sum(w)
         # the potential argument keeps the weight sum below 4n^2
         if total > self.wsum_cap:
             raise OracleSoundnessError("weight sum above the 4n^2 potential cap")
         return w, total
 
-    def rederive(self, idx, a_vals: list[int]) -> list[int]:
-        """Scaled weights of the entries idx at accumulator values a_vals,
-        each from its frequency class table shifted by c."""
-        out = []
-        tab, d, cap = self.tab, self.d, self.wcap_log2
-        for i, ai in zip(idx, a_vals):
-            c, r = divmod(-ai, d[i])
-            if c > cap:
-                raise OracleSoundnessError("weight above the 4n^2 potential cap")
-            base = tab[i][r]
-            out.append(base << c if c >= 0 else base >> -c)
-        return out
-
-    def moves(self, x_idx, y_idx) -> dict[int, int]:
-        """The nonzero errors f_i - x_i - cnt_i of an oracle point, as
-        {element: error}.
-
-        x_idx are the chosen elements and y_idx the sets left out of z.  The
-        kept sets containing i number f_i minus the left-out ones, so the
-        error is (left-out sets containing i) - x_i: it can be nonzero only
-        on the members of the k left-out sets and on the chosen elements.
-        """
-        err = dict.fromkeys(x_idx, -1)
-        get, rows = err.get, self.rows
-        for j in y_idx:
-            for i in rows[j]:
-                e = get(i, 0) + 1
-                if e:
-                    err[i] = e
-                else:
-                    del err[i]
-        return err
-
-    def exact_check(self, acc, lhs_hat_scaled: int, sum_w_scaled: int, moves, feasible: bool):
-        """Exact rational soundness of the truncation, per oracle call.
-
-        lhs denotes the true weighted constraint sum at the chosen point,
-        computed from the lane's exact weights acc.w and cover_i = x_i +
-        cnt_i, the point's left-hand side of constraint i times f_i;
-        lhs_hat is its truncated stand-in.  Verifies lhs - 1/n^5 <= lhs_hat
-        <= lhs, and lhs <= sum w + 1/n^5 whenever the oracle accepted.
-        Everything is cleared to the common denominator lcm(f) * 2**b so the
-        comparisons are plain integers.
-
-        cover_i = f_i - e_i with the point's errors e (see moves), and e_i = 0
-        outside the moves, so lhs * lcm = lcm * sum w - sum over the moves of
-        w_i * e_i * lcm / f_i.  This reads the moves only, and relies on
-        acc.total == sum(acc.w), which oracle_step trusts as well.
-        """
-        lcm, w, lcm_over_f = self.f_lcm, acc.w, self.lcm_over_f
-        lhs_lcm = acc.total * lcm - sum([w[i] * e * lcm_over_f[i] for i, e in moves.items()])
-        slack_lcm_p5 = (lcm << self.b)  # slack * lcm * n^5
-        hat_lcm = lhs_hat_scaled * lcm
-        if not hat_lcm <= lhs_lcm:
-            raise OracleSoundnessError("truncated objective exceeds the exact one")
-        if not (lhs_lcm - hat_lcm) * self.n_pow5 <= slack_lcm_p5:
-            raise OracleSoundnessError("truncation lost more than 1/n^5")
-        if feasible and not (lhs_lcm - sum_w_scaled * lcm) * self.n_pow5 <= slack_lcm_p5:
-            raise OracleSoundnessError("accepted point violates the weighted budget")
-
 
 class WeightAccumulator:
-    """One MWU lane's exact state: the integer error accumulators a, the
-    weights w derived from them, the element costs p = w // f, the set costs
-    q (sums of p over each set) and the weight total.
+    """One MWU lane's exact state, which _mwu moves in place: the integer
+    error accumulators a, the accepted iterations t, |A|max and the count of
+    entries at it, the weights w derived from a, the element costs
+    p = w // f, the set costs q (sums of p over each set), the weight total
+    and qsum, the sum of q.
 
-    The constructor derives all of it once through ctx.weights.  update()
-    re-derives w and p only where the accumulators moved and moves q and
-    the total by exact integer differences, so the state always matches a.
+    It also keeps the oracle's orders between iterations: xorder lists the
+    elements by the unique key xkey[i] = p_i * n + i and sorder the sets by
+    skey[j] = q_j * m + j.  These keys order as (cost, index) does, which is
+    the stable order of a sort by cost alone.  An iteration moves the keys
+    of the few entries whose cost moved, so each re-sort in oracle_step
+    runs over a nearly sorted list.
+
+    The constructor derives all of it once through ctx.weights, at a = 0.
     """
 
     def __init__(self, ctx: LpContext):
-        self.ctx = ctx
-        self.n = ctx.n
-        self.a = [0] * ctx.n
+        n, m = ctx.n, ctx.m
+        self.a = [0] * n
         self.t = 0
-        self.absmax = 0  # |A|max after the last update
-        self.at_max = ctx.n  # entries with |A| == absmax
+        self.absmax = 0  # |A|max after the last accepted iteration
+        self.at_max = n  # entries with |A| == absmax
         self.w, self.total = ctx.weights(self.a)
         self.p = [wi // fv for wi, fv in zip(self.w, ctx.f)]
         self.q = [sum(map(self.p.__getitem__, row)) for row in ctx.rows]
-
-    def update(self, moves: dict[int, int]) -> None:
-        """Add one iteration's errors, given as {element: error}; every
-        element not in moves has error 0.
-
-        One pass over the moves checks the error range, moves a and tracks
-        |A|max and the count of entries at it; all n accumulators are
-        rescanned only when every entry at |A|max moved below it.  Then
-        rederive gives the moved weights, and a second pass moves w, the
-        total, p and q.  A failed check leaves the state unusable, as it
-        ends the run.
-        """
-        lim, a, absmax, at_max = 2 * self.n, self.a, self.absmax, self.at_max
-        lo = hi = top = 0  # error range with the implicit zeros, largest moved |A|
-        at_top = 0  # moved entries with |A| == top
-        vals = []
-        for i, e in moves.items():
-            if e < lo:
-                lo = e
-            elif e > hi:
-                hi = e
-            v = a[i]
-            if v == absmax or v == -absmax:
-                at_max -= 1
-            v += e
-            a[i] = v
-            vals.append(v)
-            if v < 0:
-                v = -v
-            if v > top:
-                top, at_top = v, 1
-            elif v == top:
-                at_top += 1
-        if lo < -lim or hi > lim:
-            if len(moves) == self.n:  # no implicit zeros
-                lo, hi = min(moves.values()), max(moves.values())
-            raise OracleSoundnessError(f"per-iteration error outside [-2n, 2n]: {lo}..{hi}")
-        self.t += 1
-        if top > absmax:
-            absmax, at_max = top, at_top
-        elif top == absmax:
-            at_max += at_top
-        elif not at_max:  # every entry at |A|max moved toward 0
-            absa = list(map(abs, a))
-            absmax = max(absa)
-            at_max = absa.count(absmax)
-        self.absmax, self.at_max = absmax, at_max
-        if absmax > lim * self.t:
-            raise OracleSoundnessError("accumulator magnitude exceeded 2*n*t")
-        ctx, w, p, q = self.ctx, self.w, self.p, self.q
-        f, member = ctx.f, ctx.member
-        total = self.total
-        for i, wi in zip(moves, ctx.rederive(moves, vals)):
-            total += wi - w[i]
-            w[i] = wi
-            dp = wi // f[i] - p[i]
-            if dp:
-                p[i] += dp
-                for j in member[i]:
-                    q[j] += dp
-        self.total = total
+        self.qsum = sum(self.q)
+        self.xkey = [pi * n + i for i, pi in enumerate(self.p)]
+        self.skey = [qj * m + j for j, qj in enumerate(self.q)]
+        self.xorder = list(range(n))
+        self.sorder = list(range(m))
 
 
-@dataclass(frozen=True)
-class OracleStep:
+# collections.namedtuple rather than typing.NamedTuple: under the future
+# import of annotations, the latter compiles each field's annotation when
+# the module loads, which raised every run's peak RSS by about 40-50 KB
+class OracleStep(
+    namedtuple("OracleStep", "feasible x_idx z_idx y_idx lhs_hat_scaled sum_w_scaled")
+):
     """An oracle point: the chosen elements x_idx, the m - k kept sets z_idx
-    and the k sets y_idx left out of z, each in ascending cost order."""
+    and the k sets y_idx left out of z, each a list in ascending cost order,
+    with the truncated objective lhs_hat_scaled and the weight sum
+    sum_w_scaled it was checked against."""
 
-    feasible: bool
-    x_idx: list[int]
-    z_idx: list[int]
-    y_idx: list[int]
-    lhs_hat_scaled: int
-    sum_w_scaled: int
+    __slots__ = ()
 
 
 def oracle_step(ctx: LpContext, acc: WeightAccumulator, length: int) -> OracleStep:
@@ -302,23 +217,35 @@ def oracle_step(ctx: LpContext, acc: WeightAccumulator, length: int) -> OracleSt
     (the set-cost gather to central, then the chosen indicator vectors or a
     1-bit reject broadcast).
 
-    Reads the costs and the weight total that `acc` keeps current (see
-    WeightAccumulator) and checks, on every call, the weight-sum cap and
-    the set-cost message width.
+    Re-sorts the lane's kept element and set orders by their keys (see
+    WeightAccumulator), which gives exactly the stable (cost, index) order,
+    and reads the costs and totals the lane keeps current: the set part of
+    the objective is qsum minus the k left-out set costs.  Checks, on every
+    call, the weight-sum cap and the set-cost message width, the latter on
+    q itself rather than on the order its keys give.
     """
-    n, m, k = ctx.n, ctx.m, ctx.k
+    n = ctx.n
     if not 0 <= length <= n:
         raise ValueError(f"guess length must be in [0, {n}], got {length}")
-    p, q, sum_w = acc.p, acc.q, acc.total
+    sum_w = acc.total
     if sum_w > ctx.wsum_cap:
         raise OracleSoundnessError("weight sum above the 4n^2 potential cap")
+    xorder, sorder, q = acc.xorder, acc.sorder, acc.q
+    # the last call's picks lead the order, and their error of -1 (unless a
+    # left-out set held them) raised their costs: at the back, they leave
+    # the rest one ascending run, and the sort binary-inserts only them and
+    # the few other moved entries
+    xorder.extend(xorder[:length])
+    del xorder[:length]
+    xorder.sort(key=acc.xkey.__getitem__)
+    sorder.sort(key=acc.skey.__getitem__)
     if max(q, default=0).bit_length() > ctx.qhat_bits:
         raise OracleSoundnessError("set cost outgrew its message width")
-    xs = sorted(range(n), key=p.__getitem__)[:length]
-    order = sorted(range(m), key=q.__getitem__)
-    zs, ys = order[: m - k], order[m - k :]
-    lhs_hat = sum(map(p.__getitem__, xs)) + sum(map(q.__getitem__, zs))
-    return OracleStep(lhs_hat <= sum_w, xs, zs, ys, lhs_hat, sum_w)
+    xs = xorder[:length]
+    kept = ctx.m - ctx.k
+    ys = sorder[kept:]
+    lhs_hat = sum(map(acc.p.__getitem__, xs)) + acc.qsum - sum(map(q.__getitem__, ys))
+    return OracleStep(lhs_hat <= sum_w, xs, sorder[:kept], ys, lhs_hat, sum_w)
 
 
 def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None:
@@ -328,10 +255,32 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
     constraints at slack 0; a pair satisfies every constraint within
     1 + 1.4 * eps (checked, exact).
 
-    Each iteration is built from the oracle's picks (see LpContext.moves):
-    its nonzero errors, which the exact check reads, and the averaged
-    iterate, whose sum_z_j is t_total minus the iterations that left set j
-    out.
+    The lane is one loop over its WeightAccumulator, with one call per
+    iteration: the module-level oracle_step.  From the oracle's picks the
+    loop builds the point's nonzero errors: with x the chosen elements and
+    y the k sets left out of z, the kept sets containing i number f_i minus
+    the left-out ones, so e_i = f_i - x_i - cnt_i = (left-out sets
+    containing i) - x_i, nonzero only on the members of the left-out sets
+    and on the chosen elements.
+
+    The exact check, per oracle call, verifies lhs - 1/n^5 <= lhs_hat <=
+    lhs, and lhs <= sum w + 1/n^5 whenever the oracle accepted, where lhs
+    is the true weighted constraint sum at the point and lhs_hat its
+    truncated stand-in.  Cleared to the common denominator lcm(f) * 2**b
+    these are plain integer comparisons, and since x_i + cnt_i = f_i - e_i,
+    lhs * lcm = lcm * sum w - sum over the moves of w_i * e_i * lcm / f_i,
+    read from the weights before the move.  It relies on the kept total
+    being exactly sum(w), which oracle_step trusts as well.
+
+    An accepted iteration then moves, in one pass over its errors, the
+    accumulators, the weights (re-derived from their class tables, with the
+    4n^2 cap checked on each), the costs p and q with their keys, the two
+    totals and |A|max with the count of entries at it; all n accumulators
+    are rescanned for |A|max only when every entry at the max moved below
+    it.  It checks the error range and |A| <= 2*n*t after the pass; a
+    failed check leaves the lane unusable, as it ends the run.  The
+    averaged iterate's sum_z_j is t_total minus the iterations that left
+    set j out, and its sum_x_i the left-outs of i's sets minus A_i.
 
     An accepted iteration costs the oracle's cost gather and point
     broadcast, the cover-count cast and the accumulator broadcast, at the
@@ -344,41 +293,120 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
     """
     n, m, t_total = ctx.n, ctx.m, ctx.t_total
     acc = WeightAccumulator(ctx)
-    picked = [0] * n  # iterations that chose each element
+    a, w, p, q, xkey, skey = acc.a, acc.w, acc.p, acc.q, acc.xkey, acc.skey
+    f, d, tab, rows, member = ctx.f, ctx.d, ctx.tab, ctx.rows, ctx.member
+    lcm, lcm_over_f, n_pow5 = ctx.f_lcm, ctx.lcm_over_f, ctx.n_pow5
+    slack = lcm << ctx.b  # the 1/n^5 slack, times lcm * n^5
+    cap, lim = ctx.wcap_log2, 2 * n
+    step = oracle_step  # the module-level seam, looked up once per lane
     left_out = [0] * m  # iterations that left each set out of z
     with cluster.coalesce(f"mwu[L={length}]") as charged:
         later = 0  # accepted iterations after the first, charged when the loop ends
         try:
             for t in range(t_total):
-                step = oracle_step(ctx, acc, length)
-                moves = ctx.moves(step.x_idx, step.y_idx)
-                if not step.feasible:
+                feasible, xs, _, ys, lhs_hat, sum_w = step(ctx, acc, length)
+                # the nonzero errors: -1 per pick, +1 per left-out set holding it
+                err = dict.fromkeys(xs, -1)
+                get = err.get
+                for j in ys:
+                    for i in rows[j]:
+                        e = get(i, 0) + 1
+                        if e:
+                            err[i] = e
+                        else:
+                            del err[i]
+                if not feasible:
                     cluster.gather(ctx.qhat_bits, label="oracle.cost_gather")
                     cluster.broadcast(1, label="oracle.reject_broadcast")
-                    ctx.exact_check(acc, step.lhs_hat_scaled, step.sum_w_scaled, moves, False)
-                    return None
-                if not t:
+                elif not t:
                     cluster.gather(ctx.qhat_bits, label="oracle.cost_gather")
                     cluster.broadcast(n + m, label="oracle.point_broadcast")
                     cluster.convergecast(n, entry_bits=1, label="mwu.cover_count")
-                ctx.exact_check(acc, step.lhs_hat_scaled, step.sum_w_scaled, moves, True)
-                acc.update(moves)
+                total = acc.total
+                lhs_lcm = total * lcm - sum([w[i] * e * lcm_over_f[i] for i, e in err.items()])
+                hat_lcm = lhs_hat * lcm
+                if not hat_lcm <= lhs_lcm:
+                    raise OracleSoundnessError("truncated objective exceeds the exact one")
+                if not (lhs_lcm - hat_lcm) * n_pow5 <= slack:
+                    raise OracleSoundnessError("truncation lost more than 1/n^5")
+                if not feasible:
+                    return None
+                if not (lhs_lcm - sum_w * lcm) * n_pow5 <= slack:
+                    raise OracleSoundnessError("accepted point violates the weighted budget")
+                absmax, at_max, qsum = acc.absmax, acc.at_max, acc.qsum
+                neg_max = -absmax
+                # error range with the implicit zeros, largest moved |A|; an
+                # error is (left-out sets holding i) - x_i >= -1 > -2n, so only
+                # hi can leave the range, but the message reports both ends
+                lo = hi = top = 0
+                at_top = 0  # moved entries with |A| == top
+                for i, e in err.items():
+                    if e < lo:
+                        lo = e
+                    elif e > hi:
+                        hi = e
+                    v = a[i]
+                    if v == absmax or v == neg_max:
+                        at_max -= 1
+                    v += e
+                    a[i] = v
+                    c, r = divmod(-v, d[i])
+                    if c > cap:
+                        raise OracleSoundnessError("weight above the 4n^2 potential cap")
+                    wi = tab[i][r] << c if c >= 0 else tab[i][r] >> -c
+                    total += wi - w[i]
+                    w[i] = wi
+                    dp = wi // f[i] - p[i]
+                    if dp:
+                        p[i] += dp
+                        xkey[i] += dp * n
+                        qsum += dp * f[i]
+                        dk = dp * m
+                        for j in member[i]:
+                            q[j] += dp
+                            skey[j] += dk
+                    if v < 0:
+                        v = -v
+                    if v > top:
+                        top, at_top = v, 1
+                    elif v == top:
+                        at_top += 1
+                if lo < -lim or hi > lim:
+                    if len(err) == n:  # no implicit zeros
+                        lo, hi = min(err.values()), max(err.values())
+                    raise OracleSoundnessError(
+                        f"per-iteration error outside [-2n, 2n]: {lo}..{hi}"
+                    )
+                if top > absmax:
+                    absmax, at_max = top, at_top
+                elif top == absmax:
+                    at_max += at_top
+                elif not at_max:  # every entry at |A|max moved toward 0
+                    absa = list(map(abs, a))
+                    absmax = max(absa)
+                    at_max = absa.count(absmax)
+                if absmax > lim * (t + 1):
+                    raise OracleSoundnessError("accumulator magnitude exceeded 2*n*t")
                 # unreachable: LpContext checks that 2*n*t_total fits in abits - 1
-                # bits, and update() keeps |A| <= 2*n*t with t <= t_total
-                if acc.absmax.bit_length() + 1 > ctx.abits:
+                # bits, and the check above keeps |A| <= 2*n*t with t <= t_total
+                if absmax.bit_length() + 1 > ctx.abits:
                     raise OracleSoundnessError("accumulator outgrew its broadcast width")
+                acc.t, acc.absmax, acc.at_max, acc.total, acc.qsum = (
+                    t + 1, absmax, at_max, total, qsum
+                )
                 if t:
                     later += 1
                 else:
                     cluster.broadcast(n * ctx.abits, label="mwu.acc_broadcast")
                     rounds_1, peak_1 = charged  # iteration 1's charges
-                for i in step.x_idx:
-                    picked[i] += 1
-                for j in step.y_idx:
+                for j in ys:
                     left_out[j] += 1
         finally:
             if later:
                 cluster.charge("mwu.iterations", later * rounds_1, peak_1)
+    # A_i sums (left-out sets containing i) - x_i over the iterations, so the
+    # iterations that chose element i number the left-outs of its sets minus A_i
+    picked = [sum(map(left_out.__getitem__, js)) - ai for js, ai in zip(member, a)]
     pair = FractionalPair(tuple(picked), tuple(t_total - c for c in left_out), t_total)
     _check_pair(ctx, length, pair)
     return pair

@@ -36,7 +36,7 @@ from mpcover.prefix import prefix_coverage, trim_to_k
 from mpcover.rounding import randomized_round
 from test_baselines import oracle_minimum
 from test_instance import dense_incidence
-from test_lp import drive_to, recording_iterations, truncated_pq
+from test_lp import recording_iterations, seed_lane, truncated_pq
 
 RATIO_EPS = 0.1
 SEEDS_PER_INSTANCE = 200
@@ -146,7 +146,7 @@ def oracle_trials():
             continue
         acc = WeightAccumulator(ctx)
         # floor(-14 * eps / f) <= 3 doublings keeps the weight sum under 4n^2
-        drive_to(acc, rng.integers(-14, 31, size=n))
+        seed_lane(ctx, acc, rng.integers(-14, 31, size=n))
         length = int(rng.integers(1, n + 1))
         st = oracle_step(ctx, acc, length)
         trials.append({"ctx": ctx, "st": st, "w": list(acc.w), "length": length})

@@ -45,19 +45,21 @@ CHECKS = ("OracleSoundnessError", "AuditError")
 # value), with the test that makes it fire, or ARGUED when it cannot fire and
 # a "# unreachable:" comment says why.  INJECTED[case] names a FAULTS case.
 SOUNDNESS_RAISES = {
+    ("lp.py", "LpContext.weights", "weight above the 4n^2 potential cap"):
+        "test_lp.py::test_weights_cap_is_enforced",
     ("lp.py", "LpContext.weights", "weight sum above the 4n^2 potential cap"):
         "test_lp.py::test_weights_cap_is_enforced",
-    ("lp.py", "LpContext.rederive", "weight above the 4n^2 potential cap"):
-        "test_lp.py::test_weight_cap_fires_on_an_entry_changed_mid_run",
-    ("lp.py", "LpContext.exact_check", "truncated objective exceeds the exact one"):
+    ("lp.py", "_mwu", "truncated objective exceeds the exact one"):
         "test_lp.py::test_exact_check_rejects_tampered_values",
-    ("lp.py", "LpContext.exact_check", "truncation lost more than 1/n^5"):
+    ("lp.py", "_mwu", "truncation lost more than 1/n^5"):
         "test_lp.py::test_exact_check_rejects_truncation_loss",
-    ("lp.py", "LpContext.exact_check", "accepted point violates the weighted budget"):
+    ("lp.py", "_mwu", "accepted point violates the weighted budget"):
         "test_lp.py::test_exact_check_rejects_tampered_values",
-    ("lp.py", "WeightAccumulator.update", "per-iteration error outside [-2n, 2n]: {}..{}"):
+    ("lp.py", "_mwu", "weight above the 4n^2 potential cap"):
+        "test_lp.py::test_weight_cap_fires_on_an_entry_changed_mid_run",
+    ("lp.py", "_mwu", "per-iteration error outside [-2n, 2n]: {}..{}"):
         "test_lp.py::test_weight_accumulator_bounds",
-    ("lp.py", "WeightAccumulator.update", "accumulator magnitude exceeded 2*n*t"):
+    ("lp.py", "_mwu", "accumulator magnitude exceeded 2*n*t"):
         "test_lp.py::test_weight_accumulator_bounds",
     ("lp.py", "oracle_step", "weight sum above the 4n^2 potential cap"):
         "test_lp.py::test_weight_sum_cap_fires_mid_run",

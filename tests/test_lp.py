@@ -14,6 +14,7 @@ from mpcover.instance import frequency, normalize_covered
 from mpcover.lp import (
     FractionalPair,
     LpContext,
+    OracleStep,
     WeightAccumulator,
     _check_pair,
     _mwu,
@@ -46,17 +47,48 @@ def truncated_pq(ctx: LpContext, w) -> TruncatedPQ:
 
 
 def sparse(errors) -> dict[int, int]:
-    """The nonzero entries of a dense error row, as update() takes them."""
+    """The nonzero entries of a dense error row, as {element: error}."""
     return {i: int(e) for i, e in enumerate(errors) if e}
 
 
-def drive_to(acc: WeightAccumulator, target) -> None:
-    """Move the accumulator to `target` through update(), at most 2n per
-    entry and step, as the solver's own error rows would."""
-    lim = 2 * acc.n
-    target = np.asarray(target, dtype=np.int64)
-    while acc.a != target.tolist():
-        acc.update(sparse(np.clip(target - acc.a, -lim, lim)))
+def scratch_state(ctx: LpContext, a) -> dict:
+    """A lane's kept state derived from scratch at accumulator values a: the
+    weights through ctx.weights, the costs through truncated_pq, the oracle's
+    keys and the totals from those, and |A|max with its count."""
+    a = [int(v) for v in a]
+    w, total = ctx.weights(a)
+    pq = truncated_pq(ctx, w)
+    absa = [abs(v) for v in a]
+    return {
+        "a": a,
+        "w": w,
+        "total": total,
+        "p": list(pq.p_scaled),
+        "q": list(pq.q_scaled),
+        "qsum": sum(pq.q_scaled),
+        "xkey": [pi * ctx.n + i for i, pi in enumerate(pq.p_scaled)],
+        "skey": [qj * ctx.m + j for j, qj in enumerate(pq.q_scaled)],
+        "absmax": max(absa),
+        "at_max": absa.count(max(absa)),
+    }
+
+
+def assert_state_matches_scratch(ctx: LpContext, acc: WeightAccumulator) -> None:
+    """The lane's kept w, total, p, q, keys, qsum and |A|max equal a
+    from-scratch derivation at its current accumulators."""
+    want = scratch_state(ctx, acc.a)
+    assert {key: getattr(acc, key) for key in want} == want
+
+
+def seed_lane(ctx: LpContext, acc: WeightAccumulator, a) -> None:
+    """Set the lane's kept state, in place, to its derivation at a: _mwu
+    binds the lane's lists once, so they must stay the same objects.  The
+    kept orders stay as they are, since oracle_step sorts them in full."""
+    for key, value in scratch_state(ctx, a).items():
+        if isinstance(value, list):
+            getattr(acc, key)[:] = value
+        else:
+            setattr(acc, key, value)
 
 
 @contextmanager
@@ -70,6 +102,69 @@ def recording_charges(charges: list):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Cluster, "charge", recorded_charge)
+        yield
+
+
+@contextmanager
+def wrapped_oracle(wrapper):
+    """Route every oracle call of the lanes started inside through
+    wrapper(step, ctx, acc, length), with step the real lp.oracle_step."""
+    step = lp_mod.oracle_step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_mod, "oracle_step", lambda ctx, acc, length: wrapper(step, ctx, acc, length))
+        yield
+
+
+@contextmanager
+def tampering(**changes):
+    """Replace fields of the first oracle answer of each lane, each by
+    change(value): _mwu's exact check must catch what it makes unsound."""
+
+    def wrapper(step, ctx, acc, length):
+        st_ = step(ctx, acc, length)
+        if acc.t:
+            return st_
+        return st_._replace(**{name: fn(getattr(st_, name)) for name, fn in changes.items()})
+
+    with wrapped_oracle(wrapper):
+        yield
+
+
+def exact_lhs_lcm(ctx: LpContext, w, x_idx, z_idx) -> int:
+    """lcm(f) times the exact weighted constraint sum at a point, in the
+    weights' units of 2**-b, from the dense cover counts x_i + cnt_i."""
+    x_ind = np.zeros(ctx.n, dtype=np.int64)
+    x_ind[list(x_idx)] = 1
+    cover = (x_ind + dense_incidence(ctx.sys)[list(z_idx)].sum(axis=0)).tolist()
+    return sum(wi * ci * lf for wi, ci, lf in zip(w, cover, ctx.lcm_over_f))
+
+
+def forced_step(ctx: LpContext, acc: WeightAccumulator, x_idx, y_idx) -> OracleStep:
+    """An accepted oracle answer with chosen elements x_idx and left-out sets
+    y_idx, whose truncated objective and weight sum are both the floor of
+    the exact objective: the exact check passes it."""
+    y_idx = list(y_idx)
+    z_idx = [j for j in range(ctx.m) if j not in y_idx]
+    lhs_hat = exact_lhs_lcm(ctx, acc.w, x_idx, z_idx) // ctx.f_lcm
+    return OracleStep(True, list(x_idx), z_idx, y_idx, lhs_hat, lhs_hat)
+
+
+@contextmanager
+def forcing_points(choose):
+    """Make each oracle call answer choose(acc)'s point (x_idx, y_idx),
+    accepted (see forced_step); once choose returns None, the oracle's own
+    point, rejected, which ends the lane.  The real oracle_step still runs
+    first on every call, so its checks do too, and choose sees the lane
+    after it."""
+
+    def wrapper(step, ctx, acc, length):
+        st_ = step(ctx, acc, length)
+        point = choose(acc)
+        if point is None:
+            return st_._replace(feasible=False)
+        return forced_step(ctx, acc, *point)
+
+    with wrapped_oracle(wrapper):
         yield
 
 
@@ -115,30 +210,59 @@ def test_iteration_count():
     assert 15.9 < t2 / t1 < 16.1
 
 
+# k = 8 > 2n = 6: element 1 lies in every set, so at guess 1 the oracle
+# chooses it and leaves out 8 sets that all hold it, an error of 8 - 1
+WIDE_K_PAIRS = SetSystem(3, 9, 8, ((1, 2), (1, 3)) + ((1,),) * 7)
+# the same, with element 3's only set kept: its error is an implicit 0
+WIDE_K_KEEP = SetSystem(3, 9, 8, ((1, 2),) + ((1,),) * 7 + ((1, 3),))
+# k = 7: at guess 1 element 1, the cheapest, is picked and left out 7 times,
+# an error of exactly 2n = 6
+EDGE_K = SetSystem(3, 8, 7, ((1, 2), (1, 3)) + ((1,),) * 6)
+
+
 def test_weight_accumulator_bounds():
-    three = SetSystem(3, 2, 1, ((1, 2), (2, 3)))
-    ctx = LpContext(three, QUARTER)
-    acc = WeightAccumulator(ctx)
-    acc.update({0: 6, 1: -6})
-    assert acc.t == 1
-    # the range counts the errors left implicit at 0
-    with pytest.raises(
-        OracleSoundnessError, match=r"^per-iteration error outside \[-2n, 2n\]: 0\.\.7$"
-    ):
-        acc.update({0: 7})
-    with pytest.raises(
-        OracleSoundnessError, match=r"^per-iteration error outside \[-2n, 2n\]: -7\.\.1$"
-    ):
-        acc.update({0: -7, 1: 1, 2: 1})
     # with every entry moved there are no implicit zeros
     with pytest.raises(
         OracleSoundnessError, match=r"^per-iteration error outside \[-2n, 2n\]: 1\.\.7$"
     ):
-        acc.update({0: 7, 1: 1, 2: 1})
-    acc2 = WeightAccumulator(ctx)
-    acc2.a[0] = 13  # stale state beyond 2*n*t after one update
-    with pytest.raises(OracleSoundnessError, match=r"^accumulator magnitude exceeded 2\*n\*t$"):
-        acc2.update({0: 0})
+        _mwu(LpContext(WIDE_K_PAIRS, QUARTER), 1, Cluster(9, 3))
+    # the range counts the errors left implicit at 0
+    with pytest.raises(
+        OracleSoundnessError, match=r"^per-iteration error outside \[-2n, 2n\]: 0\.\.7$"
+    ):
+        _mwu(LpContext(WIDE_K_KEEP, QUARTER), 2, Cluster(9, 3))
+    # an error of exactly 2n is in range: the first iteration is accepted
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def second_call(step, ctx_, acc, length):
+        if acc.t:
+            seen.append((acc.t, list(acc.a)))
+            raise Stop
+        return step(ctx_, acc, length)
+
+    with wrapped_oracle(second_call), pytest.raises(Stop):
+        _mwu(LpContext(EDGE_K, QUARTER), 1, Cluster(8, 3))
+    assert seen == [(1, [6, 1, 1])]
+    # stale lane state beyond 2*n*t after one iteration: the chain's first
+    # point moves element 4 alone, by +1, from 13 to 14 > 2 * 4 * 1
+    ctx = chain_ctx()
+    seen = []
+
+    def stale(step, ctx_, acc, length):
+        if not acc.t:
+            acc.a[3] = 13
+        st_ = step(ctx_, acc, length)
+        seen.append(acc.t)
+        return st_
+
+    with wrapped_oracle(stale), pytest.raises(
+        OracleSoundnessError, match=r"^accumulator magnitude exceeded 2\*n\*t$"
+    ):
+        _mwu(ctx, 3, Cluster(3, 4))
+    assert seen == [0]
 
 
 def test_context_validation():
@@ -197,42 +321,77 @@ def test_weights_cap_is_enforced():
         ctx.weights(np.array([-6 * d for d in ctx.d]))
 
 
-# x = elements 1..3, z = set 2: x_i + cnt_i per element
-CHAIN_COVER = [1 + 0, 1 + 1, 1 + 1, 0 + 0]
-
-
-def chain_point(ctx: LpContext) -> tuple[WeightAccumulator, dict[int, int]]:
-    """Uniform weights and the errors of the point behind CHAIN_COVER: the
-    kept set 2 leaves sets 1 and 3 out."""
-    acc = WeightAccumulator(ctx)
-    moves = ctx.moves([0, 1, 2], [0, 2])
-    assert [fv - moves.get(i, 0) for i, fv in enumerate(CHAIN_F)] == CHAIN_COVER
-    return acc, moves
+# -- the exact check, tripped through the oracle's answers ------------------
 
 
 def test_exact_check_rejects_tampered_values():
     ctx = chain_ctx()
-    acc, moves = chain_point(ctx)
-    w, total, cover = acc.w, acc.total, CHAIN_COVER
-    lhs = sum(w[i] * cover[i] // CHAIN_F[i] for i in range(4))
-    ctx.exact_check(acc, lhs, total, moves, True)
-    with pytest.raises(OracleSoundnessError, match="truncated objective exceeds the exact one"):
-        ctx.exact_check(acc, lhs + (1 << ctx.b), total, moves, True)
-    with pytest.raises(OracleSoundnessError, match="accepted point violates the weighted budget"):
-        ctx.exact_check(acc, lhs, total // 4, moves, True)
+    # the oracle's own sums pass
+    assert _mwu(ctx, 3, Cluster(3, 4)) is not None
+    with tampering(lhs_hat_scaled=lambda v: v + (1 << ctx.b)), pytest.raises(
+        OracleSoundnessError, match="^truncated objective exceeds the exact one$"
+    ):
+        _mwu(ctx, 3, Cluster(3, 4))
+    with tampering(sum_w_scaled=lambda v: v // 4), pytest.raises(
+        OracleSoundnessError, match="^accepted point violates the weighted budget$"
+    ):
+        _mwu(ctx, 3, Cluster(3, 4))
 
 
 def test_exact_check_rejects_truncation_loss():
     ctx = chain_ctx()
-    acc, moves = chain_point(ctx)
-    w, total, cover = acc.w, acc.total, CHAIN_COVER
-    lhs = sum(w[i] * cover[i] // CHAIN_F[i] for i in range(4))
-    # a truncated objective 1/n^5 below the exact one is still sound ...
-    ctx.exact_check(acc, lhs - (1 << ctx.b) // ctx.n_pow5, total, moves, False)
+    # at uniform weights the chain's costs are exact, so a truncated
+    # objective 1/n^5 below the oracle's is still sound ...
+    with tampering(lhs_hat_scaled=lambda v: v - (1 << ctx.b) // ctx.n_pow5):
+        assert _mwu(ctx, 3, Cluster(3, 4)) is not None
     # ... one that lost half of it is not, accepted or rejected
     for feasible in (True, False):
-        with pytest.raises(OracleSoundnessError, match="truncation lost more than 1/n\\^5"):
-            ctx.exact_check(acc, lhs // 2, total, moves, feasible)
+        with tampering(
+            lhs_hat_scaled=lambda v: v // 2, feasible=lambda v: feasible
+        ), pytest.raises(OracleSoundnessError, match="^truncation lost more than 1/n\\^5$"):
+            _mwu(ctx, 3, Cluster(3, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_exact_check_from_moves_equals_the_dense_sum(seed, data):
+    ctx = LpContext(covered_instance(seed, data), QUARTER)
+    n, lcm = ctx.n, ctx.f_lcm
+    # a random kept state, c <= 3 keeping the weight sum under 4n^2
+    a = [data.draw(st.integers(-3 * d, 3 * d), label="a") for d in ctx.d]
+    x_idx, z_idx, y_idx = random_point(ctx, data)
+    state = scratch_state(ctx, a)
+    w = state["w"]
+    dense = exact_lhs_lcm(ctx, w, x_idx, z_idx)
+    x_ind = np.zeros(n, dtype=np.int64)
+    x_ind[x_idx] = 1
+    moves = sparse(np.array(ctx.f) - x_ind - dense_incidence(ctx.sys)[z_idx].sum(axis=0))
+    moved = sum(w[i] * e * ctx.lcm_over_f[i] for i, e in moves.items())
+    assert lcm * state["total"] - moved == dense
+
+    def at_point(delta):
+        """The lane seeded at a, its first answer the drawn point with the
+        truncated objective floor(lhs) + delta, rejected."""
+
+        def wrapper(step, ctx_, acc, length):
+            seed_lane(ctx, acc, a)
+            return step(ctx_, acc, length)._replace(
+                feasible=False,
+                x_idx=x_idx,
+                z_idx=z_idx,
+                y_idx=y_idx,
+                lhs_hat_scaled=dense // lcm + delta,
+            )
+
+        return wrapped_oracle(wrapper)
+
+    # _mwu's exact check reads that sum: the floor of lhs passes, one unit above it does not
+    with at_point(0):
+        assert _mwu(ctx, len(x_idx), Cluster(ctx.m, n)) is None
+    with at_point(1), pytest.raises(
+        OracleSoundnessError, match="^truncated objective exceeds the exact one$"
+    ):
+        _mwu(ctx, len(x_idx), Cluster(ctx.m, n))
 
 
 # -- the lane's maintained state ---------------------------------------------
@@ -240,23 +399,38 @@ def test_exact_check_rejects_truncation_loss():
 
 def test_weight_cap_fires_on_an_entry_changed_mid_run():
     ctx = chain_ctx()
-    acc = WeightAccumulator(ctx)
-    oracle_step(ctx, acc, 3)
-    target = np.zeros(4, dtype=np.int64)
-    target[2] = -(ctx.wcap_log2 + 1) * ctx.d[2]
-    with pytest.raises(OracleSoundnessError, match="^weight above the 4n\\^2 potential cap$"):
-        drive_to(acc, target)
+    # the chain's first point moves element 4 alone, by +1: stale lane state
+    # one below the edge of the cap puts that entry's weight past it
+    edge = -(ctx.wcap_log2 + 1) * ctx.d[3]
+
+    def stale(step, ctx_, acc, length):
+        if not acc.t:
+            acc.a[3] = edge - 1
+        return step(ctx_, acc, length)
+
+    with wrapped_oracle(stale), pytest.raises(
+        OracleSoundnessError, match="^weight above the 4n\\^2 potential cap$"
+    ):
+        _mwu(ctx, 3, Cluster(3, 4))
 
 
 def test_weight_sum_cap_fires_mid_run():
     ctx = chain_ctx()
-    acc = WeightAccumulator(ctx)
-    oracle_step(ctx, acc, 3)
-    # each weight 2**6 stays under its own cap; together they pass 4n^2 = 64
-    drive_to(acc, [-6 * d for d in ctx.d])
-    assert 6 <= ctx.wcap_log2
-    with pytest.raises(OracleSoundnessError, match="^weight sum above the 4n\\^2 potential cap$"):
-        oracle_step(ctx, acc, 3)
+    lanes = []
+
+    def every_element(acc):
+        # every element chosen and no set left out: each accumulator falls by 1
+        lanes.append(acc)
+        return range(ctx.n), []
+
+    with forcing_points(every_element), pytest.raises(
+        OracleSoundnessError, match="^weight sum above the 4n\\^2 potential cap$"
+    ):
+        _mwu(ctx, 3, Cluster(3, 4))
+    acc = lanes[-1]
+    assert acc.t > 1
+    # each weight stays under its own cap 2**wcap_log2; together they pass 4n^2 = 64
+    assert max(-ai // d for ai, d in zip(acc.a, ctx.d)) < ctx.wcap_log2
 
 
 def test_set_cost_width_check_fires():
@@ -267,18 +441,6 @@ def test_set_cost_width_check_fires():
     acc.q[1] = 1 << ctx.qhat_bits
     with pytest.raises(OracleSoundnessError, match="^set cost outgrew its message width$"):
         oracle_step(ctx, acc, 3)
-
-
-def assert_state_matches_scratch(ctx: LpContext, acc: WeightAccumulator) -> None:
-    """The accumulator's kept w, total, p, q and |A|max equal a from-scratch
-    derivation at its current values."""
-    assert acc.absmax == max(map(abs, acc.a))
-    assert acc.at_max == [abs(v) for v in acc.a].count(acc.absmax)
-    w, total = ctx.weights(acc.a)
-    assert acc.w == w
-    assert acc.total == total
-    pq = truncated_pq(ctx, w)
-    assert tuple(acc.p) == pq.p_scaled and tuple(acc.q) == pq.q_scaled
 
 
 @settings(max_examples=30, deadline=None)
@@ -293,94 +455,125 @@ def test_maintained_state_matches_from_scratch(seed, data):
     assume(sys_.n >= 4 and len(set(f)) >= 2)
     n = sys_.n
     ctx = LpContext(sys_, QUARTER)
-    lo = np.array([-3 * d for d in ctx.d])  # c <= 3 keeps the weight sum under 4n^2
-    hi = -lo
-    acc = WeightAccumulator(ctx)
-    length = data.draw(st.integers(0, n), label="length")
-
-    def update_and_compare(errors):
-        acc.update(sparse(errors))
-        assert_state_matches_scratch(ctx, acc)
-
-    assert_state_matches_scratch(ctx, acc)
-    # a ramp down to c = 3 and back up to c < 0 on every entry ...
-    crossed = np.zeros(n, dtype=bool)
-    for target in (lo, hi):
-        while acc.a != target.tolist():
-            before = np.array(acc.a)
-            update_and_compare(np.clip(target - before, -2 * n, 2 * n))
-            crossed |= (before <= 0) & (np.array(acc.a) > 0)  # shift c >= 0, then c < 0
-    assert crossed.all()
-    # ... then random moves
-    moves = data.draw(
-        st.lists(st.lists(st.integers(-2 * n, 2 * n), min_size=n, max_size=n), max_size=12),
-        label="moves",
+    # c <= 2 keeps the weight sum under 4n^2, and every forced point below
+    # fits in t_total >= 70 iterations: at most 8 * f_max <= 40 down, 16 up, 8 drawn
+    lo = [-2 * d for d in ctx.d]
+    hi = [2 * d for d in ctx.d]
+    drawn = iter(
+        data.draw(
+            st.lists(
+                st.tuples(
+                    st.lists(st.integers(0, n - 1), unique=True),
+                    st.lists(st.integers(0, ctx.m - 1), unique=True),
+                ),
+                max_size=8,
+            ),
+            label="points",
+        )
     )
-    for move in moves:
-        a = np.array(acc.a)
-        update_and_compare(np.clip(a + np.array(move), lo, hi) - a)
+    crossed = [False] * n
+    phase = ["down"]
+    lanes, last = [], []
+
+    def choose(acc):
+        assert_state_matches_scratch(ctx, acc)
+        a = acc.a
+        for i, before in enumerate(last):
+            crossed[i] |= before <= 0 < a[i]  # shift c >= 0, then c < 0
+        last[:] = a
+        lanes.append(acc)
+        # a ramp down to c = 2: every entry above it chosen, no set left out ...
+        if phase[0] == "down":
+            down = [i for i in range(n) if a[i] > lo[i]]
+            if down:
+                return down, []
+            phase[0] = "up"
+        # ... back up to c < 0: every set left out, each entry rising by f_i ...
+        if phase[0] == "up":
+            if a != hi:
+                return [], range(ctx.m)
+            phase[0] = "drawn"
+        # ... then the drawn points
+        return next(drawn, None)
+
+    with forcing_points(choose):
+        assert _mwu(ctx, 0, Cluster(ctx.m, n)) is None
+    assert all(crossed)
     # the oracle reads the kept total
-    assert oracle_step(ctx, acc, length).sum_w_scaled == acc.total
+    acc = lanes[-1]
+    assert oracle_step(ctx, acc, 0).sum_w_scaled == acc.total
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_absmax_and_its_count_follow_sparse_moves(data):
-    """|A|max and the count of entries at it stay exact under moves of a
-    few entries, where an entry at the max can move toward 0 alone."""
+    """|A|max and the count of entries at it stay exact under points that
+    move a few entries, where an entry at the max can move toward 0 alone."""
     ctx = LpContext(MULTI, QUARTER)
-    acc = WeightAccumulator(ctx)
-    for _ in range(data.draw(st.integers(1, 25), label="updates")):
-        moves = data.draw(
-            st.dictionaries(st.integers(0, ctx.n - 1), st.integers(-3, 3), max_size=3),
-            label="moves",
-        )
-        # keep every accumulator within the weight cap: |A_i| <= 2 d_i
-        moves = {i: e for i, e in moves.items() if abs(acc.a[i] + e) <= 2 * ctx.d[i]}
-        acc.update(moves)
+    # at most 25 iterations with errors of at least -1 keep every weight
+    # within the 4n^2 caps
+    updates = data.draw(st.integers(1, 25), label="updates")
+    calls = []
+
+    def choose(acc):
         assert acc.absmax == max(map(abs, acc.a))
         assert acc.at_max == [abs(v) for v in acc.a].count(acc.absmax)
+        calls.append(acc.t)
+        if len(calls) > updates:
+            return None
+        x_idx = data.draw(st.lists(st.integers(0, ctx.n - 1), unique=True, max_size=3), label="x")
+        y_idx = data.draw(st.lists(st.integers(0, ctx.m - 1), unique=True, max_size=1), label="y")
+        return x_idx, y_idx
+
+    with forcing_points(choose):
+        assert _mwu(ctx, 7, Cluster(ctx.m, ctx.n)) is None
+    assert calls == list(range(updates + 1))
 
 
 @contextmanager
 def counting_derivations(counts: dict):
-    """Count, from outside the solver, the lanes, full weight derivations,
-    per-element re-derivations outside them, and the nonzero error entries
-    handed to update()."""
-    weights, rederive, update = LpContext.weights, LpContext.rederive, WeightAccumulator.update
-    step = lp_mod.oracle_step
-    lanes: dict[int, WeightAccumulator] = {}  # keeps each lane alive, so ids stay distinct
+    """Count, from outside the solver, the lanes, the full weight
+    derivations, the per-element derivations outside them (each reads one
+    entry of its class table, ctx.tab) and the nonzero errors: the
+    accumulator entries each iteration moved, read off the lane at its next
+    oracle call and, for its last iteration, when the block ends."""
+    weights, step = LpContext.weights, lp_mod.oracle_step
+    lanes: dict[int, tuple] = {}  # lane id: (lane, its accumulators at its last call)
     in_full = [False]
     counts.update(full=0, rederived=0, nonzero=0)
 
+    class CountedRow(list):
+        def __getitem__(self, r):
+            if not in_full[0]:
+                counts["rederived"] += 1
+            return list.__getitem__(self, r)
+
     def counted_weights(ctx, a):
         counts["full"] += 1
+        if not isinstance(ctx.tab[0], CountedRow):  # before the lane's loop reads ctx.tab
+            ctx.tab = [CountedRow(row) for row in ctx.tab]
         in_full[0] = True
         try:
             return weights(ctx, a)
         finally:
             in_full[0] = False
 
-    def counted_rederive(ctx, idx, a_vals):
-        if not in_full[0]:
-            counts["rederived"] += len(idx)
-        return rederive(ctx, idx, a_vals)
-
-    def counted_update(acc, moves):
-        counts["nonzero"] += sum(1 for e in moves.values() if e)
-        return update(acc, moves)
+    def count_moved(acc, before):
+        counts["nonzero"] += sum(map(int.__ne__, before, acc.a))
 
     def counted_step(ctx, acc, length):
-        lanes[id(acc)] = acc
+        if id(acc) in lanes:
+            count_moved(*lanes[id(acc)])
+        lanes[id(acc)] = (acc, list(acc.a))  # keeps each lane alive, so ids stay distinct
         counts["lanes"] = len(lanes)
         return step(ctx, acc, length)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(LpContext, "weights", counted_weights)
-        mp.setattr(LpContext, "rederive", counted_rederive)
-        mp.setattr(WeightAccumulator, "update", counted_update)
         mp.setattr(lp_mod, "oracle_step", counted_step)
         yield
+    for lane in lanes.values():
+        count_moved(*lane)
 
 
 @pytest.mark.parametrize("sys_, length", [(CHAIN, 3), (MULTI, 7)], ids=["chain", "multi"])
@@ -403,37 +596,68 @@ def test_weights_rederived_only_where_the_accumulator_moved(sys_, length):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_moves_are_the_nonzero_dense_errors(seed, data):
+    """One iteration at a drawn point moves each accumulator by its dense
+    error f_i - x_i - cnt_i: exactly the nonzero entries move."""
     ctx = LpContext(covered_instance(seed, data), QUARTER)
     n, f = ctx.n, ctx.f
     x_idx, z_idx, y_idx = random_point(ctx, data)
+    points = iter([(x_idx, y_idx)])
+    seen = []
+
+    def choose(acc):
+        seen.append(list(acc.a))
+        return next(points, None)
+
+    with forcing_points(choose):
+        assert _mwu(ctx, len(x_idx), Cluster(ctx.m, n)) is None
     x_ind = np.zeros(n, dtype=np.int64)
     x_ind[x_idx] = 1
     cnt = dense_incidence(ctx.sys)[z_idx].sum(axis=0)
-    moves = ctx.moves(x_idx, y_idx)
-    assert moves == sparse(np.array(f) - x_ind - cnt)
-    assert [fv - moves.get(i, 0) for i, fv in enumerate(f)] == (x_ind + cnt).tolist()
+    assert seen[0] == [0] * n
+    assert sparse(seen[1]) == sparse(np.array(f) - x_ind - cnt)
+    assert [fv - ai for fv, ai in zip(f, seen[1])] == (x_ind + cnt).tolist()
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.data())
-def test_exact_check_from_moves_equals_the_dense_sum(seed, data):
-    ctx = LpContext(covered_instance(seed, data), QUARTER)
-    n, lcm = ctx.n, ctx.f_lcm
-    acc = WeightAccumulator(ctx)
-    # a random kept state, c <= 3 keeping the weight sum under 4n^2
-    drive_to(acc, [data.draw(st.integers(-3 * d, 3 * d), label="a") for d in ctx.d])
-    x_idx, z_idx, y_idx = random_point(ctx, data)
-    moves = ctx.moves(x_idx, y_idx)
-    x_ind = np.zeros(n, dtype=np.int64)
-    x_ind[x_idx] = 1
-    cover = (x_ind + dense_incidence(ctx.sys)[z_idx].sum(axis=0)).tolist()
-    dense = sum(wi * ci * lf for wi, ci, lf in zip(acc.w, cover, ctx.lcm_over_f))
-    w = acc.w
-    assert lcm * acc.total - sum(w[i] * e * ctx.lcm_over_f[i] for i, e in moves.items()) == dense
-    # exact_check reads that sum: the floor of lhs passes, one unit above it does not
-    ctx.exact_check(acc, dense // lcm, acc.total, moves, False)
-    with pytest.raises(OracleSoundnessError, match="^truncated objective exceeds the exact one$"):
-        ctx.exact_check(acc, dense // lcm + 1, acc.total, moves, False)
+def tied_instance(data) -> SetSystem:
+    """A covered instance full of cost ties: disjoint tiles of a few sizes,
+    or the chain of pairs {i, i+1}, with a drawn k."""
+    if data.draw(st.booleans(), label="tiles"):
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=6), label="sizes")
+        ends = np.cumsum([0] + sizes).tolist()
+        sets = tuple(tuple(range(lo + 1, hi + 1)) for lo, hi in zip(ends, ends[1:]))
+    else:
+        sets = tuple((i, i + 1) for i in range(1, data.draw(st.integers(4, 12), label="n")))
+    n = max(map(max, sets))
+    assume(n >= 4)  # smaller n outgrows the broadcast width at eps = 1/4
+    return SetSystem(n, len(sets), data.draw(st.integers(1, len(sets)), label="k"), sets)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_kept_orders_and_state_match_a_from_scratch_derivation(data):
+    """At every oracle call of a lane, from its uniform start on instances
+    full of cost ties: the kept element and set orders are the stable sorts
+    by cost, the oracle's picks are their heads and tails, and the kept
+    state is the from-scratch derivation."""
+    ctx = LpContext(tied_instance(data), QUARTER)
+    n, m = ctx.n, ctx.m
+    length = data.draw(st.sampled_from(guess_grid(n, ctx.eps)), label="length")
+    calls = []
+
+    def checked(step, ctx_, acc, length_):
+        st_ = step(ctx_, acc, length_)
+        assert acc.xorder == sorted(range(n), key=acc.p.__getitem__)
+        assert acc.sorder == sorted(range(m), key=acc.q.__getitem__)
+        assert (st_.x_idx, st_.z_idx + st_.y_idx) == (acc.xorder[:length_], acc.sorder)
+        assert len(st_.y_idx) == ctx.k
+        assert_state_matches_scratch(ctx, acc)
+        calls.append(acc.t)
+        return st_
+
+    with wrapped_oracle(checked):
+        pair = _mwu(ctx, length, Cluster(m, n))
+    event("accepted" if pair is not None else "rejected")
+    assert calls == list(range(ctx.t_total if pair is not None else len(calls)))
 
 
 # -- the weight-update loop ------------------------------------------------
@@ -471,11 +695,20 @@ def test_mwu_detects_infeasible_guess_in_two_rounds():
 @contextmanager
 def recording_iterations(records: list):
     """Record every MWU iteration from outside the solver: the iteration
-    index, the oracle's verdict and truncated sums, and the accumulator
-    right after its update."""
-    step, update = lp_mod.oracle_step, WeightAccumulator.update
+    index, the oracle's verdict and truncated sums, and, once an iteration
+    was accepted, the lane's accumulators right after it, read off the lane
+    at its next oracle call or, for its last iteration, when the block ends."""
+    step = lp_mod.oracle_step
+    open_records: dict[int, tuple] = {}  # lane id: (lane, its last record)
+
+    def close(acc, record):
+        if acc.t > record["t"]:  # accepted: the lane moved
+            record["acc_absmax"] = max(map(abs, acc.a))
+            record["acc_t"] = acc.t
 
     def recorded_step(ctx, acc, length):
+        if id(acc) in open_records:
+            close(*open_records[id(acc)])
         st_ = step(ctx, acc, length)
         records.append(
             {
@@ -485,17 +718,14 @@ def recording_iterations(records: list):
                 "sum_w_scaled": st_.sum_w_scaled,
             }
         )
+        open_records[id(acc)] = (acc, records[-1])  # keeps each lane alive, so ids stay distinct
         return st_
-
-    def recorded_update(acc, moves):
-        update(acc, moves)
-        records[-1]["acc_absmax"] = max(map(abs, acc.a))
-        records[-1]["acc_t"] = acc.t
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp_mod, "oracle_step", recorded_step)
-        mp.setattr(WeightAccumulator, "update", recorded_update)
         yield
+    for lane in open_records.values():
+        close(*lane)
 
 
 def replay_loop_charges(ctx: LpContext, length: int) -> str:
