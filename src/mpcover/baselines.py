@@ -12,10 +12,22 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .instance import SetSystem, coverage, set_masks
+import numpy as np
+
+from .instance import SetSystem, coverage
 from .lp import OracleSoundnessError
 
 EXACT_OPT_LIMIT = 10**7
+
+
+def set_masks(sys: SetSystem) -> tuple[int, ...]:
+    """Bitmask per set, bit e-1 for element e, in O(n + |set|) per set."""
+    masks = []
+    for s in sys.sets:
+        bits = np.zeros(sys.n, dtype=bool)
+        bits[np.array(s, dtype=np.intp) - 1] = True
+        masks.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
+    return tuple(masks)
 
 
 @dataclass(frozen=True)

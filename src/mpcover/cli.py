@@ -3,11 +3,12 @@
 Four subcommands: generate writes a random instance, run executes the
 pipeline and prints the RunReport as one line of JSON, compare tabulates
 pipeline vs greedy vs exact optimum, audit replays a RoundLog against the
-theoretical round bound.
+theoretical round bound and the per-machine memory budget.
 
 Exit codes: 0 success, 2 validation problem (bad flags, malformed input),
-3 harness budget violation, 4 audit bound violation, 5 failed soundness
-check (an internal invariant broke).  Output is byte
+3 memory budget violation (in a run, or in a RoundLog entry under audit),
+4 audit bound violation, 5 failed soundness check (an internal invariant
+broke).  Output is byte
 identical for identical (input, flags, seed).
 """
 
@@ -89,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="pipeline vs greedy vs optimum")
     common(cmp_)
     cmp_.add_argument("--no-opt", action="store_true")
-    aud = sub.add_parser("audit", help="check a RoundLog against the round bound")
+    aud = sub.add_parser("audit", help="check a RoundLog against the round and memory bounds")
     aud.add_argument("--input", type=Path, required=True)
     return top
 
@@ -237,7 +238,9 @@ def _log_int(obj: dict, key: str, lineno: int, lo: int = 0) -> int:
 
 
 def cmd_audit(args) -> int:
-    meta, total, peak = None, 0, 0
+    """Check a RoundLog's round total against round_audit_bound and every
+    entry's peak against the inbox budget of a Cluster with the meta's n."""
+    meta, total, peaks = None, 0, []  # peaks: (peak_bits, file line) per entry
     for lineno, ln in enumerate(args.input.read_text().split("\n"), 1):
         if not ln.strip():
             continue
@@ -254,7 +257,7 @@ def cmd_audit(args) -> int:
                 raise ValueError(f"line {lineno}: 'subsample' must be true or false")
             continue
         total += _log_int(row, "rounds", lineno)
-        peak = max(peak, _log_int(row, "peak_bits", lineno))
+        peaks.append((_log_int(row, "peak_bits", lineno), lineno))
     if meta is None:
         print("RoundLog has no meta line", file=_sys.stderr)
         return 2
@@ -271,8 +274,17 @@ def cmd_audit(args) -> int:
         raise ValueError(
             f"line {meta_line}: epsilon {meta['epsilon']!r} is not a rational in (0, 1/4]"
         )
+    try:
+        budget = Cluster(m, n, meta.get("mem_c"), meta.get("mem_e")).budget_bits
+    except ValueError as err:
+        raise ValueError(f"line {meta_line}: {err}") from None
     bound = round_audit_bound(n, m, eps, meta.get("subsample", True))
-    _emit({"rounds": total, "bound": bound, "peak_bits": peak})
+    over = [f"line {lineno}: {bits}" for bits, lineno in peaks if bits > budget]
+    peak = max(peaks, default=(0,))[0]
+    _emit({"rounds": total, "bound": bound, "peak_bits": peak, "budget_bits": budget})
+    if over:
+        print(f"audit: {over[0]} peak bits exceed the budget {budget}", file=_sys.stderr)
+        return 3
     if total > bound:
         print(f"audit: {total} rounds exceed the bound {bound}", file=_sys.stderr)
         return 4

@@ -24,9 +24,9 @@ class InstanceError(ValueError):
 class SetSystem:
     """Immutable set system. Sets are 1-indexed externally, stored in order.
 
-    m <= n is an input rule, checked by load_instance and generate_random,
-    not here: dropping uncovered or unsampled elements can break it, and the
-    solver tolerates that.
+    The parse and validate boundary: a run reads its incidence and k and
+    builds no other.  m <= n is an input rule, checked by load_instance and
+    generate_random, not here: a run's column drops can break it.
     """
 
     n: int
@@ -47,16 +47,6 @@ class SetSystem:
                 raise InstanceError(f"set {j} has element outside [1, {self.n}]")
 
     @functools.cached_property
-    def _masks(self) -> tuple[int, ...]:
-        # one n-bit row per set, packed little-endian: linear in n + |set|
-        masks = []
-        for s in self.sets:
-            bits = np.zeros(self.n, dtype=bool)
-            bits[np.array(s, dtype=np.intp) - 1] = True
-            masks.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
-        return tuple(masks)
-
-    @functools.cached_property
     def incidence(self) -> "Incidence":
         """The sparse m x n incidence, built once per instance."""
         sizes = np.fromiter(map(len, self.sets), dtype=np.intp, count=self.m)
@@ -72,9 +62,9 @@ class Incidence:
     ids ids[offsets[r]:offsets[r + 1]], ascending.  A SetSystem's view has
     one row per set (row j-1 is set j) and one column per element.
 
-    It offers what the data plane needs from a dense matrix: shape, the
-    column sums sum(axis=0), the rows of a selection, the transpose, and
-    the view without its empty columns.
+    It offers what the stages need from a dense matrix: shape, the column
+    sums sum(axis=0), the rows of a selection (in place or cut out), the
+    rows as lists, the transpose, and the view with only some columns kept.
     """
 
     def __init__(self, ids: np.ndarray, offsets: np.ndarray, shape: tuple[int, int]):
@@ -88,20 +78,35 @@ class Incidence:
             raise ValueError(f"Incidence sums over axis 0 only, got axis={axis}")
         return np.bincount(self.ids, minlength=self.shape[1])
 
+    def take_rows(self, sel) -> "Incidence":
+        """The len(sel) x n matrix of the rows in sel (0-based, ascending,
+        distinct), in order.  Costs O(len(sel) + kept entries)."""
+        sel = np.asarray(sel, dtype=np.intp)
+        starts = self.offsets[sel]
+        sizes = self.offsets[sel + 1] - starts
+        offsets = np.zeros(len(sel) + 1, dtype=np.intp)
+        np.cumsum(sizes, out=offsets[1:])
+        # entry t of kept row r is entry t - offsets[r] + starts[r] of self
+        shift = np.repeat(starts - offsets[:-1], sizes)
+        shape = (len(sel), self.shape[1])
+        return Incidence(self.ids[np.arange(offsets[-1]) + shift], offsets, shape)
+
     def rows(self, sel) -> "Incidence":
         """The same shape with only the rows in sel (0-based) kept and every
         other row empty.  Costs O(rows + kept entries)."""
         keep = np.zeros(self.shape[0], dtype=bool)
         keep[np.asarray(sel, dtype=np.intp)] = True
         sel = np.flatnonzero(keep)
-        starts = self.offsets[sel]
-        sizes = self.offsets[sel + 1] - starts
+        cut = self.take_rows(sel)
         offsets = np.zeros_like(self.offsets)
-        offsets[sel + 1] = sizes
+        offsets[sel + 1] = np.diff(cut.offsets)
         np.cumsum(offsets, out=offsets)
-        # entry t of kept row r is entry t - offsets[r] + starts[r] of self
-        shift = np.repeat(starts - offsets[sel], sizes)
-        return Incidence(self.ids[np.arange(offsets[-1]) + shift], offsets, self.shape)
+        return Incidence(cut.ids, offsets, self.shape)
+
+    def lists(self) -> list[list[int]]:
+        """The rows as Python lists of column ids."""
+        ids, bounds = self.ids.tolist(), self.offsets.tolist()
+        return [ids[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def transpose(self) -> "Incidence":
         """The n x m view: row i lists the rows that hold column i, ascending.
@@ -117,14 +122,18 @@ class Incidence:
         np.cumsum(self.sum(axis=0), out=offsets[1:])
         return Incidence(np.sort(self.ids * m + row_of) % m, offsets, (n, m))
 
-    def drop_empty_columns(self, counts: np.ndarray) -> "Incidence":
-        """The m x n' view without the columns whose count is 0, the rest
-        renumbered 0..n'-1 in order; counts is the column sums sum(axis=0).
-        Costs one lookup per entry; the offsets are shared with self."""
-        kept = np.flatnonzero(counts)
-        new_of_old = np.zeros(self.shape[1], dtype=np.intp)
+    def keep_columns(self, keep) -> "Incidence":
+        """The m x n' view of the columns where keep is nonzero, renumbered
+        0..n'-1 in order, with their entries only; one lookup per entry."""
+        kept = np.flatnonzero(keep)
+        new_of_old = np.full(self.shape[1], -1, dtype=np.intp)
         new_of_old[kept] = np.arange(len(kept))
-        return Incidence(new_of_old[self.ids], self.offsets, (self.shape[0], len(kept)))
+        ids, shape = new_of_old[self.ids], (self.shape[0], len(kept))
+        hit = ids >= 0
+        if hit.all():  # no entry dropped, as when keep is the column sums: share the offsets
+            return Incidence(ids, self.offsets, shape)
+        before = np.concatenate(([0], np.cumsum(hit)))  # kept entries before each entry
+        return Incidence(ids[hit], before[self.offsets], shape)
 
 
 def load_instance(text: str) -> SetSystem:
@@ -172,17 +181,12 @@ def dump_instance(sys: SetSystem) -> str:
     return "\n".join(out) + "\n"
 
 
-def set_masks(sys: SetSystem) -> tuple[int, ...]:
-    """Bitmask per set, bit e-1 for element e, built once per instance."""
-    return sys._masks
-
-
-def frequency(sys: SetSystem) -> tuple[int, ...]:
-    """f_i = number of sets containing element i, for i in [1..n]."""
-    f = [0] * sys.n
-    for s in sys.sets:
-        for e in s:
-            f[e - 1] += 1
+def frequency(inc: Incidence) -> tuple[int, ...]:
+    """f_i = number of rows holding column i, counted in plain Python: the
+    reference the frequency cast is checked against."""
+    f = [0] * inc.shape[1]
+    for i in inc.ids.tolist():
+        f[i] += 1
     return tuple(f)
 
 
@@ -196,33 +200,14 @@ def as_selection(indices, m: int) -> tuple[int, ...]:
 
 def coverage(sys: SetSystem, selection) -> int:
     """Number of elements covered by the union of the selected sets."""
-    sel = as_selection(selection, sys.m)
-    masks = set_masks(sys)
-    u = 0
-    for j in sel:
-        u |= masks[j - 1]
-    return u.bit_count()
+    return union_size(sys.incidence, selection)
 
 
-def normalize_covered(sys: SetSystem) -> tuple[SetSystem, tuple[int, ...]]:
-    """Drop elements no set covers and renumber the rest contiguously.
-
-    Returns the reduced system and the kept original ids in ascending order
-    (new id i corresponds to old id kept[i-1]).  Set indices are unchanged.
-    The sets are read off Incidence.drop_empty_columns, the view the
-    pipeline's greedy gate runs on without building this system.
-    """
-    inc = sys.incidence
-    counts = inc.sum(axis=0)
-    kept = tuple((np.flatnonzero(counts) + 1).tolist())
-    if len(kept) == sys.n:
-        return sys, kept
-    if not kept:
-        raise InstanceError("normalize: no element is covered by any set")
-    view = inc.drop_empty_columns(counts)
-    ids, bounds = (view.ids + 1).tolist(), view.offsets.tolist()
-    sets = tuple(tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:]))
-    return SetSystem(n=len(kept), m=sys.m, k=sys.k, sets=sets), kept
+def union_size(inc: Incidence, selection) -> int:
+    """Columns held by the selected rows (1-based), counted in plain Python:
+    the reference the coverage casts, the marginals and the trim are checked against."""
+    sel = as_selection(selection, inc.shape[0])
+    return len(set().union(*(inc.ids[inc.offsets[j - 1] : inc.offsets[j]].tolist() for j in sel)))
 
 
 def generate_random(

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .cluster import Cluster, ceil_log2
 from .fixmath import exp2_frac
-from .instance import SetSystem
+from .instance import Incidence
 
 TRUNC_BITS_PER_LOG = 10
 # Runtime bound asserted on the averaged iterate: max constraint value must
@@ -95,19 +95,15 @@ class LpSolution:
 
 
 class LpContext:
-    """Shared precomputation for one (instance, eps) pair: f_i counts the
-    sets containing element i and k is the instance's budget."""
+    """Shared precomputation for one (incidence, k, eps): rows[j] lists set
+    j+1's elements and member[i] the sets holding element i, 0-based, off
+    the m x n incidence and its transpose; f_i = len(member[i])."""
 
-    def __init__(self, sys: SetSystem, eps: Fraction):
-        self.sys = sys
-        self.n = n = sys.n
-        self.m = m = sys.m
-        self.k = sys.k
-        self.rows = [[e - 1 for e in s] for s in sys.sets]
-        self.member: list[list[int]] = [[] for _ in range(n)]  # sets containing each element
-        for j, row in enumerate(self.rows):
-            for i in row:
-                self.member[i].append(j)
+    def __init__(self, inc: Incidence, k: int, eps: Fraction):
+        self.m, self.n = m, n = inc.shape
+        self.k = k
+        self.rows = inc.lists()
+        self.member = inc.transpose().lists()
         self.f = tuple(map(len, self.member))
         if 0 in self.f:
             raise ValueError("every element must lie in some set; normalize the instance first")

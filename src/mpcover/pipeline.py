@@ -1,14 +1,14 @@
 """End-to-end distributed max-coverage run.
 
-The stages, in order: learn which elements are covered and drop the rest;
-take the greedy path outright when the instance is small relative to 1/eps
-(n' <= 10/eps), on the incidence with its uncovered columns dropped;
-otherwise build the reduced instance, optionally subsample the universe,
-solve the covering LP by multiplicative weights, rescale, round the
-fractional cover to at most k + 2*eps*m sets, and trim back to k by
-dropping the sets with the smallest marginals.  Set indices are never
-renumbered, so a selection is valid on the original instance as-is;
-element renumbering stays internal.
+The stages, in order: learn which elements are covered and drop the rest
+from the incidence; take the greedy path outright when the instance is
+small relative to 1/eps (n' <= 10/eps); otherwise optionally subsample the
+universe, solve the covering LP by multiplicative weights, rescale, round
+the fractional cover to at most k + 2*eps*m sets, and trim back to k by
+dropping the sets with the smallest marginals.  The stages run on an
+Incidence and k; the SetSystem stays at the parse boundary.  Set indices
+are never renumbered, so a selection is valid on the original instance
+as-is; element renumbering stays internal.
 
 The user's eps is split eight ways because four stages each consume O(eps)
 of the guarantee (LP slack, rescaling, rounding, trimming) with constants
@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cluster import BudgetError, Cluster, RoundLogEntry, ceil_log2
-from .instance import Incidence, SetSystem, frequency, normalize_covered
+from .instance import Incidence, SetSystem, frequency
 from .lp import LpContext, OracleSoundnessError, scale_to_pi0, solve_pi1
 from .prefix import prefix_coverage, trim_to_k
 from .rounding import RoundingConfig, best_of_repetitions
@@ -112,33 +112,29 @@ def round_audit_bound(n: int, m: int, eps: Fraction, subsample: bool) -> int:
     return ROUND_AUDIT_FULL * inv3 * ln_ * lm
 
 
-def subsample_universe(sys: SetSystem, eps: Fraction, seed: int):
+def subsample_universe(inc: Incidence, k: int, eps: Fraction, seed: int):
     """Keep each element independently with the rate the coverage lower
-    bound allows; returns (reduced system, kept ids, rate).
+    bound allows; returns (the incidence without the unsampled columns,
+    kept ids, rate).
 
     The rate is min(1, c_s * (m*ln2 + ln n) / (eps**2 * Opt_lb)) with
     Opt_lb = max(largest set, ceil(n*k/m)): the largest set is achievable
     with any budget, and a uniformly random k-subset of sets covers each
     covered element with probability >= k/m, so Opt >= ceil(n*k/m) on a
-    normalized instance.  m*ln2 stands in for ln C(m, k).
+    normalized instance.  m*ln2 stands in for ln C(m, k).  The input is
+    normalized with n >= 1, so Opt_lb >= 1 and every sampled element stays
+    covered.
     """
-    n, m, k = sys.n, sys.m, sys.k
-    opt_lb = max(max((len(s) for s in sys.sets), default=0), -(-n * k // m))
-    if opt_lb == 0:
-        return sys, tuple(range(1, n + 1)), 1.0
+    m, n = inc.shape
+    opt_lb = max(int(np.max(np.diff(inc.offsets), initial=0)), -(-n * k // m))
     rate = SUBSAMPLE_FACTOR * (m * math.log(2) + math.log(n)) / (float(eps) ** 2 * opt_lb)
-    if rate >= 1:
-        return sys, tuple(range(1, n + 1)), 1.0
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
-    keep = rng.random(n) < rate
-    if not keep.any():
-        # pathologically unlucky draw; solving the full instance is always sound
-        return sys, tuple(range(1, n + 1)), 1.0
-    restricted = SetSystem(
-        n=n, m=m, k=k, sets=tuple(tuple(e for e in s if keep[e - 1]) for s in sys.sets)
-    )
-    reduced, kept = normalize_covered(restricted)
-    return reduced, kept, rate
+    if rate < 1:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
+        keep = rng.random(n) < rate
+        # a pathologically unlucky draw keeps nothing; solving the full instance is always sound
+        if keep.any():
+            return inc.keep_columns(keep), tuple((np.flatnonzero(keep) + 1).tolist()), rate
+    return inc, tuple(range(1, n + 1)), 1.0
 
 
 def _pad_budget(y, kprime: int):
@@ -196,59 +192,56 @@ def greedy_fallback(inc: Incidence, k: int, cluster: Cluster) -> tuple[tuple[int
     return tuple(picks), int(np.count_nonzero(covered))
 
 
-def _run_stages(sys: SetSystem, eps: Fraction, cfg: PipelineConfig, cluster: Cluster):
-    """normalize, gate, subsample, LP, round and trim on `cluster`; returns
-    (selection, l_star, subsampled_n, path)."""
+def _run_stages(inc: Incidence, k: int, eps: Fraction, cfg: PipelineConfig, cluster: Cluster):
+    """normalize, gate, subsample, LP, round and trim the m x n incidence
+    `inc` at budget k on `cluster`; returns (selection, l_star, subsampled_n, path)."""
+    m, n = inc.shape
     # one converge-cast tells central which elements are covered at all;
     # it also settles the trivial paths
-    covered_counts = cluster.convergecast_sum(
-        sys.incidence, entry_bits=1, label="normalize.cover_cast"
-    )
+    covered_counts = cluster.convergecast_sum(inc, entry_bits=1, label="normalize.cover_cast")
     covered_n = int(np.count_nonzero(covered_counts))
     if covered_n == 0:
         return (), 0, None, "empty"
-    if sys.k >= sys.m:
-        return tuple(range(1, sys.m + 1)), covered_n, None, "all_sets"
-    cluster.broadcast(sys.n, label="normalize.keep_broadcast")
+    if k >= m:
+        return tuple(range(1, m + 1)), covered_n, None, "all_sets"
+    cluster.broadcast(n, label="normalize.keep_broadcast")
+    inc1 = inc.keep_columns(covered_counts)  # the covered elements, relabelled
 
     if 1 / eps >= Fraction(covered_n, GREEDY_GATE):
-        inc1 = sys.incidence.drop_empty_columns(covered_counts)
-        sel, cov1 = greedy_fallback(inc1, sys.k, cluster)
+        sel, cov1 = greedy_fallback(inc1, k, cluster)
         return sel, cov1, None, "greedy"
 
-    sys1, _kept1 = normalize_covered(sys)
-
     stage_eps = eps / EPS_STAGES
+    inc_lp, rate = inc1, 1.0
     if cfg.subsample:
-        sys_lp, _kept2, rate = subsample_universe(sys1, stage_eps, cfg.seed)
+        inc_lp, _kept, rate = subsample_universe(inc1, k, stage_eps, cfg.seed)
         if rate < 1:
-            cluster.broadcast(sys1.n, label="subsample.keep_broadcast")
-    else:
-        sys_lp, rate = sys1, 1.0
-    subsampled_n = sys_lp.n if rate < 1 else None
+            cluster.broadcast(covered_n, label="subsample.keep_broadcast")
+    n_lp = inc_lp.shape[1]
+    subsampled_n = n_lp if rate < 1 else None
 
-    cast_f = cluster.convergecast_sum(sys_lp.incidence, entry_bits=1, label="freq.cast")
-    if tuple(int(v) for v in cast_f) != frequency(sys_lp):
+    cast_f = cluster.convergecast_sum(inc_lp, entry_bits=1, label="freq.cast")
+    if tuple(int(v) for v in cast_f) != frequency(inc_lp):
         raise OracleSoundnessError("converge-cast frequencies disagree with frequency()")
-    cluster.broadcast(sys_lp.n * ceil_log2(sys_lp.m + 1), label="freq.broadcast")
+    cluster.broadcast(n_lp * ceil_log2(m + 1), label="freq.broadcast")
 
-    ctx = LpContext(sys_lp, stage_eps)
+    ctx = LpContext(inc_lp, k, stage_eps)
     pi1 = solve_pi1(ctx, cluster)
     if pi1.pair is None:
         # even L=1 rejected: nothing usable from the LP, greedy still applies
-        sel, cov1 = greedy_fallback(sys1.incidence, sys1.k, cluster)
+        sel, cov1 = greedy_fallback(inc1, k, cluster)
         return sel, cov1, None, "greedy"
     sol = scale_to_pi0(ctx, pi1.pair)
 
     budget = sum(sol.y, Fraction(0))
-    kprime = min(sys_lp.m, max(int(sys_lp.k + 2 * stage_eps * sys_lp.m), math.ceil(budget)))
+    kprime = min(m, max(int(k + 2 * stage_eps * m), math.ceil(budget)))
     y_pad = _pad_budget(sol.y, kprime)
     sel, _cov_sub, _reps = best_of_repetitions(
-        sys_lp, y_pad, kprime, RoundingConfig(eps=stage_eps, seed=cfg.seed), cluster
+        inc_lp, y_pad, kprime, RoundingConfig(eps=stage_eps, seed=cfg.seed), cluster
     )
-    if len(sel) > sys1.k:
-        marg = prefix_coverage(sys1, sel, cluster)
-        sel, _bound = trim_to_k(sys1, marg, sys1.k, cluster)
+    if len(sel) > k:
+        marg = prefix_coverage(inc1, sel, cluster)
+        sel, _bound = trim_to_k(inc1, marg, k, cluster)
     return sel, pi1.l_star, subsampled_n, "lp"
 
 
@@ -293,7 +286,7 @@ def solve_max_coverage(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
         raise ValueError("solve_max_coverage needs eps; use run_pipeline for eta mode")
     eps = Fraction(cfg.eps)
     cluster = Cluster(sys.m, sys.n, cfg.mem_c, cfg.mem_e)
-    return _report(sys, eps, cfg, cluster, *_run_stages(sys, eps, cfg, cluster))
+    return _report(sys, eps, cfg, cluster, *_run_stages(sys.incidence, sys.k, eps, cfg, cluster))
 
 
 def bounded_frequency_solve(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
@@ -317,24 +310,23 @@ def bounded_frequency_solve(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
     f_max = max(int(np.max(f_vec, initial=0)), 1)
     inner_eps = eta * eta / f_max
     keep_count = math.ceil(sys.k * f_max / eta)
-    kept_sets, reduced = range(1, sys.m + 1), sys
+    kept_sets, reduced = range(1, sys.m + 1), sys.incidence
     try:
         if keep_count < sys.m:
             cluster.gather(ceil_log2(sys.n + 1), label="bfreq.size_gather")
-            sizes = np.diff(sys.incidence.offsets)
             # stable: among sets of equal size the lower index is kept
-            order = np.argsort(-sizes, kind="stable")
-            kept_sets = sorted((order[:keep_count] + 1).tolist())
+            kept_rows = np.sort(np.argsort(-np.diff(reduced.offsets), kind="stable")[:keep_count])
+            kept_sets = (kept_rows + 1).tolist()
             cluster.broadcast(sys.m, label="bfreq.keep_broadcast")
             cluster.keep_machines(keep_count)
-            reduced = SetSystem(sys.n, keep_count, sys.k, tuple(sys.sets[j - 1] for j in kept_sets))
+            reduced = reduced.take_rows(kept_rows)
         pre_rounds = cluster.rounds
-        selection, *outcome = _run_stages(reduced, inner_eps, cfg, cluster)
+        selection, *outcome = _run_stages(reduced, sys.k, inner_eps, cfg, cluster)
     except BudgetError as err:
         err.epsilon = inner_eps
         raise
     rounds = cluster.rounds - pre_rounds
-    bound = round_audit_bound(reduced.n, reduced.m, inner_eps, cfg.subsample)
+    bound = round_audit_bound(reduced.shape[1], reduced.shape[0], inner_eps, cfg.subsample)
     if rounds > bound:
         raise AuditError(f"{rounds} rounds exceed the audit bound {bound}")
     selection = sorted(kept_sets[j - 1] for j in selection)

@@ -7,9 +7,13 @@ order.  Marginals sum to the coverage, and dropping a set loses at most its
 own marginal, so dropping the g smallest-marginal sets keeps coverage at
 least total minus their mass.
 
-The marginals come from a recursive prefix-union: pair adjacent machines,
-recurse on the pair unions, then expand back.  Every round has a fixed
-shape and is charged as one round whose peak is the largest inbox:
+On the cluster the marginals come from a recursive prefix-union: pair
+adjacent machines, recurse on the pair unions, then expand back.  Its
+rounds depend on the number r of selected machines alone, so they are
+charged from r, and the marginals are read off the incidence: each
+element's first covering set in the selection, counted per set.  Every
+round has a fixed shape and is charged as one round whose peak is the
+largest inbox:
 
   prefix.pair_up     even level of r machines, before the r/2 subproblem:
                      each odd-position machine takes one n-bit mask; peak n
@@ -32,8 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cluster import Cluster, ceil_log2
-from .instance import SetSystem, coverage, set_masks
+from .instance import Incidence, union_size
 from .lp import OracleSoundnessError
 
 
@@ -49,54 +55,48 @@ class MarginalVector:
         return sum(self.phis)
 
 
-def _prefix_unions(masks: list[int], n: int, cluster: Cluster) -> list[int]:
-    """Prefix-or of masks, one recursion level per call."""
-    r = len(masks)
+def _charge_unions(r: int, n: int, cluster: Cluster) -> None:
+    """Charge the prefix-union recursion over r machines, one level per call."""
     if r == 1:
-        return [masks[0]]
+        return
     if r % 2 == 1:
-        pre = _prefix_unions(masks[:-1], n, cluster)
+        _charge_unions(r - 1, n, cluster)
         cluster.charge("prefix.tail", 1, n)
-        return pre + [pre[-1] | masks[-1]]
+        return
     cluster.charge("prefix.pair_up", 1, n)
-    pair_masks = [masks[2 * i] | masks[2 * i + 1] for i in range(r // 2)]
-    sub = _prefix_unions(pair_masks, n, cluster)
+    _charge_unions(r // 2, n, cluster)
     # r // 2 - 1 messages, none when r = 2
     cluster.charge("prefix.expand", 1, n if r > 2 else 0)
-    out = [0] * r
-    for i in range(r // 2):
-        out[2 * i + 1] = sub[i]
-        out[2 * i] = masks[2 * i] if i == 0 else sub[i - 1] | masks[2 * i]
-    return out
 
 
-def prefix_coverage(sys: SetSystem, selection, cluster: Cluster) -> MarginalVector:
+def prefix_coverage(inc: Incidence, selection, cluster: Cluster) -> MarginalVector:
     """Marginals of a selection, computed over the cluster.
 
-    Deterministic: the scan order is ascending set index, so the marginal
-    vector is a pure function of the instance and the selection.
+    Deterministic: the scan order is ascending set index, so an element's
+    first covering set is the least selected set holding it, and the
+    marginals are a pure function of the input.
     """
     sel = tuple(sorted(set(selection)))
     if not sel:
         return MarginalVector((), ())
-    masks = set_masks(sys)
-    r = len(sel)
-    prefixes = _prefix_unions([masks[j - 1] for j in sel], sys.n, cluster)
-    size_bits = ceil_log2(sys.n + 1)
+    n, r = inc.shape[1], len(sel)
+    _charge_unions(r, n, cluster)
+    size_bits = ceil_log2(n + 1)
     if r > 1:
         cluster.charge("prefix.size_shift", 1, size_bits)
-    phis = [prefixes[0].bit_count()]
-    for i in range(1, r):
-        phis.append(prefixes[i].bit_count() - prefixes[i - 1].bit_count())
+    chosen = inc.take_rows([j - 1 for j in sel])
+    first = np.full(n, r)  # each element's first covering set, by position in sel; r if none
+    np.minimum.at(first, chosen.ids, np.repeat(np.arange(r), np.diff(chosen.offsets)))
+    phis = tuple(np.bincount(first, minlength=r + 1)[:r].tolist())
     # every selected machine but central sends central its marginal
     senders = r - (cluster.central in sel)
     cluster.charge("prefix.phi_gather", 1, size_bits * senders)
-    if sum(phis) != coverage(sys, sel):
+    if sum(phis) != union_size(inc, sel):
         raise OracleSoundnessError("marginals do not sum to the selection's coverage")
-    return MarginalVector(sel, tuple(phis))
+    return MarginalVector(sel, phis)
 
 
-def trim_to_k(sys: SetSystem, marginals: MarginalVector, k: int, cluster: Cluster):
+def trim_to_k(inc: Incidence, marginals: MarginalVector, k: int, cluster: Cluster):
     """Drop the r - k smallest-marginal sets; ties drop the larger index.
 
     Returns (trimmed selection, coverage lower bound).  The bound, total
@@ -112,8 +112,8 @@ def trim_to_k(sys: SetSystem, marginals: MarginalVector, k: int, cluster: Cluste
     dropped = set(order[: r - k])
     trimmed = tuple(sel[i] for i in range(r) if i not in dropped)
     bound = marginals.total - sum(phis[i] for i in dropped)
-    cluster.broadcast(sys.m, label="trim.selection_broadcast")
-    actual = coverage(sys, trimmed)
+    cluster.broadcast(inc.shape[0], label="trim.selection_broadcast")
+    actual = union_size(inc, trimmed)
     if actual < bound:
         raise OracleSoundnessError(f"trim bound {bound} exceeds actual coverage {actual}")
     return trimmed, bound

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cluster import Cluster, ceil_log2
-from .instance import SetSystem, coverage
+from .instance import Incidence, union_size
 from .lp import OracleSoundnessError
 
 REP_FACTOR = 8
@@ -93,7 +93,7 @@ def randomized_round(y, kprime: int, seed: int) -> tuple[int, ...]:
 
 
 def best_of_repetitions(
-    sys: SetSystem,
+    inc: Incidence,
     y,
     kprime: int,
     config: RoundingConfig,
@@ -107,7 +107,7 @@ def best_of_repetitions(
     then each candidate's coverage is a converge-cast of per-set indicator
     vectors in its own parallel lane.  Ties prefer the earliest candidate.
     """
-    m = sys.m
+    m = inc.shape[0]
     reps = config.repetitions(m)
     cum, den = _cumulative_thresholds(y, kprime)
     best: tuple[int, int, tuple[int, ...]] | None = None  # (-cov, rep, sel)
@@ -118,11 +118,11 @@ def best_of_repetitions(
         for r in batch:
             sel = _draw(cum, den, kprime, config.seed ^ r)
             lane = cluster.lane()
-            chosen = sys.incidence.rows([j - 1 for j in sel])
+            chosen = inc.rows([j - 1 for j in sel])
             summed = lane.convergecast_sum(chosen, entry_bits=1, label="round.coverage_cast")
             cov = int(np.count_nonzero(summed))
-            if cov != coverage(sys, sel):
-                raise OracleSoundnessError("converge-cast coverage disagrees with coverage()")
+            if cov != union_size(inc, sel):
+                raise OracleSoundnessError("converge-cast coverage disagrees with union_size()")
             lanes.append(lane)
             cand = (-cov, r, sel)
             if best is None or cand < best:

@@ -29,14 +29,14 @@ from mpcover import (
 from mpcover.baselines import exact_opt
 from mpcover.cli import main as cli_main
 from mpcover.cluster import ceil_log2
-from mpcover.instance import frequency, normalize_covered
-from mpcover.lp import LpContext, WeightAccumulator, oracle_step, scale_to_pi0, solve_pi1
+from mpcover.instance import frequency
+from mpcover.lp import WeightAccumulator, oracle_step, scale_to_pi0, solve_pi1
 from mpcover.pipeline import _pad_budget
 from mpcover.prefix import prefix_coverage, trim_to_k
 from mpcover.rounding import randomized_round
 from test_baselines import oracle_minimum
-from test_instance import dense_incidence
-from test_lp import recording_iterations, seed_lane, truncated_pq
+from test_instance import normalize_covered
+from test_lp import dense_rows, lp_context, recording_iterations, seed_lane, truncated_pq
 
 RATIO_EPS = 0.1
 SEEDS_PER_INSTANCE = 200
@@ -91,7 +91,7 @@ def lp_solutions(roster):
     out = []
     for sys_ in roster:
         sys1, _ = normalize_covered(sys_)
-        ctx = LpContext(sys1, LP_STAGE_EPS)
+        ctx = lp_context(sys1, LP_STAGE_EPS)
         records = []
         cl = Cluster(sys1.m, sys1.n)
         with recording_iterations(records):
@@ -101,7 +101,7 @@ def lp_solutions(roster):
         out.append(
             {
                 "sys1": sys1,
-                "f": frequency(sys1),
+                "f": frequency(sys1.incidence),
                 "ctx": ctx,
                 "res": res,
                 "sol": sol,
@@ -138,7 +138,7 @@ def oracle_trials():
         ctx = None
         for eps in (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)):
             try:
-                ctx = LpContext(sys_, eps)
+                ctx = lp_context(sys_, eps)
                 break
             except ValueError:
                 continue
@@ -219,7 +219,7 @@ def test_criterion_04_truncation_soundness(oracle_trials, lp_solutions):
         ctx, st, w = tr["ctx"], tr["st"], tr["w"]
         x_ind = np.zeros(ctx.n, dtype=np.int64)
         x_ind[st.x_idx] = 1
-        cnt = dense_incidence(ctx.sys)[st.z_idx].sum(axis=0)
+        cnt = dense_rows(ctx)[st.z_idx].sum(axis=0)
         scale = 1 << ctx.b
         lhs = sum(
             Fraction(w[i] * int(x_ind[i] + cnt[i]), ctx.f[i] * scale)
@@ -257,7 +257,7 @@ def test_criterion_05_prefix_correctness():
         sys_ = SetSystem(n, m, min(m, max(1, r // 2)), sets)
         sel = tuple(int(j) + 1 for j in np.sort(rng.choice(m, size=r, replace=False)))
         cl = Cluster(m, n)
-        mv = prefix_coverage(sys_, sel, cl)
+        mv = prefix_coverage(sys_.incidence, sel, cl)
         seen = 0
         expect = []
         for j in sel:
@@ -292,8 +292,8 @@ def test_criterion_06_trim_bound(pipeline_runs, roster):
         r_len = int(rng.integers(3, sys_.m + 1))
         k = int(rng.integers(1, r_len))
         sel = tuple(int(j) + 1 for j in np.sort(rng.choice(sys_.m, size=r_len, replace=False)))
-        mv = prefix_coverage(sys_, sel, Cluster(sys_.m, sys_.n))
-        trimmed, bound = trim_to_k(sys_, mv, k, Cluster(sys_.m, sys_.n))
+        mv = prefix_coverage(sys_.incidence, sel, Cluster(sys_.m, sys_.n))
+        trimmed, bound = trim_to_k(sys_.incidence, mv, k, Cluster(sys_.m, sys_.n))
         assert len(trimmed) == min(k, r_len)
         removed = set(sel) - set(trimmed)
         removed_phi = sum(
@@ -381,7 +381,7 @@ def test_criterion_09_bounded_frequency_mode():
             sets.append(tuple(range(e, e + sz)))
             e += sz
         sys_ = SetSystem(e - 1, m, max(2, m // 4), tuple(sets))
-        assert max(frequency(sys_)) == 1
+        assert max(frequency(sys_.incidence)) == 1
         topk = sum(sorted(sizes, reverse=True)[: sys_.k])
         ok = 0
         for seed in range(SEEDS_PER_INSTANCE):

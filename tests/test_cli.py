@@ -383,6 +383,49 @@ def test_audit_flags_bound_violation(tmp_path, capsys):
     assert "exceed" in err
 
 
+@pytest.mark.parametrize(
+    "mem, budget",
+    [({"mem_c": 8, "mem_e": 2}, 8 * 52 * 6**2), ({"mem_c": None, "mem_e": None}, 64 * 52 * 6**2)],
+    ids=["meta-constants", "null-takes-the-defaults"],
+)
+def test_audit_flags_memory_violation(tmp_path, capsys, mem, budget):
+    # n = 52, so ceil(log2(n + 2)) = 6 and the budget is mem_c * 52 * 6**mem_e
+    p = tmp_path / "log.jsonl"
+    meta = {"meta": {"n": 52, "m": 17, "k": 2, "epsilon": "1/4", "subsample": True, **mem}}
+    at_budget = {"primitive": "a", "rounds": 1, "peak_bits": budget}
+    p.write_text(f"{json.dumps(meta)}\n{json.dumps(at_budget)}\n")
+    rc, out, err = run_main(["audit", "--input", str(p)], capsys)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["budget_bits"] == budget
+    over = {"primitive": "b", "rounds": 1, "peak_bits": 10**12}
+    p.write_text(f"{json.dumps(meta)}\n{json.dumps(at_budget)}\n\n{json.dumps(over)}\n")
+    rc, out, err = run_main(["audit", "--input", str(p)], capsys)
+    assert rc == 3
+    assert json.loads(out)["peak_bits"] == 10**12
+    assert err == f"audit: line 4: {10**12} peak bits exceed the budget {budget}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--epsilon", "0.25"], ["--eta", "0.25"]],
+    ids=["lp", "eta-row-cut"],
+)
+def test_audit_passes_the_logs_of_real_runs(tmp_path, capsys, argv):
+    # 41 singletons: the LP route at eps = 1/4; at eta = 1/4 (f_max = 1, k = 1)
+    # the set reduction keeps 4 sets, and the meta line keeps the original n
+    inst = tmp_path / "singles.txt"
+    inst.write_text("41 41 1\n" + "\n".join(map(str, range(1, 42))) + "\n")
+    rc, out, _ = run_main(["run", "--input", str(inst), *argv, "--json"], capsys)
+    assert rc == 0
+    rep = json.loads(out)
+    log_path = inst.with_suffix(".txt.roundlog.jsonl")
+    assert json.loads(log_path.read_text().splitlines()[0])["meta"]["n"] == 41
+    rc, out, err = run_main(["audit", "--input", str(log_path)], capsys)
+    assert (rc, err) == (0, "")
+    audit = json.loads(out)
+    assert audit["peak_bits"] == rep["peak_bits"] <= audit["budget_bits"]
+
+
 GOOD_META = json.dumps({"meta": {"n": 8, "m": 3, "k": 1, "epsilon": "1/4", "subsample": True}})
 GOOD_ROW = json.dumps({"primitive": "x", "rounds": 3, "peak_bits": 2})
 
@@ -401,6 +444,11 @@ GOOD_ROW = json.dumps({"primitive": "x", "rounds": 3, "peak_bits": 2})
         (f'{GOOD_ROW}\n{{"meta": {{"n": 8, "m": 3, "epsilon": "1e400"}}}}\n', 2, "(0, 1/4]"),
         ('{"meta": [8, 3]}\n', 1, "expected a JSON object"),
         (
+            f'{{"meta": {{"n": 8, "m": 3, "epsilon": "1/4", "mem_c": -1}}}}\n{GOOD_ROW}\n',
+            1,
+            "mem_c",
+        ),
+        (
             f'\n{{"meta": {{"n": 52, "m": 17, "epsilon": "1/4", "subsample": "false"}}}}\n'
             f"{GOOD_ROW}\n",
             2,
@@ -409,7 +457,7 @@ GOOD_ROW = json.dumps({"primitive": "x", "rounds": 3, "peak_bits": 2})
     ],
     ids=["no-peak-bits", "meta-without-n", "not-an-object", "bad-json", "string-rounds",
          "zero-epsilon", "zero-denominator-epsilon", "bool-epsilon", "huge-epsilon",
-         "meta-not-an-object", "string-subsample"],
+         "meta-not-an-object", "negative-mem-c", "string-subsample"],
 )
 def test_audit_malformed_log_names_its_line(tmp_path, capsys, text, line, reason):
     p = tmp_path / "log.jsonl"

@@ -1,4 +1,4 @@
-"""Instance parsing, masks, frequencies and normalization."""
+"""Instance parsing, masks, frequencies, the incidence and normalization."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,9 @@ from mpcover import (
     generate_random,
     load_instance,
 )
+from mpcover.baselines import set_masks
 from mpcover.cluster import Cluster
-from mpcover.instance import as_selection, frequency, normalize_covered, set_masks
+from mpcover.instance import as_selection, frequency, union_size
 
 CHAIN = SetSystem(4, 3, 2, ((1, 2), (2, 3), (3, 4)))
 
@@ -25,6 +26,33 @@ def dense_incidence(sys_: SetSystem) -> np.ndarray:
     for j, s in enumerate(sys_.sets):
         rows[j, [e - 1 for e in s]] = True
     return rows
+
+
+def normalize_covered(sys_: SetSystem) -> tuple[SetSystem, tuple[int, ...]]:
+    """The reference for a run's normalize step, as a rebuilt SetSystem: the
+    elements no set covers dropped and the rest renumbered in order; also
+    returns the kept original ids, ascending."""
+    kept = sorted(set().union(*sys_.sets))
+    new_id = {e: i for i, e in enumerate(kept, start=1)}
+    sets = tuple(tuple(new_id[e] for e in s) for s in sys_.sets)
+    return SetSystem(len(kept), sys_.m, sys_.k, sets), tuple(kept)
+
+
+def restrict_then_normalize(sys_: SetSystem, sampled) -> tuple[SetSystem, tuple[int, ...]]:
+    """The reference for the subsample's column drop: every set restricted
+    to the sampled element ids, then normalized."""
+    sampled = set(sampled)
+    sets = tuple(tuple(e for e in s if e in sampled) for s in sys_.sets)
+    return normalize_covered(SetSystem(sys_.n, sys_.m, sys_.k, sets))
+
+
+def same_matrix(a, b) -> bool:
+    """Two Incidence views hold the same CSR matrix."""
+    return (
+        a.shape == b.shape
+        and a.ids.tolist() == b.ids.tolist()
+        and a.offsets.tolist() == b.offsets.tolist()
+    )
 
 
 def systems(max_n=10, max_m=6):
@@ -110,7 +138,6 @@ def test_set_masks_and_coverage():
 def test_set_masks_match_python_sets(sys_):
     ref = tuple(sum(1 << (e - 1) for e in set(s)) for s in sys_.sets)
     assert set_masks(sys_) == ref
-    assert set_masks(sys_) is set_masks(sys_)
 
 
 def test_coverage_does_not_hash_the_instance(monkeypatch):
@@ -124,8 +151,8 @@ def test_coverage_does_not_hash_the_instance(monkeypatch):
 
 
 def test_frequency():
-    assert frequency(CHAIN) == (1, 2, 2, 1)
-    assert frequency(SetSystem(3, 1, 1, ((),))) == (0, 0, 0)
+    assert frequency(CHAIN.incidence) == (1, 2, 2, 1)
+    assert frequency(SetSystem(3, 1, 1, ((),)).incidence) == (0, 0, 0)
 
 
 def test_as_selection():
@@ -150,24 +177,21 @@ def test_set_system_allows_more_sets_than_elements():
         SetSystem(2, 3, 1, ((1,), (3,), ()))
 
 
-def test_normalize_covered_drops_and_renumbers():
-    sys_ = SetSystem(6, 3, 1, ((2, 5), (5,), ()))
-    reduced, kept = normalize_covered(sys_)
-    assert kept == (2, 5)
-    assert reduced.n == 2
-    assert reduced.m == 3
-    assert reduced.sets == ((1, 2), (2,), ())
+def test_keep_columns_drops_and_renumbers():
+    inc = SetSystem(6, 3, 1, ((2, 5), (5,), ())).incidence
+    view = inc.keep_columns(inc.sum(axis=0))
+    assert view.shape == (3, 2)
+    assert [row_ids(view, r) for r in range(3)] == [[0, 1], [1], []]
+    # a column that some set holds: its entries go, and the offsets with them
+    sampled = inc.keep_columns([False, False, False, False, True, False])
+    assert sampled.shape == (3, 1)
+    assert sampled.ids.tolist() == [0, 0]
+    assert sampled.offsets.tolist() == [0, 1, 2, 2]
 
 
-def test_normalize_covered_identity_when_all_covered():
-    reduced, kept = normalize_covered(CHAIN)
-    assert reduced is CHAIN
-    assert kept == (1, 2, 3, 4)
-
-
-def test_normalize_covered_rejects_empty_union():
-    with pytest.raises(InstanceError):
-        normalize_covered(SetSystem(3, 2, 1, ((), ())))
+def test_keep_columns_identity_when_all_covered():
+    inc = CHAIN.incidence
+    assert same_matrix(inc.keep_columns(inc.sum(axis=0)), inc)
 
 
 def test_generate_random_modes_and_determinism():
@@ -202,26 +226,28 @@ def test_dump_load_identity(sys_):
     assert load_instance(dump_instance(sys_)) == sys_
 
 
-@given(systems())
-def test_normalize_preserves_selection_coverage(sys_):
-    """Renumbering touches elements only, so any selection covers the same
-    number of elements before and after."""
-    f = frequency(sys_)
-    if not any(f):
-        return
-    reduced, kept = normalize_covered(sys_)
-    assert len(kept) == reduced.n
-    assert reduced.m == sys_.m
-    assert kept == tuple(i + 1 for i, fv in enumerate(f) if fv)
-    assert reduced.sets == tuple(tuple(kept.index(e) + 1 for e in s) for s in sys_.sets)
+@given(systems(), st.data())
+def test_normalize_preserves_selection_coverage(sys_, data):
+    """The run's normalize step (the incidence without its empty columns)
+    and a subsample's column drop on top of it equal the rebuilt reference
+    systems.  Renumbering touches elements only, so any selection covers the
+    same number of elements before and after."""
+    inc = sys_.incidence
+    view = inc.keep_columns(inc.sum(axis=0))
+    ref, kept = normalize_covered(sys_)
+    assert kept == tuple(i + 1 for i, fv in enumerate(frequency(inc)) if fv)
+    assert same_matrix(view, ref.incidence)
     for sel in ((), (1,), tuple(range(1, sys_.m + 1))):
-        assert coverage(reduced, sel) == coverage(sys_, sel)
+        assert union_size(view, sel) == coverage(ref, sel) == coverage(sys_, sel)
+    keep = data.draw(st.lists(st.booleans(), min_size=ref.n, max_size=ref.n), label="keep")
+    sub_ref, _ = restrict_then_normalize(ref, [i + 1 for i, b in enumerate(keep) if b])
+    assert same_matrix(view.keep_columns(keep), sub_ref.incidence)
 
 
 @given(systems())
 def test_frequency_counts_match_masks(sys_):
     masks = set_masks(sys_)
-    f = frequency(sys_)
+    f = frequency(sys_.incidence)
     for i in range(sys_.n):
         assert f[i] == sum(1 for mk in masks if mk >> i & 1)
 
@@ -281,12 +307,19 @@ def test_incidence_view_matches_the_dense_reference(sys_, data):
         assert row_ids(by_elem, i) == np.flatnonzero(dense[:, i]).tolist()
     cols = data.draw(st.lists(st.integers(0, sys_.n - 1), unique=True), label="columns")
     assert by_elem.rows(cols).sum(axis=0).tolist() == dense[:, cols].sum(axis=1).tolist()
-    # dropping the empty columns keeps the others in order, renumbered
-    compact = inc.drop_empty_columns(inc.sum(axis=0))
-    kept = dense[:, dense.any(axis=0)]
-    assert compact.shape == kept.shape
-    for r in range(sys_.m):
-        assert row_ids(compact, r) == np.flatnonzero(kept[r]).tolist()
+    # a row cut keeps the rows in sel, in order, and drops the rest
+    cut_rows = sorted(set(sel))
+    cut = inc.take_rows(cut_rows)
+    assert cut.shape == (len(cut_rows), sys_.n)
+    for r, j in enumerate(cut_rows):
+        assert row_ids(cut, r) == np.flatnonzero(dense[j]).tolist()
+    # keeping some columns, the empty ones or any others, keeps them in order, renumbered
+    for keep in (dense.any(axis=0), np.isin(np.arange(sys_.n), cols)):
+        compact = inc.keep_columns(keep)
+        kept = dense[:, keep]
+        assert compact.shape == kept.shape
+        for r in range(sys_.m):
+            assert row_ids(compact, r) == np.flatnonzero(kept[r]).tolist()
     # a converge-cast charges the view as it charges the dense matrix
     sparse_cl, dense_cl = Cluster(sys_.m, sys_.n), Cluster(sys_.m, sys_.n)
     got = sparse_cl.convergecast_sum(picked, entry_bits=1, label="cast")

@@ -28,7 +28,7 @@ from mpcover import (
 )
 from mpcover.baselines import greedy_sequential
 from mpcover.cli import main
-from mpcover.instance import coverage, frequency
+from mpcover.instance import coverage, frequency, union_size
 from mpcover.lp import FractionalPair, LpContext, Pi1Result
 from mpcover.prefix import prefix_coverage
 from mpcover.rounding import RoundingConfig, best_of_repetitions
@@ -90,7 +90,7 @@ SOUNDNESS_RAISES = {
         f"{INJECTED}[marginals]",
     ("prefix.py", "trim_to_k", "trim bound {} exceeds actual coverage {}"):
         "test_invariants.py::test_trim_bound_check_survives_optimize_flag",
-    ("rounding.py", "best_of_repetitions", "converge-cast coverage disagrees with coverage()"):
+    ("rounding.py", "best_of_repetitions", "converge-cast coverage disagrees with union_size()"):
         f"{INJECTED}[rounding_cast]",
     ("rounding.py", "best_of_repetitions", "the repetition schedule drew no candidate"): ARGUED,
 }
@@ -104,6 +104,21 @@ def test_no_bare_asserts_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_stages_do_not_import_the_parse_boundary():
+    """Below the parse the stages take an Incidence and k: the LP, prefix
+    and rounding modules import neither SetSystem nor the big-int masks."""
+    for name in ("lp.py", "prefix.py", "rounding.py"):
+        tree = ast.parse((SRC / name).read_text())
+        imported = {
+            name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            for name in (alias.name, alias.asname)
+        }
+        assert imported & {"SetSystem", "set_masks"} == set(), name
 
 
 def _message(node: ast.expr) -> str:
@@ -193,20 +208,20 @@ FAULTS = {
     "freq_cast": Fault(
         OracleSoundnessError,
         "converge-cast frequencies disagree with frequency()",
-        ((pipeline_mod, "frequency", lambda s: tuple(v + 1 for v in frequency(s))),),
+        ((pipeline_mod, "frequency", lambda inc: tuple(v + 1 for v in frequency(inc))),),
         lambda: run_pipeline(TILES, PipelineConfig(eps=Fraction(1, 4))),
         TILES,
         5,
     ),
     "rounding_cast": Fault(
         OracleSoundnessError,
-        "converge-cast coverage disagrees with coverage()",
+        "converge-cast coverage disagrees with union_size()",
         (
             (pipeline_mod, "solve_pi1", _lp_skipped),
-            (rounding_mod, "coverage", lambda s, sel: coverage(s, sel) + 1),
+            (rounding_mod, "union_size", lambda inc, sel: union_size(inc, sel) + 1),
         ),
         lambda: best_of_repetitions(
-            CHAIN, (1, 1, 0), 2, RoundingConfig(Fraction(1, 4), 0), Cluster(3, 4)
+            CHAIN.incidence, (1, 1, 0), 2, RoundingConfig(Fraction(1, 4), 0), Cluster(3, 4)
         ),
         TILES,
         5,
@@ -228,8 +243,8 @@ FAULTS = {
     "marginals": Fault(
         OracleSoundnessError,
         "marginals do not sum to the selection's coverage",
-        ((prefix_mod, "coverage", lambda s, sel: coverage(s, sel) + 1),),
-        lambda: prefix_coverage(CHAIN, (1, 3), Cluster(3, 4)),
+        ((prefix_mod, "union_size", lambda inc, sel: union_size(inc, sel) + 1),),
+        lambda: prefix_coverage(CHAIN.incidence, (1, 3), Cluster(3, 4)),
     ),
 }
 
@@ -260,7 +275,7 @@ def test_trim_bound_check_survives_optimize_flag():
         "assert False, 'assertions must be stripped'\n"
         "sys_ = SetSystem(4, 3, 1, ((1, 2), (2, 3), (3, 4)))\n"
         "try:\n"
-        "    trim_to_k(sys_, MarginalVector((1, 2, 3), (2, 9, 2)), 1, Cluster(3, 4))\n"
+        "    trim_to_k(sys_.incidence, MarginalVector((1, 2, 3), (2, 9, 2)), 1, Cluster(3, 4))\n"
         "except OracleSoundnessError as err:\n"
         "    print(type(err).__name__, err)\n"
     )

@@ -10,7 +10,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 import mpcover.lp as lp_mod
 from mpcover import Cluster, OracleSoundnessError, SetSystem, generate_random
 from mpcover.cluster import ceil_log2
-from mpcover.instance import frequency, normalize_covered
+from mpcover.instance import frequency
 from mpcover.lp import (
     FractionalPair,
     LpContext,
@@ -26,17 +26,31 @@ from mpcover.lp import (
     solve_pi1,
 )
 from test_baselines import TruncatedPQ
-from test_instance import dense_incidence
+from test_instance import normalize_covered
 
 CHAIN = SetSystem(4, 3, 2, ((1, 2), (2, 3), (3, 4)))
-CHAIN_F = frequency(CHAIN)
+CHAIN_F = frequency(CHAIN.incidence)
 QUARTER = Fraction(1, 4)
 # three frequency classes: f = 1, 2 and 4
 MULTI = SetSystem(9, 5, 2, ((1, 2, 3, 4), (2, 3, 5, 6), (3, 6, 7, 8), (1, 3, 4, 7), (5, 8, 9)))
 
 
+def lp_context(sys_: SetSystem, eps: Fraction) -> LpContext:
+    """The context a run builds from the instance's incidence and k."""
+    return LpContext(sys_.incidence, sys_.k, eps)
+
+
 def chain_ctx() -> LpContext:
-    return LpContext(CHAIN, QUARTER)
+    return lp_context(CHAIN, QUARTER)
+
+
+def dense_rows(ctx: LpContext) -> np.ndarray:
+    """The m x n bool matrix of the context's rows: row j is the indicator
+    of set j+1 (test_context_validation checks the rows against the sets)."""
+    dense = np.zeros((ctx.m, ctx.n), dtype=bool)
+    for j, row in enumerate(ctx.rows):
+        dense[j, row] = True
+    return dense
 
 
 def truncated_pq(ctx: LpContext, w) -> TruncatedPQ:
@@ -135,7 +149,7 @@ def exact_lhs_lcm(ctx: LpContext, w, x_idx, z_idx) -> int:
     weights' units of 2**-b, from the dense cover counts x_i + cnt_i."""
     x_ind = np.zeros(ctx.n, dtype=np.int64)
     x_ind[list(x_idx)] = 1
-    cover = (x_ind + dense_incidence(ctx.sys)[list(z_idx)].sum(axis=0)).tolist()
+    cover = (x_ind + dense_rows(ctx)[list(z_idx)].sum(axis=0)).tolist()
     return sum(wi * ci * lf for wi, ci, lf in zip(w, cover, ctx.lcm_over_f))
 
 
@@ -174,9 +188,8 @@ def covered_instance(seed: int, data) -> SetSystem:
     n = data.draw(st.integers(5, 12), label="n")
     m = data.draw(st.integers(2, 5), label="m")
     raw = generate_random(n, m, 1, density=0.5, seed=seed)
-    assume(any(raw.sets))  # normalize_covered rejects an instance covering nothing
     covered = normalize_covered(raw)[0]
-    assume(covered.n >= 4 and len(set(frequency(covered))) >= 2)
+    assume(covered.n >= 4 and len(set(frequency(covered.incidence))) >= 2)
     k = data.draw(st.integers(1, covered.m), label="k")
     return SetSystem(covered.n, covered.m, k, covered.sets)
 
@@ -225,12 +238,12 @@ def test_weight_accumulator_bounds():
     with pytest.raises(
         OracleSoundnessError, match=r"^per-iteration error outside \[-2n, 2n\]: 1\.\.7$"
     ):
-        _mwu(LpContext(WIDE_K_PAIRS, QUARTER), 1, Cluster(9, 3))
+        _mwu(lp_context(WIDE_K_PAIRS, QUARTER), 1, Cluster(9, 3))
     # the range counts the errors left implicit at 0
     with pytest.raises(
         OracleSoundnessError, match=r"^per-iteration error outside \[-2n, 2n\]: 0\.\.7$"
     ):
-        _mwu(LpContext(WIDE_K_KEEP, QUARTER), 2, Cluster(9, 3))
+        _mwu(lp_context(WIDE_K_KEEP, QUARTER), 2, Cluster(9, 3))
     # an error of exactly 2n is in range: the first iteration is accepted
     seen = []
 
@@ -244,7 +257,7 @@ def test_weight_accumulator_bounds():
         return step(ctx_, acc, length)
 
     with wrapped_oracle(second_call), pytest.raises(Stop):
-        _mwu(LpContext(EDGE_K, QUARTER), 1, Cluster(8, 3))
+        _mwu(lp_context(EDGE_K, QUARTER), 1, Cluster(8, 3))
     assert seen == [(1, [6, 1, 1])]
     # stale lane state beyond 2*n*t after one iteration: the chain's first
     # point moves element 4 alone, by +1, from 13 to 14 > 2 * 4 * 1
@@ -268,18 +281,25 @@ def test_weight_accumulator_bounds():
 def test_context_validation():
     ctx = chain_ctx()
     assert ctx.f == CHAIN_F and ctx.k == CHAIN.k
+    # the rows and members read off the incidence are the sets, 0-based
+    ctx = lp_context(MULTI, QUARTER)
+    assert (ctx.m, ctx.n, ctx.k) == (MULTI.m, MULTI.n, MULTI.k)
+    assert ctx.rows == [[e - 1 for e in s] for s in MULTI.sets]
+    assert ctx.member == [
+        [j for j, s in enumerate(MULTI.sets) if i in s] for i in range(1, MULTI.n + 1)
+    ]
     # element 4 lies in no set
     uncovered = SetSystem(4, 2, 1, ((1, 2), (2, 3)))
     with pytest.raises(
         ValueError, match="^every element must lie in some set; normalize the instance first$"
     ):
-        LpContext(uncovered, QUARTER)
+        lp_context(uncovered, QUARTER)
     # m + 1 must stay under n**4 for the truncation slack to mean anything
     wide = SetSystem(20, 20, 1, tuple((j,) for j in range(1, 21)))
     small = SetSystem(2, 2, 1, ((1,), (2,)))
-    LpContext(wide, QUARTER)
+    lp_context(wide, QUARTER)
     with pytest.raises(ValueError, match="accumulator|broadcast"):
-        LpContext(small, Fraction(1, 2**12))
+        lp_context(small, Fraction(1, 2**12))
 
 
 # -- weights and the oracle ------------------------------------------------
@@ -355,7 +375,7 @@ def test_exact_check_rejects_truncation_loss():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_exact_check_from_moves_equals_the_dense_sum(seed, data):
-    ctx = LpContext(covered_instance(seed, data), QUARTER)
+    ctx = lp_context(covered_instance(seed, data), QUARTER)
     n, lcm = ctx.n, ctx.f_lcm
     # a random kept state, c <= 3 keeping the weight sum under 4n^2
     a = [data.draw(st.integers(-3 * d, 3 * d), label="a") for d in ctx.d]
@@ -365,7 +385,7 @@ def test_exact_check_from_moves_equals_the_dense_sum(seed, data):
     dense = exact_lhs_lcm(ctx, w, x_idx, z_idx)
     x_ind = np.zeros(n, dtype=np.int64)
     x_ind[x_idx] = 1
-    moves = sparse(np.array(ctx.f) - x_ind - dense_incidence(ctx.sys)[z_idx].sum(axis=0))
+    moves = sparse(np.array(ctx.f) - x_ind - dense_rows(ctx)[z_idx].sum(axis=0))
     moved = sum(w[i] * e * ctx.lcm_over_f[i] for i, e in moves.items())
     assert lcm * state["total"] - moved == dense
 
@@ -449,12 +469,11 @@ def test_maintained_state_matches_from_scratch(seed, data):
     n = data.draw(st.integers(5, 9), label="n")
     m = data.draw(st.integers(3, 5), label="m")
     raw = generate_random(n, m, 2, density=0.5, seed=seed)
-    assume(any(raw.sets))  # normalize_covered rejects an instance covering nothing
     sys_ = normalize_covered(raw)[0]
-    f = frequency(sys_)
+    f = frequency(sys_.incidence)
     assume(sys_.n >= 4 and len(set(f)) >= 2)
     n = sys_.n
-    ctx = LpContext(sys_, QUARTER)
+    ctx = lp_context(sys_, QUARTER)
     # c <= 2 keeps the weight sum under 4n^2, and every forced point below
     # fits in t_total >= 70 iterations: at most 8 * f_max <= 40 down, 16 up, 8 drawn
     lo = [-2 * d for d in ctx.d]
@@ -509,7 +528,7 @@ def test_maintained_state_matches_from_scratch(seed, data):
 def test_absmax_and_its_count_follow_sparse_moves(data):
     """|A|max and the count of entries at it stay exact under points that
     move a few entries, where an entry at the max can move toward 0 alone."""
-    ctx = LpContext(MULTI, QUARTER)
+    ctx = lp_context(MULTI, QUARTER)
     # at most 25 iterations with errors of at least -1 keep every weight
     # within the 4n^2 caps
     updates = data.draw(st.integers(1, 25), label="updates")
@@ -579,7 +598,7 @@ def counting_derivations(counts: dict):
 @pytest.mark.parametrize("sys_, length", [(CHAIN, 3), (MULTI, 7)], ids=["chain", "multi"])
 def test_weights_rederived_only_where_the_accumulator_moved(sys_, length):
     counts: dict = {}
-    ctx = LpContext(sys_, QUARTER)
+    ctx = lp_context(sys_, QUARTER)
     with counting_derivations(counts):
         pair = _mwu(ctx, length, Cluster(sys_.m, sys_.n))
     assert pair is not None
@@ -587,7 +606,7 @@ def test_weights_rederived_only_where_the_accumulator_moved(sys_, length):
     assert counts["rederived"] == counts["nonzero"] > 0
     # one full derivation per lane, also across a guess batch
     with counting_derivations(counts):
-        res = solve_pi1(LpContext(sys_, QUARTER), Cluster(sys_.m, sys_.n))
+        res = solve_pi1(lp_context(sys_, QUARTER), Cluster(sys_.m, sys_.n))
     guesses = len(res.feasible_guesses) + len(res.infeasible_guesses)
     assert counts["lanes"] == counts["full"] == guesses > 1
     assert counts["rederived"] == counts["nonzero"] > 0
@@ -598,7 +617,7 @@ def test_weights_rederived_only_where_the_accumulator_moved(sys_, length):
 def test_moves_are_the_nonzero_dense_errors(seed, data):
     """One iteration at a drawn point moves each accumulator by its dense
     error f_i - x_i - cnt_i: exactly the nonzero entries move."""
-    ctx = LpContext(covered_instance(seed, data), QUARTER)
+    ctx = lp_context(covered_instance(seed, data), QUARTER)
     n, f = ctx.n, ctx.f
     x_idx, z_idx, y_idx = random_point(ctx, data)
     points = iter([(x_idx, y_idx)])
@@ -612,7 +631,7 @@ def test_moves_are_the_nonzero_dense_errors(seed, data):
         assert _mwu(ctx, len(x_idx), Cluster(ctx.m, n)) is None
     x_ind = np.zeros(n, dtype=np.int64)
     x_ind[x_idx] = 1
-    cnt = dense_incidence(ctx.sys)[z_idx].sum(axis=0)
+    cnt = dense_rows(ctx)[z_idx].sum(axis=0)
     assert seen[0] == [0] * n
     assert sparse(seen[1]) == sparse(np.array(f) - x_ind - cnt)
     assert [fv - ai for fv, ai in zip(f, seen[1])] == (x_ind + cnt).tolist()
@@ -639,7 +658,7 @@ def test_kept_orders_and_state_match_a_from_scratch_derivation(data):
     full of cost ties: the kept element and set orders are the stable sorts
     by cost, the oracle's picks are their heads and tails, and the kept
     state is the from-scratch derivation."""
-    ctx = LpContext(tied_instance(data), QUARTER)
+    ctx = lp_context(tied_instance(data), QUARTER)
     n, m = ctx.n, ctx.m
     length = data.draw(st.sampled_from(guess_grid(n, ctx.eps)), label="length")
     calls = []
@@ -687,7 +706,7 @@ SINGLES = SetSystem(4, 4, 1, ((1,), (2,), (3,), (4,)))
 
 def test_mwu_detects_infeasible_guess_in_two_rounds():
     cl = Cluster(4, 4)
-    ctx = LpContext(SINGLES, QUARTER)
+    ctx = lp_context(SINGLES, QUARTER)
     assert _mwu(ctx, 4, cl) is None
     assert cl.rounds == 2
 
@@ -763,7 +782,7 @@ def replay_loop_charges(ctx: LpContext, length: int) -> str:
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_loop_charges_equal_a_per_iteration_replay(seed, data):
-    ctx = LpContext(covered_instance(seed, data), QUARTER)
+    ctx = lp_context(covered_instance(seed, data), QUARTER)
     length = data.draw(st.sampled_from(guess_grid(ctx.n, ctx.eps)), label="length")
     event(replay_loop_charges(ctx, length))
 
@@ -778,7 +797,7 @@ LATE_REJECT = SetSystem(8, 4, 2, ((3, 4, 5, 6, 7), (1, 3, 5, 8), (1, 2, 3, 4, 5,
     ids=["accepted", "rejected-at-1", "rejected-later"],
 )
 def test_loop_charges_replay_each_outcome(sys_, length, outcome):
-    assert replay_loop_charges(LpContext(sys_, QUARTER), length) == outcome
+    assert replay_loop_charges(lp_context(sys_, QUARTER), length) == outcome
 
 
 def test_mwu_per_iteration_records():
@@ -845,7 +864,7 @@ def test_scale_to_pi0_chain():
 
 def test_scale_to_pi0_invariants_hold_under_slack():
     sys_ = SetSystem(6, 4, 2, ((1, 2, 3), (3, 4), (4, 5, 6), (1, 6)))
-    ctx = LpContext(sys_, QUARTER)
+    ctx = lp_context(sys_, QUARTER)
     res = solve_pi1(ctx, Cluster(4, 6))
     sol = scale_to_pi0(ctx, res.pair)
     assert 0 <= sol.sigma <= Fraction(7, 5) * QUARTER
@@ -880,7 +899,7 @@ def test_scale_to_pi0_rejects_a_tampered_pair():
     chain_k1 = SetSystem(4, 3, 1, CHAIN.sets)
     zeros = FractionalPair((0, 0, 0, 0), (0, 0, 0), 1)
     with pytest.raises(OracleSoundnessError, match="^rescaled budget exceeds k \\+ 2\\*eps\\*m$"):
-        scale_to_pi0(LpContext(chain_k1, QUARTER), zeros)
+        scale_to_pi0(lp_context(chain_k1, QUARTER), zeros)
 
 
 # -- the solver contract, property based -----------------------------------
@@ -891,10 +910,10 @@ def test_scale_to_pi0_rejects_a_tampered_pair():
 def test_mwu_contract_random_instances(seed, n, m):
     k = 1 + seed % m
     sys_ = generate_random(n, m, k, density=0.55, seed=seed)
-    f = frequency(sys_)
+    f = frequency(sys_.incidence)
     if not all(f):
         return
-    ctx = LpContext(sys_, QUARTER)
+    ctx = lp_context(sys_, QUARTER)
     for length in guess_grid(n, ctx.eps):
         pair = _mwu(ctx, length, Cluster(m, n))
         if pair is None:

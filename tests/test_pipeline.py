@@ -19,13 +19,14 @@ from mpcover import (
     run_pipeline,
     solve_max_coverage,
 )
-from mpcover.baselines import exact_opt, greedy_sequential
+from mpcover.baselines import exact_opt, greedy_sequential, set_masks
 from mpcover.cluster import ceil_log2
-from mpcover.instance import frequency, normalize_covered, set_masks
+from mpcover.instance import frequency
 import mpcover.pipeline as pipeline_mod
+from mpcover.lp import Pi1Result
 from mpcover.pipeline import _pad_budget, greedy_fallback, subsample_universe
 from test_cluster import ReplayCluster
-from test_instance import systems
+from test_instance import normalize_covered, restrict_then_normalize, same_matrix, systems
 
 
 def tile_system(num_tiles: int, k: int) -> SetSystem:
@@ -71,39 +72,39 @@ def test_round_audit_bound_values():
 
 
 def test_subsample_identity_when_rate_saturates():
-    sys_ = SetSystem(4, 3, 2, ((1, 2), (2, 3), (3, 4)))
-    reduced, kept, rate = subsample_universe(sys_, Fraction(1, 4), seed=0)
-    assert reduced is sys_
+    inc = SetSystem(4, 3, 2, ((1, 2), (2, 3), (3, 4))).incidence
+    reduced, kept, rate = subsample_universe(inc, 2, Fraction(1, 4), seed=0)
+    assert reduced is inc
     assert kept == (1, 2, 3, 4)
     assert rate == 1.0
 
 
 def test_subsample_dense_binomial_instance():
     sys_ = generate_random(10_000, 100, 50, density=0.95, seed=1)
+    assert all(frequency(sys_.incidence))  # normalized, as the LP route's input is
     eps = Fraction(1, 5)
-    reduced, kept, rate = subsample_universe(sys_, eps, seed=7)
+    reduced, kept, rate = subsample_universe(sys_.incidence, sys_.k, eps, seed=7)
     opt_lb = max(max(len(s) for s in sys_.sets), math.ceil(sys_.n * sys_.k / sys_.m))
     expect = 4 * (sys_.m * math.log(2) + math.log(sys_.n)) / (float(eps) ** 2 * opt_lb)
     assert rate == pytest.approx(expect)
     assert 0 < rate < 1
-    assert reduced.n == len(kept) < sys_.n
+    assert reduced.shape[1] == len(kept) < sys_.n
     # a fair margin around the expected keep count n * rate
-    assert abs(reduced.n - sys_.n * rate) < 4 * math.sqrt(sys_.n * rate)
+    assert abs(len(kept) - sys_.n * rate) < 4 * math.sqrt(sys_.n * rate)
     assert kept == tuple(sorted(set(kept)))
-    # sets restrict elementwise: renumbered membership matches the kept ids
-    back = dict(enumerate(kept, start=1))
-    kept_ids = set(kept)
-    for s_new, s_old in zip(reduced.sets, sys_.sets):
-        assert tuple(back[e] for e in s_new) == tuple(e for e in s_old if e in kept_ids)
-    again = subsample_universe(sys_, eps, seed=7)
-    assert again[0] == reduced and again[1] == kept
+    # the column drop equals restricting every set to the kept ids, then normalizing
+    ref, ref_kept = restrict_then_normalize(sys_, kept)
+    assert ref_kept == kept
+    assert same_matrix(reduced, ref.incidence)
+    again = subsample_universe(sys_.incidence, sys_.k, eps, seed=7)
+    assert same_matrix(again[0], reduced) and again[1] == kept
 
 
 def test_subsample_preserves_set_count_beyond_n():
     # heavy subsampling can leave fewer elements than sets; indices survive
     sys_ = generate_random(10_000, 100, 50, density=0.95, seed=1)
-    reduced, _, _ = subsample_universe(sys_, Fraction(1, 5), seed=3)
-    assert reduced.m == sys_.m
+    reduced, _, _ = subsample_universe(sys_.incidence, sys_.k, Fraction(1, 5), seed=3)
+    assert reduced.shape[0] == sys_.m
 
 
 # -- budget padding --------------------------------------------------------
@@ -211,34 +212,68 @@ def test_greedy_on_the_relabelled_view_matches_the_normalized_system(sys_, sprea
         sys_.k,
         tuple(tuple(spread * e for e in s) for s in sys_.sets),
     )
-    assume(any(sparse.sets))  # normalize_covered rejects an instance covering nothing
+    assume(any(sparse.sets))  # a run takes the empty path before its gate
     inc = sparse.incidence
-    view = inc.drop_empty_columns(inc.sum(axis=0))
+    view = inc.keep_columns(inc.sum(axis=0))
     reduced = normalize_covered(sparse)[0].incidence
-    assert view.shape == reduced.shape
-    assert view.ids.tolist() == reduced.ids.tolist()
+    assert same_matrix(view, reduced)
     cl, ref_cl = Cluster(sparse.m, sparse.n), Cluster(sparse.m, sparse.n)
     assert greedy_fallback(view, sparse.k, cl) == greedy_fallback(reduced, sparse.k, ref_cl)
     assert cl.log == ref_cl.log
 
 
-def test_only_the_lp_route_builds_the_reduced_system(monkeypatch):
-    """The greedy gate runs on the relabelled incidence; normalize_covered,
-    which rebuilds the reduced SetSystem, is called past the gate only."""
-
-    def refuse(sys_):
-        raise RuntimeError("normalize_covered called")
-
-    monkeypatch.setattr(pipeline_mod, "normalize_covered", refuse)
+def greedy_route():
     # 30 random elements, then 6 that no set covers: n' <= 30 <= 10/eps
     base = generate_random(30, 8, 3, density=0.25, seed=4)
-    sys_ = SetSystem(36, base.m, base.k, base.sets)
-    rep = run_pipeline(sys_, PipelineConfig(eps=Fraction(1, 10), seed=5))
-    assert rep.config["path"] == "greedy"
-    assert rep.coverage == greedy_sequential(sys_).value
-    # n' = 52 > 10/eps: the LP route normalizes before anything else
-    with pytest.raises(RuntimeError, match="normalize_covered called"):
-        run_pipeline(tile_system(17, 2), PipelineConfig(eps=Fraction(1, 4), seed=7))
+    return SetSystem(36, base.m, base.k, base.sets), PipelineConfig(eps=Fraction(1, 10), seed=5)
+
+
+def lp_route():
+    # 41 singletons: n' = 41 > 10/eps at eps = 1/4
+    singles = SetSystem(41, 41, 1, tuple((e,) for e in range(1, 42)))
+    return singles, PipelineConfig(eps=Fraction(1, 4))
+
+
+def eta_route():
+    # 25 disjoint tiles of 9 (f_max = 1) at k = 1: the set reduction keeps 4 of them
+    tiles = tuple(tuple(range(9 * i + 1, 9 * i + 10)) for i in range(25))
+    return SetSystem(225, 25, 1, tiles), PipelineConfig(eta=Fraction(1, 4), seed=3)
+
+
+ROUTES = {  # route: (instance and config, the path the report names)
+    "greedy": (greedy_route, "greedy"),
+    "lp": (lp_route, "lp"),
+    "lp-fallback": (lp_route, "greedy"),
+    "lp-subsampled": (lp_route, "lp"),
+    "eta-row-cut": (eta_route, "greedy"),
+}
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_no_set_system_below_the_parse(route, monkeypatch):
+    """Past the parse, a run passes an Incidence and k: with SetSystem's
+    constructor refusing, every route still runs to its report."""
+    build, path = ROUTES[route]
+    sys_, cfg = build()
+    if route == "lp-fallback":
+        monkeypatch.setattr(pipeline_mod, "solve_pi1", lambda *a: Pi1Result(0, None, (), (1,)))
+    if route == "lp-subsampled":
+        # rate 4 * 2**-16 * (41 ln 2 + ln 41) * 32**2 / 1, about 1/2
+        monkeypatch.setattr(pipeline_mod, "SUBSAMPLE_FACTOR", Fraction(1, 65536))
+
+    def refuse(self):
+        raise RuntimeError("SetSystem built below the parse")
+
+    monkeypatch.setattr(SetSystem, "__post_init__", refuse)
+    with pytest.raises(RuntimeError, match="below the parse"):
+        SetSystem(1, 1, 1, ((1,),))
+    rep = run_pipeline(sys_, cfg)
+    assert rep.config["path"] == path
+    assert (rep.subsampled_n is not None) == (route == "lp-subsampled")
+    if route == "eta-row-cut":
+        assert "bfreq.keep_broadcast" in {e.primitive for e in rep.log}
+    monkeypatch.undo()
+    assert rep.coverage == coverage(sys_, rep.selection)
 
 
 # -- pipeline paths --------------------------------------------------------
@@ -323,8 +358,6 @@ def test_path_lp_subsampled_end_to_end(monkeypatch):
 
 
 def test_lp_rejection_falls_back_to_greedy(monkeypatch):
-    from mpcover.lp import Pi1Result
-
     sys_ = tile_system(17, 2)
     monkeypatch.setattr(
         pipeline_mod,
@@ -420,17 +453,20 @@ def tied_disjoint_systems(draw):
 def test_bounded_frequency_keeps_the_largest_sets_lower_index_first(sys_):
     """The kept sets are the first ceil(k*f/eta) under the key (-size, index)."""
     eta = Fraction(1, 4)
-    keep_count = math.ceil(sys_.k * max(max(frequency(sys_)), 1) / eta)
+    keep_count = math.ceil(sys_.k * max(max(frequency(sys_.incidence)), 1) / eta)
     assert keep_count < sys_.m
     order = sorted(range(1, sys_.m + 1), key=lambda j: (-len(sys_.sets[j - 1]), j))
-    want = tuple(sys_.sets[j - 1] for j in sorted(order[:keep_count]))
+    # the kept sets as a SetSystem of their own: the reference for the row cut
+    want = SetSystem(
+        sys_.n, keep_count, sys_.k, tuple(sys_.sets[j - 1] for j in sorted(order[:keep_count]))
+    )
     stages = []
     run_stages = pipeline_mod._run_stages
     with mock.patch.object(
-        pipeline_mod, "_run_stages", lambda s, *a: stages.append(s) or run_stages(s, *a)
+        pipeline_mod, "_run_stages", lambda inc, *a: stages.append(inc) or run_stages(inc, *a)
     ):
         run_pipeline(sys_, PipelineConfig(eta=eta, seed=0))
-    assert [reduced.sets for reduced in stages] == [want]
+    assert len(stages) == 1 and same_matrix(stages[0], want.incidence)
 
 
 def test_bounded_frequency_selection_maps_back():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpcover import Cluster, SetSystem, coverage
+from mpcover.baselines import set_masks
 from mpcover.cluster import ceil_log2
-from mpcover.instance import set_masks
 from mpcover.prefix import MarginalVector, prefix_coverage, trim_to_k
 from test_cluster import ReplayCluster
 
@@ -24,7 +24,7 @@ def sequential_marginals(sys_, sel):
 def test_marginals_hand_example():
     sys_ = SetSystem(6, 4, 2, ((1, 2, 3), (3, 4), (2, 4, 5), (6,)))
     cl = Cluster(4, 6)
-    marg = prefix_coverage(sys_, (1, 2, 3, 4), cl)
+    marg = prefix_coverage(sys_.incidence, (1, 2, 3, 4), cl)
     assert marg.selection == (1, 2, 3, 4)
     assert marg.phis == (3, 1, 1, 1)
     assert marg.total == coverage(sys_, (1, 2, 3, 4)) == 6
@@ -32,14 +32,14 @@ def test_marginals_hand_example():
 
 def test_selection_is_sorted_and_deduplicated():
     sys_ = SetSystem(4, 3, 1, ((1, 2), (2, 3), (4,)))
-    marg = prefix_coverage(sys_, (3, 1, 1), Cluster(3, 4))
+    marg = prefix_coverage(sys_.incidence, (3, 1, 1), Cluster(3, 4))
     assert marg.selection == (1, 3)
     assert marg.phis == (2, 1)
 
 
 def test_empty_selection():
     sys_ = SetSystem(2, 2, 1, ((1,), (2,)))
-    marg = prefix_coverage(sys_, (), Cluster(2, 2))
+    marg = prefix_coverage(sys_.incidence, (), Cluster(2, 2))
     assert marg == MarginalVector((), ())
     assert marg.total == 0
 
@@ -56,8 +56,13 @@ def test_marginals_match_sequential_scan(data):
     r = data.draw(st.integers(1, m))
     sel = tuple(sorted(data.draw(st.permutations(range(1, m + 1)))[:r]))
     cl = Cluster(m, n)
-    marg = prefix_coverage(sys_, sel, cl)
-    assert list(marg.phis) == sequential_marginals(sys_, sel)
+    replay = ReplayCluster(m, cl.budget_bits)
+    marg = prefix_coverage(sys_.incidence, sel, cl)
+    # two references: the running union of the elements, and the big-int
+    # mask prefix unions delivered message by message
+    phis = sequential_marginals(sys_, sel)
+    assert list(marg.phis) == phis == replay_marginals(sys_, sel, replay)
+    assert cl.log == replay.log
     assert cl.rounds <= 3 * ceil_log2(len(sel)) + 2
     cl.check_log_consistent()
 
@@ -67,7 +72,7 @@ def test_round_bound_at_powers_and_odd_sizes():
     for r in range(1, 131):
         sys_ = SetSystem(max(n, r), r, 1, tuple((1 + i % n,) for i in range(r)))
         cl = Cluster(r, max(n, r))
-        prefix_coverage(sys_, tuple(range(1, r + 1)), cl)
+        prefix_coverage(sys_.incidence, tuple(range(1, r + 1)), cl)
         assert cl.rounds <= 3 * ceil_log2(r) + 2
 
 
@@ -97,8 +102,9 @@ def replay_prefix_unions(ids, masks, n, cluster):
 
 
 def replay_marginals(sys_, sel, cluster):
-    """prefix_coverage's marginals and rounds, delivered message by message
-    with machine 1 as central."""
+    """The reference prefix_coverage: marginals from the big-int mask prefix
+    unions, every round delivered message by message with machine 1 as
+    central."""
     masks = set_masks(sys_)
     ids = list(sel)
     r = len(ids)
@@ -124,23 +130,23 @@ def test_prefix_charges_match_message_replay():
             cl = Cluster(sys_.m, sys_.n)
             replay = ReplayCluster(sys_.m, cl.budget_bits)
             phis = replay_marginals(sys_, sel, replay)
-            assert list(prefix_coverage(sys_, sel, cl).phis) == phis, (r, sel[0])
+            assert list(prefix_coverage(sys_.incidence, sel, cl).phis) == phis, (r, sel[0])
             assert cl.log == replay.log, (r, sel[0])
 
 
 def test_trim_noop_when_within_budget():
     marg = MarginalVector((2, 5), (3, 1))
     sys_ = SetSystem(6, 5, 2, ((1, 2, 3), (1, 2, 3), (4,), (5,), (4,)))
-    sel, bound = trim_to_k(sys_, marg, 2, Cluster(5, 6))
+    sel, bound = trim_to_k(sys_.incidence, marg, 2, Cluster(5, 6))
     assert sel == (2, 5)
     assert bound == 4
 
 
 def test_trim_drops_smallest_marginals_ties_to_larger_index():
     sys_ = SetSystem(8, 4, 2, ((1, 2, 3), (4,), (5,), (6, 7)))
-    marg = prefix_coverage(sys_, (1, 2, 3, 4), Cluster(4, 8))
+    marg = prefix_coverage(sys_.incidence, (1, 2, 3, 4), Cluster(4, 8))
     assert marg.phis == (3, 1, 1, 2)
-    trimmed, bound = trim_to_k(sys_, marg, 2, Cluster(4, 8))
+    trimmed, bound = trim_to_k(sys_.incidence, marg, 2, Cluster(4, 8))
     # phi ties at 1 between sets 2 and 3; the larger index goes first
     assert trimmed == (1, 4)
     assert bound == 5
@@ -150,9 +156,9 @@ def test_trim_drops_smallest_marginals_ties_to_larger_index():
 def test_trim_bound_is_conservative_under_overlap():
     # dropping set 2 "loses" its marginal, but set 3 re-covers element 3
     sys_ = SetSystem(5, 3, 2, ((1, 2), (3,), (3, 4, 5)))
-    marg = prefix_coverage(sys_, (1, 2, 3), Cluster(3, 5))
+    marg = prefix_coverage(sys_.incidence, (1, 2, 3), Cluster(3, 5))
     assert marg.phis == (2, 1, 2)
-    trimmed, bound = trim_to_k(sys_, marg, 2, Cluster(3, 5))
+    trimmed, bound = trim_to_k(sys_.incidence, marg, 2, Cluster(3, 5))
     assert trimmed == (1, 3)
     assert bound == 4
     assert coverage(sys_, trimmed) == 5  # strictly above the bound
@@ -160,9 +166,9 @@ def test_trim_bound_is_conservative_under_overlap():
 
 def test_trim_logs_one_broadcast_when_given_a_cluster():
     sys_ = SetSystem(4, 3, 1, ((1, 2), (3,), (4,)))
-    marg = prefix_coverage(sys_, (1, 2, 3), Cluster(3, 4))
+    marg = prefix_coverage(sys_.incidence, (1, 2, 3), Cluster(3, 4))
     cl = Cluster(3, 4)
-    trim_to_k(sys_, marg, 1, cl)
+    trim_to_k(sys_.incidence, marg, 1, cl)
     assert [e.primitive for e in cl.log] == ["trim.selection_broadcast"]
     assert cl.rounds == 1
 
@@ -177,8 +183,8 @@ def test_trim_bound_holds_for_random_selections(data):
     )
     k = data.draw(st.integers(1, m - 1))
     sys_ = SetSystem(n, m, k, sets)
-    marg = prefix_coverage(sys_, tuple(range(1, m + 1)), Cluster(m, n))
-    trimmed, bound = trim_to_k(sys_, marg, k, Cluster(m, n))
+    marg = prefix_coverage(sys_.incidence, tuple(range(1, m + 1)), Cluster(m, n))
+    trimmed, bound = trim_to_k(sys_.incidence, marg, k, Cluster(m, n))
     assert len(trimmed) == k
     assert coverage(sys_, trimmed) >= bound
     # the removed mass is always the m - k smallest marginal values

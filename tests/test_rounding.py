@@ -74,7 +74,7 @@ def test_best_of_repetitions_schedule_and_accounting():
     y = [Fraction(1), Fraction(1, 2), Fraction(1, 2)]
     cfg = RoundingConfig(eps=Fraction(1, 4), seed=9)
     cl = Cluster(3, 4)
-    sel, cov, reps = best_of_repetitions(sys_, y, 2, cfg, cl)
+    sel, cov, reps = best_of_repetitions(sys_.incidence, y, 2, cfg, cl)
     assert reps == cfg.repetitions(3) == 45
     assert cov == coverage(sys_, sel) == 3
     # per batch: one broadcast plus lanes that each converge-cast
@@ -88,7 +88,7 @@ def test_best_of_repetitions_prefers_earliest_rep_on_ties():
     sys_ = SetSystem(2, 2, 1, ((1,), (2,)))
     y = [Fraction(1, 2), Fraction(1, 2)]
     cfg = RoundingConfig(eps=Fraction(1, 4), seed=17)
-    sel, cov, _ = best_of_repetitions(sys_, y, 1, cfg, Cluster(2, 2))
+    sel, cov, _ = best_of_repetitions(sys_.incidence, y, 1, cfg, Cluster(2, 2))
     assert cov == 1
     assert sel == randomized_round(y, 1, seed=17 ^ 0)
 
@@ -99,6 +99,6 @@ def test_best_of_repetitions_finds_disjoint_pair():
     sys_ = SetSystem(6, 3, 2, ((1, 2), (3, 4), (5, 6)))
     y = [Fraction(1), Fraction(1, 2), Fraction(1, 2)]
     cfg = RoundingConfig(eps=Fraction(1, 4), seed=1)
-    sel, cov, _ = best_of_repetitions(sys_, y, 2, cfg, Cluster(3, 6))
+    sel, cov, _ = best_of_repetitions(sys_.incidence, y, 2, cfg, Cluster(3, 6))
     assert cov == 4
     assert len(sel) == 2
