@@ -96,10 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> SetSystem:
-    sys_ = load_instance(args.input.read_text())
-    if args.k is not None:
-        sys_ = SetSystem(n=sys_.n, m=sys_.m, k=args.k, sets=sys_.sets)
-    return sys_
+    return load_instance(args.input.read_text(), k=args.k)
 
 
 def _config(args) -> PipelineConfig:

@@ -2,14 +2,16 @@
 
 An instance is a universe [1..n], m sets over it and a budget k.  The text
 format is line oriented: the first line holds "n m k", the next m lines hold
-the elements of each set (an empty line is an empty set).  Duplicate elements
-inside one line are dropped silently; duplicate sets are legal.
+the elements of each set, in any order and separated by any whitespace (a
+blank line is an empty set).  Duplicate elements inside one line are dropped
+silently; duplicate sets are legal.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,8 +138,19 @@ class Incidence:
         return Incidence(ids[hit], before[self.offsets], shape)
 
 
-def load_instance(text: str) -> SetSystem:
-    """Parse the text format. Errors name the offending 1-based line."""
+# The bytes of a set line that np.fromstring reads as str.split() and int()
+# do: ASCII digits and the blanks that both take for separators.
+_DIGITS_AND_BLANKS = b"0123456789 \t\x0b\x0c\r"
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def load_instance(text: str, k: int | None = None) -> SetSystem:
+    """Parse the text format.  Errors name the first offending 1-based line.
+
+    A set line holds element ids in any order, separated by any whitespace;
+    duplicates are dropped.  k, when given, replaces the header's budget
+    (the header's own k must still be valid), so the file is validated once.
+    """
     lines = text.split("\n")
     if not lines or not lines[0].strip():
         raise InstanceError("line 1: missing header 'n m k'")
@@ -145,14 +158,14 @@ def load_instance(text: str) -> SetSystem:
     if len(head) != 3:
         raise InstanceError("line 1: header must be three integers 'n m k'")
     try:
-        n, m, k = (int(t) for t in head)
+        n, m, head_k = (int(t) for t in head)
     except ValueError:
         raise InstanceError("line 1: header must be three integers 'n m k'") from None
     if n < 1:
         raise InstanceError("line 1: n must be positive")
-    if k > m:
-        raise InstanceError(f"line 1: k exceeds m ({k} > {m})")
-    if k < 1:
+    if head_k > m:
+        raise InstanceError(f"line 1: k exceeds m ({head_k} > {m})")
+    if head_k < 1:
         raise InstanceError("line 1: k must be positive")
     if m > n:
         raise InstanceError(f"line 1: m exceeds n ({m} > {n})")
@@ -161,17 +174,89 @@ def load_instance(text: str) -> SetSystem:
     for lineno, extra in enumerate(lines[m + 1 :], start=m + 2):
         if extra.strip():
             raise InstanceError(f"line {lineno}: trailing content after {m} sets")
-    sets = []
-    for j in range(1, m + 1):
-        toks = lines[j].split()
-        try:
-            ids = sorted({int(t) for t in toks})
-        except ValueError:
-            raise InstanceError(f"line {j + 1}: non-integer element id") from None
-        if ids and (ids[0] < 1 or ids[-1] > n):
-            raise InstanceError(f"line {j + 1}: element id outside [1, {n}]")
-        sets.append(tuple(ids))
-    return SetSystem(n=n, m=m, k=k, sets=tuple(sets))
+    sets = _read_sets(lines[1 : m + 1], n)
+    return SetSystem(n=n, m=m, k=head_k if k is None else k, sets=sets)
+
+
+def _read_sets(lines: list[str], n: int) -> tuple[tuple[int, ...], ...]:
+    """The sets of the set lines, each sorted and deduplicated by one sort of
+    the keys row * (n + 1) + id, which puts every row's ids in order and its
+    duplicates side by side.  Where a key may not fit in int64, the keys are
+    Python ints."""
+    m = len(lines)
+    dtype = np.int64 if m * (n + 1) <= _INT64_MAX else object
+    row_of, key = _read_keys(lines, n, dtype)
+    key.sort()  # row_of is ascending, so it still gives each sorted key's row
+    new = np.ones(len(key), dtype=bool)  # the first of each run of equal keys
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    if not new.all():  # needless copies raised a later greedy solve's peak RSS by 0.7 MB
+        row_of, key = row_of[new], key[new]
+    key -= row_of.astype(dtype, copy=False) * (n + 1)  # now the ids
+    ids, bounds = key.tolist(), np.searchsorted(row_of, np.arange(m + 1)).tolist()
+    return tuple([tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:])])
+
+
+def _read_keys(lines: list[str], n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The row and the key row * (n + 1) + id of every id on the set lines,
+    in file order; lines[j] is line j + 2 of the file.
+
+    numpy reads each line of digits and blanks in one call.  int() reads,
+    token by token, every other line and every line numpy read an id outside
+    [1, n] from; it names a faulty line, and these lines go in file order,
+    so the first fault raises.  Where a key may not fit in int64, int()
+    reads every line.  The per-line arrays are freed on return, before the
+    sort, which keeps the parse's memory peak below a greedy solve's.
+    """
+    m = len(lines)
+    empty = np.empty(0, dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 warns of a short read
+        rows = [_read_digits(line) if dtype is np.int64 else None for line in lines]
+    recheck = {j for j, row in enumerate(rows) if row is None}
+    rows = [empty if row is None else row for row in rows]
+
+    def flatten():
+        sizes = np.fromiter(map(len, rows), dtype=np.intp, count=m)
+        return np.concatenate([empty, *rows]), np.repeat(np.arange(m), sizes)
+
+    ids, row_of = flatten()
+    recheck.update(row_of[(ids < 1) | (ids > n)].tolist())
+    if recheck:
+        for j in sorted(recheck):
+            rows[j] = np.array(_read_tokens(lines[j], n, j + 2), dtype=dtype)
+        ids, row_of = flatten()
+    key = row_of.astype(dtype, copy=False) * (n + 1)
+    key += ids
+    return row_of, key
+
+
+def _read_digits(line: str) -> np.ndarray | None:
+    """The ids of a set line as one np.fromstring call reads them, or None
+    if the line holds anything but ASCII digits and blanks or numpy cannot
+    read it to its end.  numpy reads a sign without digits as 0 and splits
+    '1 + 2' into [1, 2], where int() fails, so no line with a sign comes
+    here.  Here numpy reads each run of digits as int() reads its token,
+    except that a blank-only line reads as [0] and an id past int64
+    saturates: both fall outside [1, n]."""
+    raw = line.encode("ascii", "replace")  # a non-ASCII character becomes '?'
+    if raw.translate(None, _DIGITS_AND_BLANKS):
+        return None
+    try:
+        return np.fromstring(raw, dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+
+
+def _read_tokens(line: str, n: int, lineno: int) -> list[int]:
+    """The ids of a set line read token by token with int(); InstanceError
+    names the line if one is not an integer in [1, n]."""
+    try:
+        ids = [int(t) for t in line.split()]
+    except ValueError:
+        raise InstanceError(f"line {lineno}: non-integer element id") from None
+    if ids and (min(ids) < 1 or max(ids) > n):
+        raise InstanceError(f"line {lineno}: element id outside [1, {n}]")
+    return ids
 
 
 def dump_instance(sys: SetSystem) -> str:
@@ -237,7 +322,7 @@ def generate_random(
             raise InstanceError("density must be in (0, 1]")
         for _ in range(m):
             keep = rng.random(n) < density
-            sets.append(tuple(int(i) + 1 for i in np.flatnonzero(keep)))
+            sets.append(tuple((np.flatnonzero(keep) + 1).tolist()))
     else:
         lo, hi = (set_size, set_size) if isinstance(set_size, int) else set_size
         if not 0 <= lo <= hi <= n:
@@ -245,5 +330,5 @@ def generate_random(
         for _ in range(m):
             size = int(rng.integers(lo, hi + 1))
             ids = rng.choice(n, size=size, replace=False) + 1
-            sets.append(tuple(sorted(int(e) for e in ids)))
+            sets.append(tuple(np.sort(ids).tolist()))
     return SetSystem(n=n, m=m, k=k, sets=tuple(sets))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import mpcover.pipeline as pipeline_mod
-from mpcover import OracleSoundnessError, dump_instance, generate_random, load_instance
+from mpcover import OracleSoundnessError, SetSystem, dump_instance, generate_random, load_instance
 from mpcover.baselines import exact_opt, greedy_sequential
 from mpcover.cli import main
 from test_pipeline import tile_system
@@ -100,6 +100,23 @@ def test_run_k_override(small_path, capsys):
     )
     assert rc == 0
     assert len(json.loads(out)["selection"]) == 1
+
+
+def test_run_k_validates_the_instance_once(small_path, capsys, monkeypatch):
+    checked = []
+    check = SetSystem.__post_init__
+    monkeypatch.setattr(SetSystem, "__post_init__", lambda s: (checked.append(s), check(s)))
+    argv = ["run", "--input", str(small_path), "--epsilon", "0.25", "--k", "1"]
+    assert run_main(argv, capsys)[0] == 0
+    assert [sys_.k for sys_ in checked] == [1]
+
+
+@pytest.mark.parametrize("k", ["0", "4"])
+def test_run_rejects_a_bad_k(small_path, capsys, k):
+    argv = ["run", "--input", str(small_path), "--epsilon", "0.25", "--k", k]
+    rc, out, err = run_main(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"error: need 1 <= k <= m, got k={k} m=3\n"
 
 
 def test_run_requires_epsilon_or_eta(small_path, capsys):

@@ -1,8 +1,11 @@
 """Instance parsing, masks, frequencies, the incidence and normalization."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mpcover import (
     InstanceError,
@@ -17,6 +20,53 @@ from mpcover.cluster import Cluster
 from mpcover.instance import as_selection, frequency, union_size
 
 CHAIN = SetSystem(4, 3, 2, ((1, 2), (2, 3), (3, 4)))
+
+
+def reference_load(text: str) -> SetSystem:
+    """The reference for load_instance: the text read line by line, each
+    set line token by token with int(); it raises at the first bad line."""
+    lines = text.split("\n")
+    if not lines or not lines[0].strip():
+        raise InstanceError("line 1: missing header 'n m k'")
+    head = lines[0].split()
+    if len(head) != 3:
+        raise InstanceError("line 1: header must be three integers 'n m k'")
+    try:
+        n, m, k = (int(t) for t in head)
+    except ValueError:
+        raise InstanceError("line 1: header must be three integers 'n m k'") from None
+    if n < 1:
+        raise InstanceError("line 1: n must be positive")
+    if k > m:
+        raise InstanceError(f"line 1: k exceeds m ({k} > {m})")
+    if k < 1:
+        raise InstanceError("line 1: k must be positive")
+    if m > n:
+        raise InstanceError(f"line 1: m exceeds n ({m} > {n})")
+    if len(lines) < m + 1:
+        raise InstanceError(f"expected {m} set lines, file ends at line {len(lines)}")
+    for lineno, extra in enumerate(lines[m + 1 :], start=m + 2):
+        if extra.strip():
+            raise InstanceError(f"line {lineno}: trailing content after {m} sets")
+    sets = []
+    for j in range(1, m + 1):
+        toks = lines[j].split()
+        try:
+            ids = sorted({int(t) for t in toks})
+        except ValueError:
+            raise InstanceError(f"line {j + 1}: non-integer element id") from None
+        if ids and (ids[0] < 1 or ids[-1] > n):
+            raise InstanceError(f"line {j + 1}: element id outside [1, {n}]")
+        sets.append(tuple(ids))
+    return SetSystem(n=n, m=m, k=k, sets=tuple(sets))
+
+
+def outcome(load, text: str):
+    """What a parser makes of a text: its SetSystem, or its error message."""
+    try:
+        return load(text)
+    except InstanceError as err:
+        return f"InstanceError: {err}"
 
 
 def dense_incidence(sys_: SetSystem) -> np.ndarray:
@@ -106,6 +156,114 @@ def test_load_rejects_malformed(text, fragment):
         except InstanceError as err:
             assert fragment in str(err)
             raise
+
+
+# Tokens and separators of the fuzzed texts: ids in and out of range, tokens
+# numpy reads otherwise than int() (signs, '_', non-ASCII digits) and blanks
+# only one of the two splits on ('\x1c', '\xa0', '\u3000' are str.split()
+# whitespace that numpy does not skip).
+TOKENS = ["0", "-0", "+5", "007", "-3", "x", "1_0", "\uff11\uff12", "\u0663", "1.5",
+          "12345678901234567890", "99999999999999999999", "9223372036854775807"]
+BLANKS = [" ", "  ", "\t", "\x0b", "\x0c", "\r", "\x1c", "\xa0", "\u3000"]
+
+
+@st.composite
+def instance_texts(draw):
+    """Instance texts, mostly valid, with faults of every kind mixed in."""
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(1, min(n, 6)))
+    k = draw(st.integers(1, m))
+    head = f"{n} {m} {k}"
+    if not draw(st.integers(0, 9)):
+        head = draw(st.sampled_from(["", f"{n} {m}", f"{n} {m} x", f"{n} {m} {m + 1}",
+                                     f"{m - 1} {m} {k}", f" {n}\t{m} {k}\r"]))
+
+    def token():
+        if draw(st.integers(0, 9)):
+            return str(draw(st.integers(1, n)))
+        faults = (st.integers(-2, n + 3).map(str), st.sampled_from(TOKENS), st.sampled_from("+-"))
+        return draw(st.one_of(*faults))
+
+    def blank():
+        return draw(st.sampled_from(BLANKS)) if not draw(st.integers(0, 5)) else " "
+
+    lines = []
+    for _ in range(m + (draw(st.integers(-1, 1)) if not draw(st.integers(0, 9)) else 0)):
+        toks = [token() for _ in range(draw(st.integers(0, 8)))]
+        lead = blank() if not draw(st.integers(0, 3)) else ""
+        tail = blank() if draw(st.booleans()) else ""
+        lines.append(lead + "".join(t + blank() for t in toks)[:-1] + tail)
+    lines += draw(st.lists(st.sampled_from(["", " ", "\r", "1"]), max_size=2))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join([head, *lines]) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(instance_texts())
+def test_load_matches_the_reference_parser(text):
+    """Every text gives the reference's SetSystem or its error message, so
+    the first faulty line is the one named, whatever its fault."""
+    assert outcome(load_instance, text) == outcome(reference_load, text)
+
+
+@pytest.mark.parametrize(
+    "text,want",
+    [
+        # an id out of range (read by numpy) before a non-integer, and the reverse
+        ("4 3 1\n1 9\n2 x\n3\n", "line 2: element id outside [1, 4]"),
+        ("4 3 1\n1 x\n2 9\n3\n", "line 2: non-integer element id"),
+        ("4 3 1\n1 2\n2 -1\n3 x\n", "line 3: element id outside [1, 4]"),
+        ("4 3 1\n1 2\n+\n9\n", "line 3: non-integer element id"),
+        ("4 3 1\n \n1 + 2\n9\n", "line 3: non-integer element id"),
+        # whitespace-only lines are empty sets (numpy reads "   " as [0])
+        ("4 3 1\n   \n\t\n \r\n", ((), (), ())),
+        # \r\n line endings, tabs, \x0b and \x0c
+        ("4 2 1\r\n1 2\r\n\r\n", ((1, 2), ())),
+        ("4 2 1\n3\t1\x0b2\x0c4\n2\t\t\n", ((1, 2, 3, 4), (2,))),
+        # \x1c and \xa0 separate tokens for str.split(), not for numpy
+        ("4 2 1\n1\x1c2\n3\xa04\n", ((1, 2), (3, 4))),
+        # tokens int() reads and numpy does not, or reads otherwise
+        ("20 2 1\n1_0 2\n\uff11\uff12 3\n", ((2, 10), (3, 12))),
+        ("9 2 1\n+5 007\n05 5\n", ((5, 7), (5,))),
+        ("9 2 1\n1\n-0\n", "line 3: element id outside [1, 9]"),
+        ("9 2 1\n12345678901234567890\n1\n", "line 2: element id outside [1, 9]"),
+        ("9 2 1\n1\n-12345678901234567890\n", "line 3: element id outside [1, 9]"),
+        # ids past int64, in range of a 20-digit n
+        ("99999999999999999999 2 1\n12345678901234567890 3 3\n\n",
+         ((3, 12345678901234567890), ())),
+    ],
+)
+def test_load_named_cases(text, want):
+    got = outcome(load_instance, text)
+    assert got == outcome(reference_load, text)
+    want = f"InstanceError: {want}" if isinstance(want, str) else want
+    assert (got.sets if isinstance(got, SetSystem) else got) == want
+
+
+def test_load_reads_a_line_numpy_warns_on_token_by_token(monkeypatch):
+    """numpy < 2 signals a short read with a DeprecationWarning and returns
+    what it read; such a line goes to int(), and no warning escapes."""
+    real = np.fromstring
+
+    def short_read(raw, dtype, sep):
+        if b"3" in raw:
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            return real(raw.split(b"3")[0], dtype=dtype, sep=sep)
+        return real(raw, dtype=dtype, sep=sep)
+
+    monkeypatch.setattr(np, "fromstring", short_read)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_instance("4 2 1\n1 3 2\n4\n").sets == ((1, 2, 3), (4,))
+
+
+def test_load_with_k_replaces_the_header_budget():
+    assert load_instance("4 3 2\n1 2\n2 3\n3 4\n", k=3) == SetSystem(4, 3, 3, CHAIN.sets)
+    with pytest.raises(InstanceError, match=r"^need 1 <= k <= m, got k=4 m=3$"):
+        load_instance("4 3 2\n1 2\n2 3\n3 4\n", k=4)
+    # the file is read first: its faults come before the budget's
+    with pytest.raises(InstanceError, match="^line 3: non-integer"):
+        load_instance("4 3 2\n1 2\nx\n3 4\n", k=4)
 
 
 def test_trailing_content_names_its_own_line():
@@ -204,6 +362,21 @@ def test_generate_random_modes_and_determinism():
     assert all(2 <= len(s) <= 6 for s in d.sets)
     full = generate_random(6, 3, 1, density=1.0, seed=0)
     assert all(s == tuple(range(1, 7)) for s in full.sets)
+
+
+@pytest.mark.parametrize(
+    "mode,seed,digest",
+    [
+        ("density", 1, "c6c811c1c678178a2eec6af1491a97081415daf33730b71872f2d978218adee2"),
+        ("density", 2, "13a5890fc9008efd8cf987812ff285ec4e3e4bbbb6bb9c73ddbbc82923aa847a"),
+        ("set_size", 1, "b46139548cfff3a6573c2b7382ea5536ab51ac9e66750d962d3f7f644ac64c2b"),
+        ("set_size", 2, "dc59efdd71f99c7aef90e81a15b4983762c57ea6364392ceb67a07588d1c55a9"),
+    ],
+)
+def test_generate_random_output_is_pinned(mode, seed, digest):
+    shape = {"density": 0.3} if mode == "density" else {"set_size": (0, 40)}
+    text = dump_instance(generate_random(200, 30, 5, seed=seed, **shape))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_generate_random_validation():
