@@ -18,17 +18,15 @@ incidence alike.  The other rounds of a run (the greedy argmax tree, the
 prefix-union levels) have fixed shapes too, and their callers charge them
 through charge() directly.
 
-Every charge appends an entry to a round log.  Long loops (the
-weight-update iterations) run inside coalesce blocks, which fold every
-charge made in them into one running (rounds, peak) record and log it once
-when the block closes, so logs stay proportional to the primitive
-schedule, not to the iteration count; the sum of logged rounds always
-equals the cluster round counter.
+Every charge appends one entry to a round log, so the sum of logged
+rounds always equals the cluster round counter.  A loop whose iterations
+all have one shape (the weight-update iterations) charges its first
+iteration primitive by primitive and the rest in one charge, so logs stay
+proportional to the primitive schedule, not to the iteration count.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +80,6 @@ class Cluster:
         self.rounds = 0
         self.peak_inbox_bits = 0
         self.log: list[RoundLogEntry] = []
-        self._blocks: list[list[int]] = []  # running [rounds, peak] per open coalesce block
         self.parent = None  # on a lane, the Cluster it runs for
 
     # -- accounting --------------------------------------------------------
@@ -112,16 +109,7 @@ class Cluster:
         self.rounds += rounds
         if peak > self.peak_inbox_bits:
             self.peak_inbox_bits = peak
-        self._record(label, rounds, peak)
-
-    def _record(self, label: str, rounds: int, peak: int) -> None:
-        if self._blocks:
-            block = self._blocks[-1]
-            block[0] += rounds
-            if peak > block[1]:
-                block[1] = peak
-        else:
-            self.log.append(RoundLogEntry(label, rounds, peak))
+        self.log.append(RoundLogEntry(label, rounds, peak))
 
     # -- primitives --------------------------------------------------------
 
@@ -178,20 +166,6 @@ class Cluster:
         lanes = list(lanes)
         rounds_used = max((l.rounds for l in lanes), default=0)
         self.charge(label, rounds_used, sum(l.peak_inbox_bits for l in lanes))
-
-    @contextmanager
-    def coalesce(self, label: str):
-        """Log everything charged inside the block as one entry: rounds
-        summed, peak the largest.  Yields that running [rounds, peak]
-        record.  Blocks nest; a block left by an exception still logs what
-        it charged, so the log keeps summing to the round counter."""
-        block = [0, 0]
-        self._blocks.append(block)
-        try:
-            yield block
-        finally:
-            self._blocks.pop()
-            self._record(label, block[0], block[1])
 
     def check_log_consistent(self) -> None:
         logged = sum(e.rounds for e in self.log)

@@ -20,7 +20,9 @@ accumulator A_i = sum of f_i - x_i - |selected sets containing i| over past
 iterations, and its weight is w_i = 2**(-eps * A_i / f_i), materialized on
 the grid 2**-B with B = 10 * ceil(log2 n) as a Python int: with eps = 2**-s
 and -A_i = c * f_i * 2**s + r, it is fixmath.exp2_frac(r, f_i * 2**s, B)
-shifted left by c (right by -c when c is negative).
+shifted left by c (right by -c when c is negative).  A lane starts at
+A = 0, where every weight is 2**B, and _mwu re-derives each weight an
+iteration moves: that loop holds the only copy of this derivation.
 
 Each guess runs as one lane: one loop (_mwu) over one state object
 (WeightAccumulator), with one call per iteration, the module-level
@@ -31,7 +33,10 @@ p_i * n + i and q_j * m + j, which sort as (cost, index) does: re-sorting
 the nearly sorted lists gives exactly the stable order of a sort by cost.
 From the oracle's picks the loop builds the nonzero errors, runs the exact
 truncation check on them, and moves the accumulators, weights, costs, keys,
-totals and |A|max in one pass over them.
+totals and |A|max in one pass over them.  The lane charges its own
+cluster: iteration 1 primitive by primitive, then the later accepted
+iterations in one entry, each at the summed rounds and the largest peak of
+iteration 1's entries.
 """
 
 from __future__ import annotations
@@ -131,31 +136,6 @@ class LpContext:
             tabs[fv] = [exp2_frac(r, den, self.b) for r in range(den)]
         self.tab = [tabs[fv] for fv in self.f]  # each element's class table
 
-    def weights(self, a) -> tuple[list[int], int]:
-        """Scaled weights W_i = floor-approx of 2**(-eps*A_i/f_i) * 2**b
-        at the n accumulator values a, each from its frequency class table
-        shifted by c (see the module docstring).  A lane starts from these,
-        at a = 0, and the tests compare its kept weights against them.
-        _mwu re-derives each weight an iteration moves with a second,
-        inlined copy of this arithmetic and of the per-weight cap check: a
-        call per moved entry is the overhead the loop exists to avoid.
-
-        Returns (list of Python ints, their exact sum).
-        """
-        w = []
-        tab, d, cap = self.tab, self.d, self.wcap_log2
-        for i, ai in enumerate(map(int, a)):
-            c, r = divmod(-ai, d[i])
-            if c > cap:
-                raise OracleSoundnessError("weight above the 4n^2 potential cap")
-            base = tab[i][r]
-            w.append(base << c if c >= 0 else base >> -c)
-        total = sum(w)
-        # the potential argument keeps the weight sum below 4n^2
-        if total > self.wsum_cap:
-            raise OracleSoundnessError("weight sum above the 4n^2 potential cap")
-        return w, total
-
 
 class WeightAccumulator:
     """One MWU lane's exact state, which _mwu moves in place: the integer
@@ -171,7 +151,10 @@ class WeightAccumulator:
     of the few entries whose cost moved, so each re-sort in oracle_step
     runs over a nearly sorted list.
 
-    The constructor derives all of it once through ctx.weights, at a = 0.
+    A lane starts at a = 0, where every class table reads 2**b: each weight
+    is 1 << b and their total n << b.  From there _mwu re-derives only the
+    weights an iteration moves, in the one derivation of a weight from its
+    accumulator (see the module docstring).
     """
 
     def __init__(self, ctx: LpContext):
@@ -180,7 +163,8 @@ class WeightAccumulator:
         self.t = 0
         self.absmax = 0  # |A|max after the last accepted iteration
         self.at_max = n  # entries with |A| == absmax
-        self.w, self.total = ctx.weights(self.a)
+        self.w = [1 << ctx.b] * n
+        self.total = n << ctx.b
         self.p = [wi // fv for wi, fv in zip(self.w, ctx.f)]
         self.q = [sum(map(self.p.__getitem__, row)) for row in ctx.rows]
         self.qsum = sum(self.q)
@@ -281,11 +265,12 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
     An accepted iteration costs the oracle's cost gather and point
     broadcast, the cover-count cast and the accumulator broadcast, at the
     same widths every time.  Iteration 1 charges them one by one, so a
-    budget violation names its primitive and round; the later accepted
-    iterations are counted and charged together at iteration 1's rounds and
-    peak when the loop ends.  A rejection charges its gather and reject
-    broadcast one by one.  An iteration after the first that a failed check
-    cuts short is not charged; the check ends the run.
+    budget violation names its primitive and round.  When the loop ends,
+    the later accepted iterations are charged as one mwu.iterations entry,
+    each at the summed rounds and the largest peak of iteration 1's
+    entries, read off the lane's log; a rejection then charges its gather
+    and 1-bit reject broadcast.  A failed check ends the run before the
+    loop's end charges anything.
     """
     n, m, t_total = ctx.n, ctx.m, ctx.t_total
     acc = WeightAccumulator(ctx)
@@ -296,110 +281,105 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
     cap, lim = ctx.wcap_log2, 2 * n
     step = oracle_step  # the module-level seam, looked up once per lane
     left_out = [0] * m  # iterations that left each set out of z
-    with cluster.coalesce(f"mwu[L={length}]") as charged:
-        later = 0  # accepted iterations after the first, charged when the loop ends
-        try:
-            for t in range(t_total):
-                feasible, xs, _, ys, lhs_hat, sum_w = step(ctx, acc, length)
-                # the nonzero errors: -1 per pick, +1 per left-out set holding it
-                err = dict.fromkeys(xs, -1)
-                get = err.get
-                for j in ys:
-                    for i in rows[j]:
-                        e = get(i, 0) + 1
-                        if e:
-                            err[i] = e
-                        else:
-                            del err[i]
-                if not feasible:
-                    cluster.gather(ctx.qhat_bits, label="oracle.cost_gather")
-                    cluster.broadcast(1, label="oracle.reject_broadcast")
-                elif not t:
-                    cluster.gather(ctx.qhat_bits, label="oracle.cost_gather")
-                    cluster.broadcast(n + m, label="oracle.point_broadcast")
-                    cluster.convergecast(n, entry_bits=1, label="mwu.cover_count")
-                total = acc.total
-                lhs_lcm = total * lcm - sum([w[i] * e * lcm_over_f[i] for i, e in err.items()])
-                hat_lcm = lhs_hat * lcm
-                if not hat_lcm <= lhs_lcm:
-                    raise OracleSoundnessError("truncated objective exceeds the exact one")
-                if not (lhs_lcm - hat_lcm) * n_pow5 <= slack:
-                    raise OracleSoundnessError("truncation lost more than 1/n^5")
-                if not feasible:
-                    return None
-                if not (lhs_lcm - sum_w * lcm) * n_pow5 <= slack:
-                    raise OracleSoundnessError("accepted point violates the weighted budget")
-                absmax, at_max, qsum = acc.absmax, acc.at_max, acc.qsum
-                neg_max = -absmax
-                # error range with the implicit zeros, largest moved |A|; an
-                # error is (left-out sets holding i) - x_i >= -1 > -2n, so only
-                # hi can leave the range, but the message reports both ends
-                lo = hi = top = 0
-                at_top = 0  # moved entries with |A| == top
-                for i, e in err.items():
-                    if e < lo:
-                        lo = e
-                    elif e > hi:
-                        hi = e
-                    v = a[i]
-                    if v == absmax or v == neg_max:
-                        at_max -= 1
-                    v += e
-                    a[i] = v
-                    c, r = divmod(-v, d[i])
-                    if c > cap:
-                        raise OracleSoundnessError("weight above the 4n^2 potential cap")
-                    wi = tab[i][r] << c if c >= 0 else tab[i][r] >> -c
-                    total += wi - w[i]
-                    w[i] = wi
-                    dp = wi // f[i] - p[i]
-                    if dp:
-                        p[i] += dp
-                        xkey[i] += dp * n
-                        qsum += dp * f[i]
-                        dk = dp * m
-                        for j in member[i]:
-                            q[j] += dp
-                            skey[j] += dk
-                    if v < 0:
-                        v = -v
-                    if v > top:
-                        top, at_top = v, 1
-                    elif v == top:
-                        at_top += 1
-                if lo < -lim or hi > lim:
-                    if len(err) == n:  # no implicit zeros
-                        lo, hi = min(err.values()), max(err.values())
-                    raise OracleSoundnessError(
-                        f"per-iteration error outside [-2n, 2n]: {lo}..{hi}"
-                    )
-                if top > absmax:
-                    absmax, at_max = top, at_top
-                elif top == absmax:
-                    at_max += at_top
-                elif not at_max:  # every entry at |A|max moved toward 0
-                    absa = list(map(abs, a))
-                    absmax = max(absa)
-                    at_max = absa.count(absmax)
-                if absmax > lim * (t + 1):
-                    raise OracleSoundnessError("accumulator magnitude exceeded 2*n*t")
-                # unreachable: LpContext checks that 2*n*t_total fits in abits - 1
-                # bits, and the check above keeps |A| <= 2*n*t with t <= t_total
-                if absmax.bit_length() + 1 > ctx.abits:
-                    raise OracleSoundnessError("accumulator outgrew its broadcast width")
-                acc.t, acc.absmax, acc.at_max, acc.total, acc.qsum = (
-                    t + 1, absmax, at_max, total, qsum
-                )
-                if t:
-                    later += 1
+    mark = len(cluster.log)  # the lane's own entries start here
+    for t in range(t_total):
+        feasible, xs, _, ys, lhs_hat, sum_w = step(ctx, acc, length)
+        # the nonzero errors: -1 per pick, +1 per left-out set holding it
+        err = dict.fromkeys(xs, -1)
+        get = err.get
+        for j in ys:
+            for i in rows[j]:
+                e = get(i, 0) + 1
+                if e:
+                    err[i] = e
                 else:
-                    cluster.broadcast(n * ctx.abits, label="mwu.acc_broadcast")
-                    rounds_1, peak_1 = charged  # iteration 1's charges
-                for j in ys:
-                    left_out[j] += 1
-        finally:
-            if later:
-                cluster.charge("mwu.iterations", later * rounds_1, peak_1)
+                    del err[i]
+        if feasible and not t:
+            cluster.gather(ctx.qhat_bits, label="oracle.cost_gather")
+            cluster.broadcast(n + m, label="oracle.point_broadcast")
+            cluster.convergecast(n, entry_bits=1, label="mwu.cover_count")
+        total = acc.total
+        lhs_lcm = total * lcm - sum([w[i] * e * lcm_over_f[i] for i, e in err.items()])
+        hat_lcm = lhs_hat * lcm
+        if not hat_lcm <= lhs_lcm:
+            raise OracleSoundnessError("truncated objective exceeds the exact one")
+        if not (lhs_lcm - hat_lcm) * n_pow5 <= slack:
+            raise OracleSoundnessError("truncation lost more than 1/n^5")
+        if not feasible:
+            break
+        if not (lhs_lcm - sum_w * lcm) * n_pow5 <= slack:
+            raise OracleSoundnessError("accepted point violates the weighted budget")
+        absmax, at_max, qsum = acc.absmax, acc.at_max, acc.qsum
+        neg_max = -absmax
+        # error range with the implicit zeros, largest moved |A|; an
+        # error is (left-out sets holding i) - x_i >= -1 > -2n, so only
+        # hi can leave the range, but the message reports both ends
+        lo = hi = top = 0
+        at_top = 0  # moved entries with |A| == top
+        for i, e in err.items():
+            if e < lo:
+                lo = e
+            elif e > hi:
+                hi = e
+            v = a[i]
+            if v == absmax or v == neg_max:
+                at_max -= 1
+            v += e
+            a[i] = v
+            c, r = divmod(-v, d[i])
+            if c > cap:
+                raise OracleSoundnessError("weight above the 4n^2 potential cap")
+            wi = tab[i][r] << c if c >= 0 else tab[i][r] >> -c
+            total += wi - w[i]
+            w[i] = wi
+            dp = wi // f[i] - p[i]
+            if dp:
+                p[i] += dp
+                xkey[i] += dp * n
+                qsum += dp * f[i]
+                dk = dp * m
+                for j in member[i]:
+                    q[j] += dp
+                    skey[j] += dk
+            if v < 0:
+                v = -v
+            if v > top:
+                top, at_top = v, 1
+            elif v == top:
+                at_top += 1
+        if lo < -lim or hi > lim:
+            if len(err) == n:  # no implicit zeros
+                lo, hi = min(err.values()), max(err.values())
+            raise OracleSoundnessError(f"per-iteration error outside [-2n, 2n]: {lo}..{hi}")
+        if top > absmax:
+            absmax, at_max = top, at_top
+        elif top == absmax:
+            at_max += at_top
+        elif not at_max:  # every entry at |A|max moved toward 0
+            absa = list(map(abs, a))
+            absmax = max(absa)
+            at_max = absa.count(absmax)
+        if absmax > lim * (t + 1):
+            raise OracleSoundnessError("accumulator magnitude exceeded 2*n*t")
+        # unreachable: LpContext checks that 2*n*t_total fits in abits - 1
+        # bits, and the check above keeps |A| <= 2*n*t with t <= t_total
+        if absmax.bit_length() + 1 > ctx.abits:
+            raise OracleSoundnessError("accumulator outgrew its broadcast width")
+        acc.t, acc.absmax, acc.at_max, acc.total, acc.qsum = t + 1, absmax, at_max, total, qsum
+        if not t:
+            cluster.broadcast(n * ctx.abits, label="mwu.acc_broadcast")
+            first = cluster.log[mark:]  # iteration 1's charges
+            rounds_1 = sum(e.rounds for e in first)
+            peak_1 = max(e.peak_bits for e in first)
+        for j in ys:
+            left_out[j] += 1
+    # the accepted iterations after the first have its shape: one entry
+    if acc.t > 1:
+        cluster.charge("mwu.iterations", (acc.t - 1) * rounds_1, peak_1)
+    if not feasible:
+        cluster.gather(ctx.qhat_bits, label="oracle.cost_gather")
+        cluster.broadcast(1, label="oracle.reject_broadcast")
+        return None
     # A_i sums (left-out sets containing i) - x_i over the iterations, so the
     # iterations that chose element i number the left-outs of its sets minus A_i
     picked = [sum(map(left_out.__getitem__, js)) - ai for js, ai in zip(member, a)]

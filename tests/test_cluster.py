@@ -1,7 +1,6 @@
 """Round and memory accounting of the message-passing harness."""
 
 import json
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -150,16 +149,6 @@ def test_keep_machines_narrows_every_later_primitive():
     assert cl.m == 1
 
 
-def test_coalesce_collapses_entries():
-    cl = Cluster(2, 4)
-    with cl.coalesce("outer"):
-        cl.broadcast(3)
-        cl.broadcast(9)
-        cl.broadcast(5)
-    assert cl.log == [RoundLogEntry("outer", 3, 9)]
-    cl.check_log_consistent()
-
-
 def test_check_log_consistent_detects_drift():
     cl = Cluster(2, 4)
     cl.broadcast(1)
@@ -240,40 +229,21 @@ class ReplayCluster:
         self.log.append(RoundLogEntry(label, rounds, peak))
         return partial[0]
 
-    @contextmanager
-    def coalesce(self, label):
-        mark = len(self.log)
-        try:
-            yield
-        finally:
-            entries = self.log[mark:]
-            del self.log[mark:]
-            rounds = sum(e.rounds for e in entries)
-            peak = max((e.peak_bits for e in entries), default=0)
-            self.log.append(RoundLogEntry(label, rounds, peak))
-
 
 def _ops(m: int):
-    leaf = st.one_of(
+    op = st.one_of(
         st.tuples(st.just("broadcast"), st.integers(0, 40)),
         st.tuples(st.just("gather"), st.integers(0, 40)),
         st.tuples(st.just("count"), st.integers(0, 4), st.integers(0, 6)),
         st.tuples(st.just("keep"), st.integers(1, m)),
         st.tuples(st.just("cast"), st.integers(0, 4), st.integers(0, 6), st.integers(0, 2**16)),
     )
-    op = st.recursive(
-        leaf, lambda inner: st.tuples(st.just("block"), st.lists(inner, max_size=4)), max_leaves=12
-    )
-    return st.lists(op, max_size=6)
+    return st.lists(op, max_size=12)
 
 
-def _run_program(cl, ops, sums, depth=0):
+def _run_program(cl, ops, sums):
     """Apply ops to cl; a BudgetError must leave the counters and log as they were."""
     for op in ops:
-        if op[0] == "block":
-            with cl.coalesce(f"block{depth}"):
-                _run_program(cl, op[1], sums, depth + 1)
-            continue
         before = (cl.rounds, cl.peak_inbox_bits, list(cl.log))
         try:
             if op[0] == "broadcast":

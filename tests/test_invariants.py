@@ -45,10 +45,6 @@ CHECKS = ("OracleSoundnessError", "AuditError")
 # value), with the test that makes it fire, or ARGUED when it cannot fire and
 # a "# unreachable:" comment says why.  INJECTED[case] names a FAULTS case.
 SOUNDNESS_RAISES = {
-    ("lp.py", "LpContext.weights", "weight above the 4n^2 potential cap"):
-        "test_lp.py::test_weights_cap_is_enforced",
-    ("lp.py", "LpContext.weights", "weight sum above the 4n^2 potential cap"):
-        "test_lp.py::test_weights_cap_is_enforced",
     ("lp.py", "_mwu", "truncated objective exceeds the exact one"):
         "test_lp.py::test_exact_check_rejects_tampered_values",
     ("lp.py", "_mwu", "truncation lost more than 1/n^5"):

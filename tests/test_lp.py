@@ -9,7 +9,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 import mpcover.lp as lp_mod
 from mpcover import Cluster, OracleSoundnessError, SetSystem, generate_random
-from mpcover.cluster import ceil_log2
+from mpcover.cluster import RoundLogEntry, ceil_log2
 from mpcover.instance import frequency
 from mpcover.lp import (
     FractionalPair,
@@ -33,6 +33,9 @@ CHAIN_F = frequency(CHAIN.incidence)
 QUARTER = Fraction(1, 4)
 # three frequency classes: f = 1, 2 and 4
 MULTI = SetSystem(9, 5, 2, ((1, 2, 3, 4), (2, 3, 5, 6), (3, 6, 7, 8), (1, 3, 4, 7), (5, 8, 9)))
+# four frequency classes, f = 1 to 4; guess 8 passes three oracle calls and
+# is rejected at the fourth
+LATE_REJECT = SetSystem(8, 4, 2, ((3, 4, 5, 6, 7), (1, 3, 5, 8), (1, 2, 3, 4, 5, 6), (2, 3)))
 
 
 def lp_context(sys_: SetSystem, eps: Fraction) -> LpContext:
@@ -65,12 +68,25 @@ def sparse(errors) -> dict[int, int]:
     return {i: int(e) for i, e in enumerate(errors) if e}
 
 
+def reference_weights(ctx: LpContext, a) -> tuple[list[int], int]:
+    """The weights at accumulator values a, each derived in full: with
+    -a_i = c * d_i + r, entry r of element i's class table shifted left by c
+    (right by -c when c is negative), as the module docstring of lp says.
+    Returns them with their sum."""
+    w = []
+    for i, ai in enumerate(map(int, a)):
+        c, r = divmod(-ai, ctx.d[i])
+        base = ctx.tab[i][r]
+        w.append(base << c if c >= 0 else base >> -c)
+    return w, sum(w)
+
+
 def scratch_state(ctx: LpContext, a) -> dict:
     """A lane's kept state derived from scratch at accumulator values a: the
-    weights through ctx.weights, the costs through truncated_pq, the oracle's
-    keys and the totals from those, and |A|max with its count."""
+    weights through reference_weights, the costs through truncated_pq, the
+    oracle's keys and the totals from those, and |A|max with its count."""
     a = [int(v) for v in a]
-    w, total = ctx.weights(a)
+    w, total = reference_weights(ctx, a)
     pq = truncated_pq(ctx, w)
     absa = [abs(v) for v in a]
     return {
@@ -329,16 +345,12 @@ def test_uniform_weights_and_oracle_step():
     ]
 
 
-def test_weights_cap_is_enforced():
-    ctx = chain_ctx()
-    a = np.zeros(4, dtype=np.int64)
-    a[0] = -(ctx.wcap_log2 + 1) * ctx.d[0]
-    with pytest.raises(OracleSoundnessError, match="^weight above the 4n\\^2 potential cap$"):
-        ctx.weights(a)
-    # each weight 2**6 stays under its own cap; together they pass 4n^2 = 64
-    assert 6 <= ctx.wcap_log2
-    with pytest.raises(OracleSoundnessError, match="^weight sum above the 4n\\^2 potential cap$"):
-        ctx.weights(np.array([-6 * d for d in ctx.d]))
+@pytest.mark.parametrize("sys_", [CHAIN, MULTI, LATE_REJECT], ids=["chain", "multi", "late-reject"])
+def test_a_lane_starts_at_the_derivation_at_zero(sys_):
+    ctx = lp_context(sys_, QUARTER)
+    # every class table reads 2**b at r = 0, so every weight starts at 1 << b
+    assert {row[0] for row in ctx.tab} == {1 << ctx.b}
+    assert_state_matches_scratch(ctx, WeightAccumulator(ctx))
 
 
 # -- the exact check, tripped through the oracle's answers ------------------
@@ -550,32 +562,20 @@ def test_absmax_and_its_count_follow_sparse_moves(data):
 
 
 @contextmanager
-def counting_derivations(counts: dict):
-    """Count, from outside the solver, the lanes, the full weight
-    derivations, the per-element derivations outside them (each reads one
-    entry of its class table, ctx.tab) and the nonzero errors: the
-    accumulator entries each iteration moved, read off the lane at its next
-    oracle call and, for its last iteration, when the block ends."""
-    weights, step = LpContext.weights, lp_mod.oracle_step
+def counting_derivations(ctx: LpContext, counts: dict):
+    """Count, from outside the solver, the lanes run on ctx, the weight
+    derivations (each reads one entry of its class table, ctx.tab) and the
+    nonzero errors: the accumulator entries each iteration moved, read off
+    the lane at its next oracle call and, for its last iteration, when the
+    lane ends."""
+    step = lp_mod.oracle_step
     lanes: dict[int, tuple] = {}  # lane id: (lane, its accumulators at its last call)
-    in_full = [False]
-    counts.update(full=0, rederived=0, nonzero=0)
+    counts.update(lanes=0, rederived=0, nonzero=0)
 
     class CountedRow(list):
         def __getitem__(self, r):
-            if not in_full[0]:
-                counts["rederived"] += 1
+            counts["rederived"] += 1
             return list.__getitem__(self, r)
-
-    def counted_weights(ctx, a):
-        counts["full"] += 1
-        if not isinstance(ctx.tab[0], CountedRow):  # before the lane's loop reads ctx.tab
-            ctx.tab = [CountedRow(row) for row in ctx.tab]
-        in_full[0] = True
-        try:
-            return weights(ctx, a)
-        finally:
-            in_full[0] = False
 
     def count_moved(acc, before):
         counts["nonzero"] += sum(map(int.__ne__, before, acc.a))
@@ -588,7 +588,7 @@ def counting_derivations(counts: dict):
         return step(ctx, acc, length)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(LpContext, "weights", counted_weights)
+        mp.setattr(ctx, "tab", [CountedRow(row) for row in ctx.tab])
         mp.setattr(lp_mod, "oracle_step", counted_step)
         yield
     for lane in lanes.values():
@@ -599,16 +599,18 @@ def counting_derivations(counts: dict):
 def test_weights_rederived_only_where_the_accumulator_moved(sys_, length):
     counts: dict = {}
     ctx = lp_context(sys_, QUARTER)
-    with counting_derivations(counts):
+    with counting_derivations(ctx, counts):
         pair = _mwu(ctx, length, Cluster(sys_.m, sys_.n))
     assert pair is not None
-    assert counts["lanes"] == counts["full"] == 1
+    assert counts["lanes"] == 1
+    # a lane's start reads no table entry: every read re-derives a moved weight
     assert counts["rederived"] == counts["nonzero"] > 0
-    # one full derivation per lane, also across a guess batch
-    with counting_derivations(counts):
-        res = solve_pi1(lp_context(sys_, QUARTER), Cluster(sys_.m, sys_.n))
+    # also across a guess batch
+    ctx = lp_context(sys_, QUARTER)
+    with counting_derivations(ctx, counts):
+        res = solve_pi1(ctx, Cluster(sys_.m, sys_.n))
     guesses = len(res.feasible_guesses) + len(res.infeasible_guesses)
-    assert counts["lanes"] == counts["full"] == guesses > 1
+    assert counts["lanes"] == guesses > 1
     assert counts["rederived"] == counts["nonzero"] > 0
 
 
@@ -692,7 +694,15 @@ def test_mwu_fixed_point_full_objective():
     assert pair.rounds_t == 70
     # 2 oracle rounds + cover-count cast + accumulator broadcast, per iteration
     assert cl.rounds == 70 * (2 + ceil_log2(3) + 1)
-    assert [e.primitive for e in cl.log] == ["mwu[L=4]"]
+    # iteration 1 primitive by primitive, then the other 69 in one entry
+    assert [e.primitive for e in cl.log] == [
+        "oracle.cost_gather",
+        "oracle.point_broadcast",
+        "mwu.cover_count",
+        "mwu.acc_broadcast",
+        "mwu.iterations",
+    ]
+    assert cl.log[-1].rounds == 69 * (2 + ceil_log2(3) + 1)
 
 
 def test_mwu_fixed_point_shorter_objective():
@@ -716,7 +726,7 @@ def recording_iterations(records: list):
     """Record every MWU iteration from outside the solver: the iteration
     index, the oracle's verdict and truncated sums, and, once an iteration
     was accepted, the lane's accumulators right after it, read off the lane
-    at its next oracle call or, for its last iteration, when the block ends."""
+    at its next oracle call or, for its last iteration, when the lane ends."""
     step = lp_mod.oracle_step
     open_records: dict[int, tuple] = {}  # lane id: (lane, its last record)
 
@@ -748,30 +758,38 @@ def recording_iterations(records: list):
 
 
 def replay_loop_charges(ctx: LpContext, length: int) -> str:
-    """Run _mwu on a fresh lane and check its coalesced entry, rounds and
-    peak against a reference lane that charges each recorded iteration
-    through the primitives: the cost gather, then the point or reject
-    broadcast, then the cover-count cast and the accumulator broadcast.
-    Returns the guess's outcome."""
+    """Run _mwu on a fresh lane and check its log entry by entry, its rounds
+    and its peak against a reference lane that charges each recorded
+    iteration through the primitives (the cost gather, then the point or
+    reject broadcast, then the cover-count cast and the accumulator
+    broadcast), folded the way _mwu charges: iteration 1's entries, then
+    the later accepted iterations as one mwu.iterations entry at the sum of
+    iteration 1's rounds and the largest of its peaks, then a rejection's
+    two.  Returns the guess's outcome."""
     n, m = ctx.n, ctx.m
-    records, charges = [], []
+    records = []
     lane = Cluster(m, n).lane()
-    with recording_iterations(records), recording_charges(charges):
+    with recording_iterations(records):
         pair = _mwu(ctx, length, lane)
     ref = Cluster(m, n).lane()
-    with ref.coalesce(f"mwu[L={length}]"):
-        for r in records:
-            ref.gather(ctx.qhat_bits, label="oracle.cost_gather")
-            if r["feasible"]:
-                ref.broadcast(n + m, label="oracle.point_broadcast")
-                ref.convergecast(n, entry_bits=1, label="mwu.cover_count")
-                ref.broadcast(n * ctx.abits, label="mwu.acc_broadcast")
-            else:
-                ref.broadcast(1, label="oracle.reject_broadcast")
+    for r in records:
+        ref.gather(ctx.qhat_bits, label="oracle.cost_gather")
+        if r["feasible"]:
+            ref.broadcast(n + m, label="oracle.point_broadcast")
+            ref.convergecast(n, entry_bits=1, label="mwu.cover_count")
+            ref.broadcast(n * ctx.abits, label="mwu.acc_broadcast")
+        else:
+            ref.broadcast(1, label="oracle.reject_broadcast")
+    accepted = sum(r["feasible"] for r in records)
+    if accepted > 1:  # the four entries of each accepted iteration after the first
+        later = ref.log[4 : 4 * accepted]
+        ref.log[4 : 4 * accepted] = [
+            RoundLogEntry(
+                "mwu.iterations", sum(e.rounds for e in later), max(e.peak_bits for e in later)
+            )
+        ]
     assert lane.log == ref.log
     assert (lane.rounds, lane.peak_inbox_bits) == (ref.rounds, ref.peak_inbox_bits)
-    # iteration 1, the later accepted ones at once, and a rejection's two
-    assert len(charges) <= 4 + 1 + 2
     if pair is not None:
         assert len(records) == ctx.t_total and all(r["feasible"] for r in records)
         return "accepted"
@@ -785,10 +803,6 @@ def test_loop_charges_equal_a_per_iteration_replay(seed, data):
     ctx = lp_context(covered_instance(seed, data), QUARTER)
     length = data.draw(st.sampled_from(guess_grid(ctx.n, ctx.eps)), label="length")
     event(replay_loop_charges(ctx, length))
-
-
-# guess 8 passes three oracle calls and is rejected at the fourth
-LATE_REJECT = SetSystem(8, 4, 2, ((3, 4, 5, 6, 7), (1, 3, 5, 8), (1, 2, 3, 4, 5, 6), (2, 3)))
 
 
 @pytest.mark.parametrize(
