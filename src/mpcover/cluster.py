@@ -20,9 +20,9 @@ through charge() directly.
 
 Every charge appends one entry to a round log, so the sum of logged
 rounds always equals the cluster round counter.  A loop whose iterations
-all have one shape (the weight-update iterations) charges its first
-iteration primitive by primitive and the rest in one charge, so logs stay
-proportional to the primitive schedule, not to the iteration count.
+all have one shape (an MWU lane, charged by lp.charge_lane) is charged its
+first iteration primitive by primitive and the rest in one charge, so logs
+stay proportional to the primitive schedule, not to the iteration count.
 """
 
 from __future__ import annotations

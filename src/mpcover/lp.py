@@ -33,10 +33,8 @@ p_i * n + i and q_j * m + j, which sort as (cost, index) does: re-sorting
 the nearly sorted lists gives exactly the stable order of a sort by cost.
 From the oracle's picks the loop builds the nonzero errors, runs the exact
 truncation check on them, and moves the accumulators, weights, costs, keys,
-totals and |A|max in one pass over them.  The lane charges its own
-cluster: iteration 1 primitive by primitive, then the later accepted
-iterations in one entry, each at the summed rounds and the largest peak of
-iteration 1's entries.
+totals and |A|max in one pass over them.  The loop makes no charge: a
+lane's charges are a function of its outcome alone (see charge_lane).
 """
 
 from __future__ import annotations
@@ -193,9 +191,9 @@ def oracle_step(ctx: LpContext, acc: WeightAccumulator, length: int) -> OracleSt
 
     Declares infeasible exactly when even the minimizer of the truncated
     objective exceeds the weight sum, which is sound because truncation only
-    ever lowers costs.  Data plane only: _mwu charges the call's two rounds
-    (the set-cost gather to central, then the chosen indicator vectors or a
-    1-bit reject broadcast).
+    ever lowers costs.  Data plane only: charge_lane charges the call's two
+    rounds (the set-cost gather to central, then the chosen indicator
+    vectors or a 1-bit reject broadcast).
 
     Re-sorts the lane's kept element and set orders by their keys (see
     WeightAccumulator), which gives exactly the stable (cost, index) order,
@@ -262,15 +260,8 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
     averaged iterate's sum_z_j is t_total minus the iterations that left
     set j out, and its sum_x_i the left-outs of i's sets minus A_i.
 
-    An accepted iteration costs the oracle's cost gather and point
-    broadcast, the cover-count cast and the accumulator broadcast, at the
-    same widths every time.  Iteration 1 charges them one by one, so a
-    budget violation names its primitive and round.  When the loop ends,
-    the later accepted iterations are charged as one mwu.iterations entry,
-    each at the summed rounds and the largest peak of iteration 1's
-    entries, read off the lane's log; a rejection then charges its gather
-    and 1-bit reject broadcast.  A failed check ends the run before the
-    loop's end charges anything.
+    The loop touches no cluster: the lane is charged once it ends, from its
+    outcome, by charge_lane.
     """
     n, m, t_total = ctx.n, ctx.m, ctx.t_total
     acc = WeightAccumulator(ctx)
@@ -281,7 +272,6 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
     cap, lim = ctx.wcap_log2, 2 * n
     step = oracle_step  # the module-level seam, looked up once per lane
     left_out = [0] * m  # iterations that left each set out of z
-    mark = len(cluster.log)  # the lane's own entries start here
     for t in range(t_total):
         feasible, xs, _, ys, lhs_hat, sum_w = step(ctx, acc, length)
         # the nonzero errors: -1 per pick, +1 per left-out set holding it
@@ -294,10 +284,6 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
                     err[i] = e
                 else:
                     del err[i]
-        if feasible and not t:
-            cluster.gather(ctx.qhat_bits, label="oracle.cost_gather")
-            cluster.broadcast(n + m, label="oracle.point_broadcast")
-            cluster.convergecast(n, entry_bits=1, label="mwu.cover_count")
         total = acc.total
         lhs_lcm = total * lcm - sum([w[i] * e * lcm_over_f[i] for i, e in err.items()])
         hat_lcm = lhs_hat * lcm
@@ -366,19 +352,10 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
         if absmax.bit_length() + 1 > ctx.abits:
             raise OracleSoundnessError("accumulator outgrew its broadcast width")
         acc.t, acc.absmax, acc.at_max, acc.total, acc.qsum = t + 1, absmax, at_max, total, qsum
-        if not t:
-            cluster.broadcast(n * ctx.abits, label="mwu.acc_broadcast")
-            first = cluster.log[mark:]  # iteration 1's charges
-            rounds_1 = sum(e.rounds for e in first)
-            peak_1 = max(e.peak_bits for e in first)
         for j in ys:
             left_out[j] += 1
-    # the accepted iterations after the first have its shape: one entry
-    if acc.t > 1:
-        cluster.charge("mwu.iterations", (acc.t - 1) * rounds_1, peak_1)
+    charge_lane(ctx, acc.t, not feasible, cluster)
     if not feasible:
-        cluster.gather(ctx.qhat_bits, label="oracle.cost_gather")
-        cluster.broadcast(1, label="oracle.reject_broadcast")
         return None
     # A_i sums (left-out sets containing i) - x_i over the iterations, so the
     # iterations that chose element i number the left-outs of its sets minus A_i
@@ -386,6 +363,28 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
     pair = FractionalPair(tuple(picked), tuple(t_total - c for c in left_out), t_total)
     _check_pair(ctx, length, pair)
     return pair
+
+
+def charge_lane(ctx: LpContext, accepted: int, rejected: bool, cluster: Cluster) -> None:
+    """Charge an MWU lane from its outcome: `accepted` iterations, then a
+    rejected oracle call when `rejected`.  Iteration 1's cost gather, point
+    broadcast, cover-count cast and accumulator broadcast are charged one by
+    one, so a budget violation names its primitive and round; the later
+    iterations have its shape and take one mwu.iterations entry, each at its
+    summed rounds and largest peak.  A rejection costs a cost gather and a
+    1-bit reject broadcast."""
+    if accepted:
+        cluster.gather(ctx.qhat_bits, label="oracle.cost_gather")
+        cluster.broadcast(ctx.n + ctx.m, label="oracle.point_broadcast")
+        cluster.convergecast(ctx.n, entry_bits=1, label="mwu.cover_count")
+        cluster.broadcast(ctx.n * ctx.abits, label="mwu.acc_broadcast")
+        if accepted > 1:
+            first = cluster.log[-4:]  # iteration 1's entries
+            rounds_1, peak_1 = sum(e.rounds for e in first), max(e.peak_bits for e in first)
+            cluster.charge("mwu.iterations", (accepted - 1) * rounds_1, peak_1)
+    if rejected:
+        cluster.gather(ctx.qhat_bits, label="oracle.cost_gather")
+        cluster.broadcast(1, label="oracle.reject_broadcast")
 
 
 def _check_pair(ctx: LpContext, length: int, pair: FractionalPair) -> None:
@@ -426,7 +425,7 @@ def guess_grid(n: int, eps: Fraction) -> list[int]:
 @dataclass(frozen=True)
 class Pi1Result:
     l_star: int
-    pair: FractionalPair | None
+    pair: FractionalPair
     feasible_guesses: tuple[int, ...]
     infeasible_guesses: tuple[int, ...]
 
@@ -457,6 +456,11 @@ def solve_pi1(ctx: LpContext, cluster: Cluster) -> Pi1Result:
                 if length > best[0]:
                     best = (length, pair)
         cluster.absorb_parallel(lanes, label=f"pi1.batch[{batch[0]}..{batch[-1]}]")
+    # unreachable: with x one element and a set holding it left out of z (k >= 1),
+    # x_i + cnt_i <= f_i for every i, so the exact weighted sum is at most sum(w); the
+    # truncated sum and the oracle's minimum are at most that, so guess 1 always accepts
+    if 1 in infeas:
+        raise OracleSoundnessError("guess 1 was rejected")
     return Pi1Result(*best, tuple(feas), tuple(infeas))
 
 

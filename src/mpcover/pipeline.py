@@ -227,10 +227,6 @@ def _run_stages(inc: Incidence, k: int, eps: Fraction, cfg: PipelineConfig, clus
 
     ctx = LpContext(inc_lp, k, stage_eps)
     pi1 = solve_pi1(ctx, cluster)
-    if pi1.pair is None:
-        # even L=1 rejected: nothing usable from the LP, greedy still applies
-        sel, cov1 = greedy_fallback(inc1, k, cluster)
-        return sel, cov1, None, "greedy"
     sol = scale_to_pi0(ctx, pi1.pair)
 
     budget = sum(sol.y, Fraction(0))

@@ -83,15 +83,6 @@ def _draw(cum: list[int], den: int, kprime: int, seed: int) -> tuple[int, ...]:
     return tuple(sorted(picked))
 
 
-def randomized_round(y, kprime: int, seed: int) -> tuple[int, ...]:
-    """One candidate: k' independent categorical draws, deduplicated.
-
-    Pure function of (y, kprime, seed).
-    """
-    cum, den = _cumulative_thresholds(y, kprime)
-    return _draw(cum, den, kprime, seed)
-
-
 def best_of_repetitions(
     inc: Incidence,
     y,

@@ -33,10 +33,10 @@ from mpcover.instance import frequency
 from mpcover.lp import WeightAccumulator, oracle_step, scale_to_pi0, solve_pi1
 from mpcover.pipeline import _pad_budget
 from mpcover.prefix import prefix_coverage, trim_to_k
-from mpcover.rounding import randomized_round
 from test_baselines import oracle_minimum
 from test_instance import normalize_covered
 from test_lp import dense_rows, lp_context, recording_iterations, seed_lane, truncated_pq
+from test_rounding import randomized_round
 
 RATIO_EPS = 0.1
 SEEDS_PER_INSTANCE = 200

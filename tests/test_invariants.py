@@ -62,6 +62,8 @@ SOUNDNESS_RAISES = {
     ("lp.py", "oracle_step", "set cost outgrew its message width"):
         "test_lp.py::test_set_cost_width_check_fires",
     ("lp.py", "_mwu", "accumulator outgrew its broadcast width"): ARGUED,
+    ("lp.py", "solve_pi1", "guess 1 was rejected"):
+        "test_lp.py::test_solve_pi1_nothing_feasible_shape",
     ("lp.py", "_check_pair", "averaged iterate left the region"):
         "test_lp.py::test_check_pair_rejects_a_tampered_pair",
     ("lp.py", "_check_pair", "constraint {} exceeds the 1 + 1.4*eps slack"):

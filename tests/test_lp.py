@@ -1,5 +1,7 @@
 """Multiplicative-weights LP solver: exactness, frozen fixed points, contract."""
 
+import ast
+import inspect
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 import mpcover.lp as lp_mod
-from mpcover import Cluster, OracleSoundnessError, SetSystem, generate_random
+from mpcover import BudgetError, Cluster, OracleSoundnessError, SetSystem, generate_random
+from mpcover.baselines import greedy_sequential
 from mpcover.cluster import RoundLogEntry, ceil_log2
 from mpcover.instance import frequency
 from mpcover.lp import (
@@ -444,6 +447,14 @@ def test_weight_cap_fires_on_an_entry_changed_mid_run():
         OracleSoundnessError, match="^weight above the 4n\\^2 potential cap$"
     ):
         _mwu(ctx, 3, Cluster(3, 4))
+    # a lane charges once its loop ends: with no inbox budget, iteration 1's
+    # cost gather would break it, yet the cap's check fires first
+    with pytest.raises(BudgetError):
+        _mwu(ctx, 3, Cluster(3, 4, mem_c=0))
+    with wrapped_oracle(stale), pytest.raises(
+        OracleSoundnessError, match="^weight above the 4n\\^2 potential cap$"
+    ):
+        _mwu(ctx, 3, Cluster(3, 4, mem_c=0))
 
 
 def test_weight_sum_cap_fires_mid_run():
@@ -814,6 +825,40 @@ def test_loop_charges_replay_each_outcome(sys_, length, outcome):
     assert replay_loop_charges(lp_context(sys_, QUARTER), length) == outcome
 
 
+def test_mwu_names_its_cluster_only_to_charge_the_lane():
+    """_mwu's loop makes no charge: its one use of the cluster is the
+    charge_lane call after the loop, a statement of its own body."""
+    mwu = ast.parse(inspect.getsource(_mwu)).body[0]
+    uses = [node for node in ast.walk(mwu) if isinstance(node, ast.Name) and node.id == "cluster"]
+    calls = [stmt.value for stmt in mwu.body if isinstance(stmt, ast.Expr)]
+    charges = [
+        call
+        for call in calls
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "charge_lane"
+    ]
+    assert [ast.unparse(call) for call in charges] == [
+        "charge_lane(ctx, acc.t, not feasible, cluster)"
+    ]
+    assert uses == [charges[0].args[-1]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_mwu_accepts_every_guess_up_to_a_greedy_coverage(seed, data):
+    """k sets covering C elements give, at any guess L <= C, a point of the
+    region (L of those elements, the other m - k sets in z) with x_i +
+    cnt_i <= f_i for every i: the oracle's truncated minimum is at most its
+    weighted sum, so every oracle call accepts.  C >= 1 makes guess 1 one
+    of them, the lemma behind solve_pi1's unreachable raise."""
+    sys_ = covered_instance(seed, data)
+    cover = greedy_sequential(sys_).value
+    assert cover >= 1
+    ctx = lp_context(sys_, QUARTER)
+    for length in guess_grid(ctx.n, ctx.eps):
+        if length <= cover:
+            assert _mwu(ctx, length, Cluster(ctx.m, ctx.n)) is not None, length
+
+
 def test_mwu_per_iteration_records():
     records = []
     with recording_iterations(records):
@@ -855,14 +900,18 @@ def test_solve_pi1_chain():
 
 
 def test_solve_pi1_nothing_feasible_shape(monkeypatch):
-    # l_star = 1 is always reachable on a covered instance, so force the
-    # all-rejected branch to pin its result shape
-    monkeypatch.setattr(lp_mod, "_mwu", lambda ctx, length, cluster: None)
-    res = solve_pi1(chain_ctx(), Cluster(3, 4))
-    assert res.l_star == 0
-    assert res.pair is None
-    assert res.feasible_guesses == ()
-    assert res.infeasible_guesses == (1, 2, 3, 4)
+    # l_star = 1 is always reachable on a covered instance (see
+    # test_mwu_accepts_every_guess_up_to_a_greedy_coverage), so a rejected
+    # guess 1 is a fault, whether or not a larger guess was accepted
+    mwu = lp_mod._mwu
+    for rejected in ((1, 2, 3, 4), (1,)):
+
+        def rejecting(ctx, length, cluster):
+            return None if length in rejected else mwu(ctx, length, cluster)
+
+        monkeypatch.setattr(lp_mod, "_mwu", rejecting)
+        with pytest.raises(OracleSoundnessError, match="^guess 1 was rejected$"):
+            solve_pi1(chain_ctx(), Cluster(3, 4))
 
 
 def test_scale_to_pi0_chain():

@@ -23,7 +23,6 @@ from mpcover.baselines import exact_opt, greedy_sequential, set_masks
 from mpcover.cluster import ceil_log2
 from mpcover.instance import frequency
 import mpcover.pipeline as pipeline_mod
-from mpcover.lp import Pi1Result
 from mpcover.pipeline import _pad_budget, greedy_fallback, subsample_universe
 from test_cluster import ReplayCluster
 from test_instance import normalize_covered, restrict_then_normalize, same_matrix, systems
@@ -243,7 +242,6 @@ def eta_route():
 ROUTES = {  # route: (instance and config, the path the report names)
     "greedy": (greedy_route, "greedy"),
     "lp": (lp_route, "lp"),
-    "lp-fallback": (lp_route, "greedy"),
     "lp-subsampled": (lp_route, "lp"),
     "eta-row-cut": (eta_route, "greedy"),
 }
@@ -255,8 +253,6 @@ def test_no_set_system_below_the_parse(route, monkeypatch):
     constructor refusing, every route still runs to its report."""
     build, path = ROUTES[route]
     sys_, cfg = build()
-    if route == "lp-fallback":
-        monkeypatch.setattr(pipeline_mod, "solve_pi1", lambda *a: Pi1Result(0, None, (), (1,)))
     if route == "lp-subsampled":
         # rate 4 * 2**-16 * (41 ln 2 + ln 41) * 32**2 / 1, about 1/2
         monkeypatch.setattr(pipeline_mod, "SUBSAMPLE_FACTOR", Fraction(1, 65536))
@@ -355,18 +351,6 @@ def test_path_lp_subsampled_end_to_end(monkeypatch):
     assert rep.coverage == coverage(sys_, rep.selection)
     assert len(rep.selection) <= sys_.k
     assert rep.coverage >= (1 - 1 / math.e - eps) * exact_opt(sys_).value
-
-
-def test_lp_rejection_falls_back_to_greedy(monkeypatch):
-    sys_ = tile_system(17, 2)
-    monkeypatch.setattr(
-        pipeline_mod,
-        "solve_pi1",
-        lambda *a, **kw: Pi1Result(0, None, (), (1,)),
-    )
-    rep = run_pipeline(sys_, PipelineConfig(eps=Fraction(1, 4), seed=7))
-    assert rep.config["path"] == "greedy"
-    assert rep.coverage == greedy_sequential(sys_).value
 
 
 def test_audit_error_on_tiny_bound(monkeypatch):

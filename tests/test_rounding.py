@@ -7,8 +7,17 @@ import pytest
 
 from mpcover import Cluster, SetSystem, coverage
 from mpcover.cluster import ceil_log2
-from mpcover.rounding import RoundingConfig, best_of_repetitions, randbelow, randomized_round
-from mpcover.rounding import _cumulative_thresholds
+from mpcover.rounding import RoundingConfig, best_of_repetitions, randbelow
+from mpcover.rounding import _cumulative_thresholds, _draw
+
+
+def randomized_round(y, kprime: int, seed: int) -> tuple[int, ...]:
+    """The reference candidate: k' independent categorical draws of
+    probability y_j / k', deduplicated, from stream `seed` (candidate r of
+    best_of_repetitions is randomized_round(y, kprime, seed ^ r)).  A pure
+    function of (y, kprime, seed)."""
+    cum, den = _cumulative_thresholds(y, kprime)
+    return _draw(cum, den, kprime, seed)
 
 
 def test_config_schedule():
