@@ -15,6 +15,12 @@ fixed-point costs so machines exchange O(log n)-bit numbers.  Iteration
 counts, weights and all feasibility comparisons are exact integer
 arithmetic; the only floating point is the choice of the iteration count.
 
+A guess at or below the coverage C of some k sets is accepted at every
+iteration.  So solve_pi1, given C, charges those lanes from their shape
+(charge_lane) without running them, and runs only the guesses above C;
+when none of those is accepted, it runs the largest certified guess once
+more, for its pair.
+
 Weight convention: after t iterations element i carries the exact integer
 accumulator A_i = sum of f_i - x_i - |selected sets containing i| over past
 iterations, and its weight is w_i = 2**(-eps * A_i / f_i), materialized on
@@ -24,7 +30,7 @@ shifted left by c (right by -c when c is negative).  A lane starts at
 A = 0, where every weight is 2**B, and _mwu re-derives each weight an
 iteration moves: that loop holds the only copy of this derivation.
 
-Each guess runs as one lane: one loop (_mwu) over one state object
+Each guess that runs is one lane: one loop (_mwu) over one state object
 (WeightAccumulator), with one call per iteration, the module-level
 oracle_step.  An iteration moves only a few of the n entries, so the lane
 keeps everything between iterations and touches only what moved.  The
@@ -430,16 +436,28 @@ class Pi1Result:
     infeasible_guesses: tuple[int, ...]
 
 
-def solve_pi1(ctx: LpContext, cluster: Cluster) -> Pi1Result:
-    """Try every guess in the grid, batched, and keep the largest feasible.
+def solve_pi1(ctx: LpContext, cluster: Cluster, certified: int = 0) -> Pi1Result:
+    """Settle every guess in the grid, batched, and keep the largest feasible.
 
     Guesses run in parallel batches of ceil(log2(n+1)): a batch costs the
     rounds of its slowest member while inbox bits add up.  Any guess at or
     below the LP optimum is feasible, so l_star * (1+eps) >= that optimum.
+
+    `certified` is the coverage C of some k sets of the LP's incidence (0,
+    the default, certifies nothing).  Those sets make every guess L <= C
+    feasible: L of their elements with the other m - k sets in z meets
+    every constraint, so every oracle call of that lane accepts (see
+    test_mwu_accepts_every_guess_up_to_a_greedy_coverage).  Such a lane is
+    charged from its shape, as a lane accepted at all t_total iterations,
+    and is not run.  Every guess above C runs.  When none of them is
+    accepted, l_star is the largest certified guess, and it runs last on a
+    lane that is never absorbed, for its pair: its charges are already in
+    its batch.  Every lane whose pair is returned ran with every exact
+    check, and the result and the charges are those of certified = 0.
     """
     grid = guess_grid(ctx.n, ctx.eps)
     batch_size = max(1, ceil_log2(ctx.n + 1))
-    best: tuple[int, FractionalPair | None] = (0, None)
+    pair: FractionalPair | None = None  # of the largest run guess accepted so far
     feas: list[int] = []
     infeas: list[int] = []
     for start in range(0, len(grid), batch_size):
@@ -447,21 +465,29 @@ def solve_pi1(ctx: LpContext, cluster: Cluster) -> Pi1Result:
         lanes = []
         for length in batch:
             lane = cluster.lane()
-            pair = _mwu(ctx, length, lane)
             lanes.append(lane)
-            if pair is None:
+            if length <= certified:
+                charge_lane(ctx, ctx.t_total, False, lane)
+                feas.append(length)
+                continue
+            accepted = _mwu(ctx, length, lane)
+            if accepted is None:
                 infeas.append(length)
             else:
                 feas.append(length)
-                if length > best[0]:
-                    best = (length, pair)
+                pair = accepted  # the grid ascends: the largest so far
         cluster.absorb_parallel(lanes, label=f"pi1.batch[{batch[0]}..{batch[-1]}]")
     # unreachable: with x one element and a set holding it left out of z (k >= 1),
     # x_i + cnt_i <= f_i for every i, so the exact weighted sum is at most sum(w); the
     # truncated sum and the oracle's minimum are at most that, so guess 1 always accepts
     if 1 in infeas:
         raise OracleSoundnessError("guess 1 was rejected")
-    return Pi1Result(*best, tuple(feas), tuple(infeas))
+    l_star = feas[-1]
+    if pair is None:  # every accepted guess was certified, l_star the largest
+        pair = _mwu(ctx, l_star, cluster.lane())
+        if pair is None:
+            raise OracleSoundnessError(f"certified guess {l_star} was rejected")
+    return Pi1Result(l_star, pair, tuple(feas), tuple(infeas))
 
 
 def scale_to_pi0(ctx: LpContext, pair: FractionalPair) -> LpSolution:

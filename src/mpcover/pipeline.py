@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cluster import BudgetError, Cluster, RoundLogEntry, ceil_log2
-from .instance import Incidence, SetSystem, frequency
+from .instance import Incidence, SetSystem, frequency, union_size
 from .lp import LpContext, OracleSoundnessError, scale_to_pi0, solve_pi1
 from .prefix import prefix_coverage, trim_to_k
 from .rounding import RoundingConfig, best_of_repetitions
@@ -155,34 +155,23 @@ def _pad_budget(y, kprime: int):
     return y
 
 
-def greedy_fallback(inc: Incidence, k: int, cluster: Cluster) -> tuple[tuple[int, ...], int]:
-    """Distributed greedy: k picks of argmax-gain over a reduction tree, on
-    the m x n incidence `inc` (row j-1 is set j).
+def greedy_picks(inc: Incidence, k: int) -> tuple[tuple[int, ...], int]:
+    """The sequential greedy on the m x n incidence `inc` (row j-1 is set
+    j): k picks of the largest gain, ties to the lower index; returns the
+    picks in selection order and the elements they cover.  Data plane
+    only: greedy_fallback charges its rounds.
 
-    Each iteration reduces (gain, index) pairs up the converge-cast tree
-    (ties prefer the lower index), central announces the winner, and the
-    winner ships its element mask so everyone can update the covered set.
-    Exactly k * (ceil(log2 m) + 2) rounds; picks are in selection order and
-    match the sequential greedy with the same tie rule pick for pick.
-
-    Each set machine keeps its gain: it starts at the set's size and drops,
-    after each pick, by the set's elements that the winner newly covered.
-    A chosen set's gain is -1, below every open gain.
+    Each set keeps its gain: it starts at the set's size and drops, after
+    each pick, by the set's elements that the winner newly covered.  A
+    chosen set's gain is -1, below every open gain.
     """
-    m, n = inc.shape
+    n = inc.shape[1]
     sets_of = inc.transpose()  # element -> the sets holding it
     gains = np.diff(inc.offsets)
     covered = np.zeros(n, dtype=bool)
-    pair_bits = ceil_log2(n + 1) + ceil_log2(m + 1)
     picks: list[int] = []
     for _ in range(k):
-        # one tree level per round; each receiver takes one (gain, index) pair
-        for _level in range(ceil_log2(m)):
-            cluster.charge("greedy.gain_reduce", 1, pair_bits)
         best = int(np.argmax(gains))  # the first maximum: ties go to the lower index
-        cluster.broadcast(ceil_log2(m + 1), label="greedy.winner_id")
-        # the winner, not central, sends its mask to everyone: a broadcast's shape
-        cluster.broadcast(n, label="greedy.winner_mask")
         picks.append(best + 1)
         elems = inc.ids[inc.offsets[best] : inc.offsets[best + 1]]
         fresh = elems[~covered[elems]]
@@ -190,6 +179,29 @@ def greedy_fallback(inc: Incidence, k: int, cluster: Cluster) -> tuple[tuple[int
         gains -= sets_of.rows(fresh).sum(axis=0)
         gains[best] = -1
     return tuple(picks), int(np.count_nonzero(covered))
+
+
+def greedy_fallback(inc: Incidence, k: int, cluster: Cluster) -> tuple[tuple[int, ...], int]:
+    """Distributed greedy: greedy_picks' k picks, each charged as one
+    argmax-gain reduction over a converge-cast tree.
+
+    Each iteration reduces (gain, index) pairs up the tree (ties prefer the
+    lower index), central announces the winner, and the winner ships its
+    element mask so everyone can update the covered set.  Exactly
+    k * (ceil(log2 m) + 2) rounds, whatever the data; picks are in
+    selection order and match the sequential greedy with the same tie rule
+    pick for pick.
+    """
+    m, n = inc.shape
+    pair_bits = ceil_log2(n + 1) + ceil_log2(m + 1)
+    for _ in range(k):
+        # one tree level per round; each receiver takes one (gain, index) pair
+        for _level in range(ceil_log2(m)):
+            cluster.charge("greedy.gain_reduce", 1, pair_bits)
+        cluster.broadcast(ceil_log2(m + 1), label="greedy.winner_id")
+        # the winner, not central, sends its mask to everyone: a broadcast's shape
+        cluster.broadcast(n, label="greedy.winner_mask")
+    return greedy_picks(inc, k)
 
 
 def _run_stages(inc: Incidence, k: int, eps: Fraction, cfg: PipelineConfig, cluster: Cluster):
@@ -225,8 +237,16 @@ def _run_stages(inc: Incidence, k: int, eps: Fraction, cfg: PipelineConfig, clus
         raise OracleSoundnessError("converge-cast frequencies disagree with frequency()")
     cluster.broadcast(n_lp * ceil_log2(m + 1), label="freq.broadcast")
 
+    # the certificate: k sets covering C elements of inc_lp make every guess
+    # <= C feasible (see solve_pi1); the greedy is the simulator's own
+    # knowledge, not a step of the simulated run, so it charges nothing
+    picks, certified = greedy_picks(inc_lp, k)
+    if len(picks) > k:
+        raise OracleSoundnessError(f"greedy certificate holds {len(picks)} sets, above k={k}")
+    if union_size(inc_lp, picks) != certified:
+        raise OracleSoundnessError("greedy certificate's coverage disagrees with union_size()")
     ctx = LpContext(inc_lp, k, stage_eps)
-    pi1 = solve_pi1(ctx, cluster)
+    pi1 = solve_pi1(ctx, cluster, certified)
     sol = scale_to_pi0(ctx, pi1.pair)
 
     budget = sum(sol.y, Fraction(0))

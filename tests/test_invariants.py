@@ -30,6 +30,7 @@ from mpcover.baselines import greedy_sequential
 from mpcover.cli import main
 from mpcover.instance import coverage, frequency, union_size
 from mpcover.lp import FractionalPair, LpContext, Pi1Result
+from mpcover.pipeline import greedy_picks
 from mpcover.prefix import prefix_coverage
 from mpcover.rounding import RoundingConfig, best_of_repetitions
 from test_pipeline import tile_system
@@ -64,6 +65,8 @@ SOUNDNESS_RAISES = {
     ("lp.py", "_mwu", "accumulator outgrew its broadcast width"): ARGUED,
     ("lp.py", "solve_pi1", "guess 1 was rejected"):
         "test_lp.py::test_solve_pi1_nothing_feasible_shape",
+    ("lp.py", "solve_pi1", "certified guess {} was rejected"):
+        "test_lp.py::test_solve_pi1_checks_the_deferred_certified_lane",
     ("lp.py", "_check_pair", "averaged iterate left the region"):
         "test_lp.py::test_check_pair_rejects_a_tampered_pair",
     ("lp.py", "_check_pair", "constraint {} exceeds the 1 + 1.4*eps slack"):
@@ -82,6 +85,10 @@ SOUNDNESS_RAISES = {
         "test_pipeline.py::test_audit_error_on_tiny_bound",
     ("pipeline.py", "_run_stages", "converge-cast frequencies disagree with frequency()"):
         f"{INJECTED}[freq_cast]",
+    ("pipeline.py", "_run_stages", "greedy certificate holds {} sets, above k={}"):
+        f"{INJECTED}[certificate_picks]",
+    ("pipeline.py", "_run_stages", "greedy certificate's coverage disagrees with union_size()"):
+        f"{INJECTED}[certificate_cover]",
     ("pipeline.py", "bounded_frequency_solve", "{} rounds exceed the audit bound {}"):
         "test_pipeline.py::test_bounded_frequency_audits_the_stages_at_the_reduced_shape",
     ("prefix.py", "prefix_coverage", "marginals do not sum to the selection's coverage"):
@@ -180,12 +187,24 @@ CHAIN = SetSystem(4, 3, 2, ((1, 2), (2, 3), (3, 4)))
 TILES = tile_system(17, 2)  # n = 52: the LP route at eps = 1/4
 
 
-def _lp_skipped(ctx: LpContext, cluster):
+def _lp_skipped(ctx: LpContext, cluster, certified=0):
     """solve_pi1's stand-in: keep the first m - k sets whole, choose no element.
 
     It passes scale_to_pi0's checks, so the run goes on to rounding at once."""
     pair = FractionalPair((0,) * ctx.n, (1,) * (ctx.m - ctx.k) + (0,) * ctx.k, 1)
     return Pi1Result(1, pair, (1,), ())
+
+
+def _overstated_picks(inc, k):
+    """greedy_picks, with its coverage overstated by one."""
+    picks, cover = greedy_picks(inc, k)
+    return picks, cover + 1
+
+
+def _one_pick_too_many(inc, k):
+    """k + 1 sets with their true coverage, where greedy_picks gives k."""
+    picks = tuple(range(1, k + 2))
+    return picks, union_size(inc, picks)
 
 
 @dataclass(frozen=True)
@@ -207,6 +226,22 @@ FAULTS = {
         OracleSoundnessError,
         "converge-cast frequencies disagree with frequency()",
         ((pipeline_mod, "frequency", lambda inc: tuple(v + 1 for v in frequency(inc))),),
+        lambda: run_pipeline(TILES, PipelineConfig(eps=Fraction(1, 4))),
+        TILES,
+        5,
+    ),
+    "certificate_cover": Fault(
+        OracleSoundnessError,
+        "greedy certificate's coverage disagrees with union_size()",
+        ((pipeline_mod, "greedy_picks", _overstated_picks),),
+        lambda: run_pipeline(TILES, PipelineConfig(eps=Fraction(1, 4))),
+        TILES,
+        5,
+    ),
+    "certificate_picks": Fault(
+        OracleSoundnessError,
+        "greedy certificate holds 3 sets, above k=2",
+        ((pipeline_mod, "greedy_picks", _one_pick_too_many),),
         lambda: run_pipeline(TILES, PipelineConfig(eps=Fraction(1, 4))),
         TILES,
         5,

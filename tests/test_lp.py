@@ -14,6 +14,7 @@ from mpcover import BudgetError, Cluster, OracleSoundnessError, SetSystem, gener
 from mpcover.baselines import greedy_sequential
 from mpcover.cluster import RoundLogEntry, ceil_log2
 from mpcover.instance import frequency
+from mpcover.pipeline import greedy_picks
 from mpcover.lp import (
     FractionalPair,
     LpContext,
@@ -848,8 +849,9 @@ def test_mwu_accepts_every_guess_up_to_a_greedy_coverage(seed, data):
     """k sets covering C elements give, at any guess L <= C, a point of the
     region (L of those elements, the other m - k sets in z) with x_i +
     cnt_i <= f_i for every i: the oracle's truncated minimum is at most its
-    weighted sum, so every oracle call accepts.  C >= 1 makes guess 1 one
-    of them, the lemma behind solve_pi1's unreachable raise."""
+    weighted sum, so every oracle call accepts.  This is the lemma behind
+    the lanes solve_pi1 charges without running them, and C >= 1 makes
+    guess 1 one of them, the lemma behind solve_pi1's unreachable raise."""
     sys_ = covered_instance(seed, data)
     cover = greedy_sequential(sys_).value
     assert cover >= 1
@@ -912,6 +914,46 @@ def test_solve_pi1_nothing_feasible_shape(monkeypatch):
         monkeypatch.setattr(lp_mod, "_mwu", rejecting)
         with pytest.raises(OracleSoundnessError, match="^guess 1 was rejected$"):
             solve_pi1(chain_ctx(), Cluster(3, 4))
+
+
+def test_solve_pi1_checks_the_deferred_certified_lane(monkeypatch):
+    # certified = 4 charges every chain guess without running it; l_star = 4
+    # then runs alone for its pair, and a rejection there is a fault
+    mwu = lp_mod._mwu
+    ran = []
+
+    def recording(ctx, length, cluster):
+        ran.append(length)
+        return mwu(ctx, length, cluster)
+
+    monkeypatch.setattr(lp_mod, "_mwu", recording)
+    cl = Cluster(3, 4)
+    res = solve_pi1(chain_ctx(), cl, 4)
+    assert ran == [4]
+    assert res.l_star == 4 and res.pair.sum_x == (70, 70, 70, 70)
+    assert res.feasible_guesses == (1, 2, 3, 4)
+    assert [e.primitive for e in cl.log] == ["pi1.batch[1..3]", "pi1.batch[4..4]"]
+    monkeypatch.setattr(lp_mod, "_mwu", lambda ctx, length, cluster: None)
+    with pytest.raises(OracleSoundnessError, match="^certified guess 4 was rejected$"):
+        solve_pi1(chain_ctx(), Cluster(3, 4), 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_certified_solve_pi1_equals_running_every_lane(seed, data):
+    """With a bound at or below a greedy's coverage, solve_pi1 gives the
+    Pi1Result and the root log of the run of every lane, whether a run
+    guess above the bound is accepted or the largest certified one is
+    deferred."""
+    sys_ = covered_instance(seed, data)
+    cover = greedy_picks(sys_.incidence, sys_.k)[1]
+    certified = data.draw(st.just(cover) | st.integers(0, cover), label="certified")
+    ctx = lp_context(sys_, QUARTER)
+    cl, cl2 = Cluster(ctx.m, ctx.n), Cluster(ctx.m, ctx.n)
+    ref = solve_pi1(ctx, cl)
+    assert solve_pi1(ctx, cl2, certified) == ref
+    assert cl2.log == cl.log
+    event("deferred" if ref.l_star <= certified else "run")
 
 
 def test_scale_to_pi0_chain():

@@ -23,7 +23,7 @@ from mpcover.baselines import exact_opt, greedy_sequential, set_masks
 from mpcover.cluster import ceil_log2
 from mpcover.instance import frequency
 import mpcover.pipeline as pipeline_mod
-from mpcover.pipeline import _pad_budget, greedy_fallback, subsample_universe
+from mpcover.pipeline import _pad_budget, greedy_fallback, greedy_picks, subsample_universe
 from test_cluster import ReplayCluster
 from test_instance import normalize_covered, restrict_then_normalize, same_matrix, systems
 
@@ -165,9 +165,13 @@ def greedy_bigint_scan(sys_: SetSystem, cluster: ReplayCluster) -> tuple[tuple[i
 
 
 def assert_greedy_matches_the_bigint_scan(sys_: SetSystem) -> None:
+    """greedy_fallback and its data plane greedy_picks both give the scan's
+    picks and coverage, and greedy_fallback charges the scan's round log."""
     cl = Cluster(sys_.m, sys_.n)
     ref_cl = ReplayCluster(sys_.m, cl.budget_bits)
-    assert greedy_fallback(sys_.incidence, sys_.k, cl) == greedy_bigint_scan(sys_, ref_cl)
+    ref = greedy_bigint_scan(sys_, ref_cl)
+    assert greedy_fallback(sys_.incidence, sys_.k, cl) == ref
+    assert greedy_picks(sys_.incidence, sys_.k) == ref
     assert cl.log == ref_cl.log
 
 
@@ -219,6 +223,21 @@ def test_greedy_on_the_relabelled_view_matches_the_normalized_system(sys_, sprea
     cl, ref_cl = Cluster(sparse.m, sparse.n), Cluster(sparse.m, sparse.n)
     assert greedy_fallback(view, sparse.k, cl) == greedy_fallback(reduced, sparse.k, ref_cl)
     assert cl.log == ref_cl.log
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(max_n=12, max_m=8), st.data())
+def test_greedy_fallback_charges_only_the_shape(sys_, data):
+    """Split off from its picks, greedy_fallback charges the same round log
+    on any instance of the shape (n, m, k): k * (ceil(log2 m) + 2) rounds."""
+    row = st.sets(st.integers(1, sys_.n)).map(lambda s: tuple(sorted(s)))
+    rows = data.draw(st.lists(row, min_size=sys_.m, max_size=sys_.m), label="other")
+    other = SetSystem(sys_.n, sys_.m, sys_.k, tuple(rows))
+    cl, other_cl = Cluster(sys_.m, sys_.n), Cluster(sys_.m, sys_.n)
+    greedy_fallback(sys_.incidence, sys_.k, cl)
+    greedy_fallback(other.incidence, other.k, other_cl)
+    assert cl.log == other_cl.log
+    assert cl.rounds == sys_.k * (ceil_log2(sys_.m) + 2)
 
 
 def greedy_route():
@@ -334,6 +353,31 @@ def test_path_lp_end_to_end_tiles():
     assert hashlib.sha256(log_to_jsonl(rep.log).encode()).hexdigest() == (
         "e05b08022a831c2348960eb9b3ce8eb49403c1f9033d51f6c49ecba11098e200"
     )
+
+
+@pytest.mark.parametrize(
+    "n, rounds, peak_bits, entries, cov, digest",
+    [
+        (96, 620701, 19530, 68, 60,
+         "32c8c0ac2c51b270bf5e0c794ef931462af4d56ec79f451c6a3e7f7ae50c31cb"),
+        (200, 887394, 53480, 70, 124,
+         "804fabbf5c2c746f35e97c83b8798f77479536ffa8173a319d922bb0d9d0f0f9"),
+    ],
+    ids=["n96", "n200"],
+)
+def test_lp_scaling_rung_is_frozen(n, rounds, peak_bits, entries, cov, digest):
+    """The LP scaling rungs, generate_random(n, 16, 4, density=0.15,
+    seed=1) at eps = 1/4 and seed 7: most guesses fall at or below the
+    greedy certificate and are charged without running, and the report and
+    the whole round log are those of running every lane."""
+    rep = run_pipeline(
+        generate_random(n, 16, 4, density=0.15, seed=1), PipelineConfig(eps=Fraction(1, 4), seed=7)
+    )
+    assert rep.config["path"] == "lp"
+    assert (rep.rounds, rep.peak_bits, len(rep.log), rep.coverage) == (
+        rounds, peak_bits, entries, cov
+    )
+    assert hashlib.sha256(log_to_jsonl(rep.log).encode()).hexdigest() == digest
 
 
 def test_path_lp_subsampled_end_to_end(monkeypatch):
