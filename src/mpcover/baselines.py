@@ -23,9 +23,9 @@ EXACT_OPT_LIMIT = 10**7
 def set_masks(sys: SetSystem) -> tuple[int, ...]:
     """Bitmask per set, bit e-1 for element e, in O(n + |set|) per set."""
     masks = []
-    for s in sys.sets:
+    for row in sys.incidence.lists():
         bits = np.zeros(sys.n, dtype=bool)
-        bits[np.array(s, dtype=np.intp) - 1] = True
+        bits[row] = True
         masks.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
     return tuple(masks)
 

@@ -1,16 +1,14 @@
 """Set-system instances for maximum coverage.
 
-An instance is a universe [1..n], m sets over it and a budget k.  The text
-format is line oriented: the first line holds "n m k", the next m lines hold
-the elements of each set, in any order and separated by any whitespace (a
-blank line is an empty set).  Duplicate elements inside one line are dropped
-silently; duplicate sets are legal.
+An instance is a universe [1..n], m sets over it and a budget k, stored as
+its m x n CSR incidence.  The text format is line oriented: the first line
+holds "n m k", the next m lines hold the elements of each set, in any order
+and separated by any whitespace (a blank line is an empty set).  Duplicate
+elements inside one line are dropped silently; duplicate sets are legal.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -22,57 +20,25 @@ class InstanceError(ValueError):
     """Raised for malformed instance text or inconsistent parameters."""
 
 
-@dataclass(frozen=True)
-class SetSystem:
-    """Immutable set system. Sets are 1-indexed externally, stored in order.
-
-    The parse and validate boundary: a run reads its incidence and k and
-    builds no other.  m <= n is an input rule, checked by load_instance and
-    generate_random, not here: a run's column drops can break it.
-    """
-
-    n: int
-    m: int
-    k: int
-    sets: tuple[tuple[int, ...], ...]  # each sorted strictly increasing
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.k <= self.m):
-            raise InstanceError(f"need 1 <= k <= m, got k={self.k} m={self.m}")
-        if len(self.sets) != self.m:
-            raise InstanceError(f"expected {self.m} sets, got {len(self.sets)}")
-        for j, s in enumerate(self.sets, start=1):
-            for a, b in zip(s, s[1:]):
-                if a >= b:
-                    raise InstanceError(f"set {j} not strictly increasing")
-            if s and (s[0] < 1 or s[-1] > self.n):
-                raise InstanceError(f"set {j} has element outside [1, {self.n}]")
-
-    @functools.cached_property
-    def incidence(self) -> "Incidence":
-        """The sparse m x n incidence, built once per instance."""
-        sizes = np.fromiter(map(len, self.sets), dtype=np.intp, count=self.m)
-        offsets = np.zeros(self.m + 1, dtype=np.intp)
-        np.cumsum(sizes, out=offsets[1:])
-        ids = itertools.chain.from_iterable(self.sets)
-        ids = np.fromiter(ids, dtype=np.intp, count=offsets[-1]) - 1
-        return Incidence(ids, offsets, (self.m, self.n))
-
-
 class Incidence:
     """Sparse m x n 0/1 matrix in CSR form: row r holds the 0-based column
     ids ids[offsets[r]:offsets[r + 1]], ascending.  A SetSystem's view has
     one row per set (row j-1 is set j) and one column per element.
 
-    It offers what the stages need from a dense matrix: shape, the column
-    sums sum(axis=0), the rows of a selection (in place or cut out), the
-    rows as lists, the transpose, and the view with only some columns kept.
+    It offers what the stages need from a dense matrix: shape, equality,
+    the column sums sum(axis=0), the rows of a selection cut out, the rows
+    as lists, the transpose, and the view with only some columns kept.
     """
 
     def __init__(self, ids: np.ndarray, offsets: np.ndarray, shape: tuple[int, int]):
         self.ids = ids
         self.offsets = offsets
         self.shape = shape
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Incidence) and self.shape == other.shape and all(
+            np.array_equal(a, b) for a, b in ((self.ids, other.ids), (self.offsets, other.offsets))
+        )
 
     def sum(self, axis: int = 0) -> np.ndarray:
         """Column sums (axis 0 only): how many rows hold each column."""
@@ -81,8 +47,8 @@ class Incidence:
         return np.bincount(self.ids, minlength=self.shape[1])
 
     def take_rows(self, sel) -> "Incidence":
-        """The len(sel) x n matrix of the rows in sel (0-based, ascending,
-        distinct), in order.  Costs O(len(sel) + kept entries)."""
+        """The len(sel) x n matrix of the rows in sel (0-based, any order,
+        repeats allowed), in order.  Costs O(len(sel) + kept entries)."""
         sel = np.asarray(sel, dtype=np.intp)
         starts = self.offsets[sel]
         sizes = self.offsets[sel + 1] - starts
@@ -92,18 +58,6 @@ class Incidence:
         shift = np.repeat(starts - offsets[:-1], sizes)
         shape = (len(sel), self.shape[1])
         return Incidence(self.ids[np.arange(offsets[-1]) + shift], offsets, shape)
-
-    def rows(self, sel) -> "Incidence":
-        """The same shape with only the rows in sel (0-based) kept and every
-        other row empty.  Costs O(rows + kept entries)."""
-        keep = np.zeros(self.shape[0], dtype=bool)
-        keep[np.asarray(sel, dtype=np.intp)] = True
-        sel = np.flatnonzero(keep)
-        cut = self.take_rows(sel)
-        offsets = np.zeros_like(self.offsets)
-        offsets[sel + 1] = np.diff(cut.offsets)
-        np.cumsum(offsets, out=offsets)
-        return Incidence(cut.ids, offsets, self.shape)
 
     def lists(self) -> list[list[int]]:
         """The rows as Python lists of column ids."""
@@ -136,6 +90,51 @@ class Incidence:
             return Incidence(ids, self.offsets, shape)
         before = np.concatenate(([0], np.cumsum(hit)))  # kept entries before each entry
         return Incidence(ids[hit], before[self.offsets], shape)
+
+
+@dataclass(frozen=True, init=False)
+class SetSystem:
+    """Immutable set system: n, m, k and the validated m x n incidence.
+
+    SetSystem(n, m, k, sets) takes each set as strictly increasing 1-based
+    ids, in tuples, lists or numpy arrays alike.  Its one constructor is the
+    parse and validate boundary; ids past int64 are kept as Python ints.
+    m <= n is an input rule that load_instance and generate_random check,
+    not this constructor: a run's column drops can break it.
+    """
+
+    n: int
+    m: int
+    k: int
+    incidence: Incidence
+
+    def __init__(self, n: int, m: int, k: int, sets) -> None:
+        if not (1 <= k <= m):
+            raise InstanceError(f"need 1 <= k <= m, got k={k} m={m}")
+        if len(sets) != m:
+            raise InstanceError(f"expected {m} sets, got {len(sets)}")
+        offsets = np.cumsum([0, *map(len, sets)], dtype=np.intp)
+        dtype = np.int64 if n <= _INT64_MAX else object
+        try:
+            ids = np.concatenate([np.empty(0, dtype), *(np.asarray(s, dtype) for s in sets)])
+        except OverflowError:  # an id past int64, so outside [1, n]: compare Python ints
+            ids = np.concatenate([np.empty(0, object), *(np.asarray(s, object) for s in sets)])
+        # name the first faulty set, in it an order fault before a range fault
+        row = np.repeat(np.arange(1, m + 1), np.diff(offsets))  # each entry's set
+        order = row[1:][(ids[1:] <= ids[:-1]) & (row[1:] == row[:-1])][:1].tolist()
+        out = row[(ids < 1) | (ids > n)][:1].tolist()
+        if order and (not out or order[0] <= out[0]):
+            raise InstanceError(f"set {order[0]} not strictly increasing")
+        if out:
+            raise InstanceError(f"set {out[0]} has element outside [1, {n}]")
+        ids -= 1
+        ids.flags.writeable = offsets.flags.writeable = False
+        vars(self).update(n=n, m=m, k=k, incidence=Incidence(ids, offsets, (m, n)))
+
+    @property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        """The sets as tuples of 1-based ids, built on each access."""
+        return tuple(tuple(i + 1 for i in row) for row in self.incidence.lists())
 
 
 # The bytes of a set line that np.fromstring reads as str.split() and int()
@@ -174,15 +173,14 @@ def load_instance(text: str, k: int | None = None) -> SetSystem:
     for lineno, extra in enumerate(lines[m + 1 :], start=m + 2):
         if extra.strip():
             raise InstanceError(f"line {lineno}: trailing content after {m} sets")
-    sets = _read_sets(lines[1 : m + 1], n)
-    return SetSystem(n=n, m=m, k=head_k if k is None else k, sets=sets)
+    return SetSystem(n=n, m=m, k=head_k if k is None else k, sets=_read_sets(lines[1 : m + 1], n))
 
 
-def _read_sets(lines: list[str], n: int) -> tuple[tuple[int, ...], ...]:
-    """The sets of the set lines, each sorted and deduplicated by one sort of
-    the keys row * (n + 1) + id, which puts every row's ids in order and its
-    duplicates side by side.  Where a key may not fit in int64, the keys are
-    Python ints."""
+def _read_sets(lines: list[str], n: int) -> list[np.ndarray]:
+    """The sets of the set lines, views of one array, each sorted and
+    deduplicated by one sort of the keys row * (n + 1) + id, which puts
+    every row's ids in order and its duplicates side by side.  Where a key
+    may not fit in int64, the keys are Python ints."""
     m = len(lines)
     dtype = np.int64 if m * (n + 1) <= _INT64_MAX else object
     row_of, key = _read_keys(lines, n, dtype)
@@ -192,8 +190,7 @@ def _read_sets(lines: list[str], n: int) -> tuple[tuple[int, ...], ...]:
     if not new.all():  # needless copies raised a later greedy solve's peak RSS by 0.7 MB
         row_of, key = row_of[new], key[new]
     key -= row_of.astype(dtype, copy=False) * (n + 1)  # now the ids
-    ids, bounds = key.tolist(), np.searchsorted(row_of, np.arange(m + 1)).tolist()
-    return tuple([tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:])])
+    return np.split(key, np.searchsorted(row_of, np.arange(1, m)))
 
 
 def _read_keys(lines: list[str], n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +259,7 @@ def _read_tokens(line: str, n: int, lineno: int) -> list[int]:
 def dump_instance(sys: SetSystem) -> str:
     """Inverse of load_instance, canonical form (sorted, deduplicated)."""
     out = [f"{sys.n} {sys.m} {sys.k}"]
-    out.extend(" ".join(str(e) for e in s) for s in sys.sets)
+    out.extend(" ".join(str(i + 1) for i in row) for row in sys.incidence.lists())
     return "\n".join(out) + "\n"
 
 
@@ -316,19 +313,15 @@ def generate_random(
     if m > n:
         raise InstanceError(f"need m <= n, got m={m} n={n}")
     rng = Generator(PCG64(seed))
-    sets = []
     if density is not None:
         if not 0.0 < density <= 1.0:
             raise InstanceError("density must be in (0, 1]")
-        for _ in range(m):
-            keep = rng.random(n) < density
-            sets.append(tuple((np.flatnonzero(keep) + 1).tolist()))
+        sets = [np.flatnonzero(rng.random(n) < density) + 1 for _ in range(m)]
     else:
         lo, hi = (set_size, set_size) if isinstance(set_size, int) else set_size
         if not 0 <= lo <= hi <= n:
             raise InstanceError(f"set sizes must satisfy 0 <= lo <= hi <= n, got [{lo}, {hi}]")
-        for _ in range(m):
-            size = int(rng.integers(lo, hi + 1))
-            ids = rng.choice(n, size=size, replace=False) + 1
-            sets.append(tuple(np.sort(ids).tolist()))
-    return SetSystem(n=n, m=m, k=k, sets=tuple(sets))
+        # each set draws its size, then its ids
+        sizes = (int(rng.integers(lo, hi + 1)) for _ in range(m))
+        sets = [np.sort(rng.choice(n, size=size, replace=False)) + 1 for size in sizes]
+    return SetSystem(n=n, m=m, k=k, sets=sets)

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cluster import BudgetError, Cluster, RoundLogEntry, ceil_log2
-from .instance import Incidence, SetSystem, frequency, union_size
+from .instance import Incidence, InstanceError, SetSystem, frequency, union_size
 from .lp import LpContext, OracleSoundnessError, scale_to_pi0, solve_pi1
 from .prefix import prefix_coverage, trim_to_k
 from .rounding import RoundingConfig, best_of_repetitions
@@ -176,7 +176,7 @@ def greedy_picks(inc: Incidence, k: int) -> tuple[tuple[int, ...], int]:
         elems = inc.ids[inc.offsets[best] : inc.offsets[best + 1]]
         fresh = elems[~covered[elems]]
         covered[fresh] = True
-        gains -= sets_of.rows(fresh).sum(axis=0)
+        gains -= sets_of.take_rows(fresh).sum(axis=0)
         gains[best] = -1
     return tuple(picks), int(np.count_nonzero(covered))
 
@@ -267,7 +267,7 @@ def _report(sys, eps, cfg, cluster, selection, l_star, subsampled_n, path) -> Ru
     on the original instance `sys`, the selection is checked against k and
     the rounds against the audit bound at the original shape and run's eps."""
     selection = tuple(selection)
-    cov = int(np.count_nonzero(sys.incidence.rows([j - 1 for j in selection]).sum(axis=0)))
+    cov = int(np.count_nonzero(sys.incidence.take_rows([j - 1 for j in selection]).sum(axis=0)))
     if len(selection) > sys.k:
         raise AuditError(f"selection of {len(selection)} sets exceeds the budget k={sys.k}")
     bound = round_audit_bound(sys.n, sys.m, eps, cfg.subsample)
@@ -296,12 +296,19 @@ def _report(sys, eps, cfg, cluster, selection, l_star, subsampled_n, path) -> Ru
     )
 
 
+def _run_cluster(sys: SetSystem, cfg: PipelineConfig) -> Cluster:
+    """The run's one Cluster; refuses n >= 2**63, which loads but the int64 stages cannot run."""
+    if sys.n >= 2**63:
+        raise InstanceError(f"n={sys.n} is too large to run: the stages need n < 2**63")
+    return Cluster(sys.m, sys.n, cfg.mem_c, cfg.mem_e)
+
+
 def solve_max_coverage(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
     """The full run; see the module docstring for the stage order."""
     if cfg.eps is None:
         raise ValueError("solve_max_coverage needs eps; use run_pipeline for eta mode")
     eps = Fraction(cfg.eps)
-    cluster = Cluster(sys.m, sys.n, cfg.mem_c, cfg.mem_e)
+    cluster = _run_cluster(sys, cfg)
     return _report(sys, eps, cfg, cluster, *_run_stages(sys.incidence, sys.k, eps, cfg, cluster))
 
 
@@ -321,7 +328,7 @@ def bounded_frequency_solve(sys: SetSystem, cfg: PipelineConfig) -> RunReport:
     if cfg.eta is None:
         raise ValueError("bounded_frequency_solve needs eta; use run_pipeline for eps mode")
     eta = Fraction(cfg.eta)
-    cluster = Cluster(sys.m, sys.n, cfg.mem_c, cfg.mem_e)
+    cluster = _run_cluster(sys, cfg)
     f_vec = cluster.convergecast_sum(sys.incidence, entry_bits=1, label="bfreq.freq_cast")
     f_max = max(int(np.max(f_vec, initial=0)), 1)
     inner_eps = eta * eta / f_max

@@ -98,7 +98,7 @@ def best_of_repetitions(
     then each candidate's coverage is a converge-cast of per-set indicator
     vectors in its own parallel lane.  Ties prefer the earliest candidate.
     """
-    m = inc.shape[0]
+    m, n = inc.shape
     reps = config.repetitions(m)
     cum, den = _cumulative_thresholds(y, kprime)
     best: tuple[int, int, tuple[int, ...]] | None = None  # (-cov, rep, sel)
@@ -109,9 +109,8 @@ def best_of_repetitions(
         for r in batch:
             sel = _draw(cum, den, kprime, config.seed ^ r)
             lane = cluster.lane()
-            chosen = inc.rows([j - 1 for j in sel])
-            summed = lane.convergecast_sum(chosen, entry_bits=1, label="round.coverage_cast")
-            cov = int(np.count_nonzero(summed))
+            lane.convergecast(n, entry_bits=1, label="round.coverage_cast")
+            cov = int(np.count_nonzero(inc.take_rows([j - 1 for j in sel]).sum(axis=0)))
             if cov != union_size(inc, sel):
                 raise OracleSoundnessError("converge-cast coverage disagrees with union_size()")
             lanes.append(lane)

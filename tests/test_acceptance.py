@@ -26,7 +26,7 @@ from mpcover import (
     log_to_jsonl,
     solve_max_coverage,
 )
-from mpcover.baselines import exact_opt
+from mpcover.baselines import exact_opt, greedy_sequential
 from mpcover.cli import main as cli_main
 from mpcover.cluster import ceil_log2
 from mpcover.instance import frequency
@@ -169,6 +169,26 @@ def test_criterion_01_approximation_ratio(pipeline_runs):
     assert len(runs) == 20 * SEEDS_PER_INSTANCE
     assert frac >= 0.95
     assert pipeline_runs["elapsed"] <= 600
+
+
+def test_lp_route_ratio_sample():
+    """Criterion 01's ratio on the LP route, which criterion 01's runs never
+    take: 8 seeded instances at density 0.15 and eps = 1/4, each past the
+    greedy gate (n' > 40), reach (1 - 1/e - 1/4) * opt."""
+    target = 1 - 1 / math.e - 0.25
+    ratios = []
+    for s in range(8):
+        # instance seeds from 24 on: each of these eight takes the LP route
+        sys_ = generate_random(50 + 6 * s, 12 + s % 5, 2 + s % 3, density=0.15, seed=24 + s)
+        rep = solve_max_coverage(sys_, PipelineConfig(eps=Fraction(1, 4), seed=s))
+        opt = exact_opt(sys_).value
+        assert rep.config["path"] == "lp", s
+        assert rep.coverage >= target * opt, s
+        ratios.append((rep.coverage / opt, greedy_sequential(sys_).value / opt))
+    print(
+        f"LP route: worst coverage/opt {min(r for r, _ in ratios):.3f} over {len(ratios)} runs "
+        f"(greedy {min(g for _, g in ratios):.3f}), threshold {target:.4f}"
+    )
 
 
 def test_criterion_02_lp_solver_contract(lp_solutions):

@@ -104,8 +104,13 @@ def test_run_k_override(small_path, capsys):
 
 def test_run_k_validates_the_instance_once(small_path, capsys, monkeypatch):
     checked = []
-    check = SetSystem.__post_init__
-    monkeypatch.setattr(SetSystem, "__post_init__", lambda s: (checked.append(s), check(s)))
+    init = SetSystem.__init__
+
+    def counted(self, *args, **kwargs):
+        checked.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SetSystem, "__init__", counted)
     argv = ["run", "--input", str(small_path), "--epsilon", "0.25", "--k", "1"]
     assert run_main(argv, capsys)[0] == 0
     assert [sys_.k for sys_ in checked] == [1]
@@ -352,6 +357,24 @@ def test_compare_refuses_huge_exact_search(tmp_path, capsys):
     rc, _, err = run_main(["compare", "--input", str(inst), "--epsilon", "0.25"], capsys)
     assert rc == 2
     assert "--no-opt" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--epsilon", "0.25"], ["run", "--eta", "0.25"], ["compare", "--epsilon", "0.25"]],
+)
+def test_run_and_compare_refuse_n_past_int64(tmp_path, capsys, argv):
+    """n >= 2**63 is legal to load, but the stages index elements with
+    int64: both entry points refuse it by name, and the CLI exits 2."""
+    text = "99999999999999999999 2 1\n12345678901234567890 3 3\n\n"
+    assert load_instance(text).sets == ((3, 12345678901234567890), ())
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    rc, out, err = run_main([*argv, "--input", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: n=99999999999999999999 is too large to run: the stages need n < 2**63\n"
+    )
 
 
 # -- audit -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Instance parsing, masks, frequencies, the incidence and normalization."""
 
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -94,15 +95,6 @@ def restrict_then_normalize(sys_: SetSystem, sampled) -> tuple[SetSystem, tuple[
     sampled = set(sampled)
     sets = tuple(tuple(e for e in s if e in sampled) for s in sys_.sets)
     return normalize_covered(SetSystem(sys_.n, sys_.m, sys_.k, sets))
-
-
-def same_matrix(a, b) -> bool:
-    """Two Incidence views hold the same CSR matrix."""
-    return (
-        a.shape == b.shape
-        and a.ids.tolist() == b.ids.tolist()
-        and a.offsets.tolist() == b.offsets.tolist()
-    )
 
 
 def systems(max_n=10, max_m=6):
@@ -257,6 +249,22 @@ def test_load_reads_a_line_numpy_warns_on_token_by_token(monkeypatch):
         assert load_instance("4 2 1\n1 3 2\n4\n").sets == ((1, 2, 3), (4,))
 
 
+def test_load_keeps_the_incidence_and_no_tuples():
+    """A loaded instance holds its CSR arrays, not per-set Python tuples:
+    what the parse keeps is at most twice their bytes plus a fixed slack."""
+    text = dump_instance(generate_random(4000, 40, 4, density=0.125, seed=7))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sys_ = load_instance(text)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    inc = sys_.incidence
+    assert 19_000 < len(inc.ids) < 21_000
+    assert kept <= 2 * (inc.ids.nbytes + inc.offsets.nbytes) + 16_384
+
+
 def test_load_with_k_replaces_the_header_budget():
     assert load_instance("4 3 2\n1 2\n2 3\n3 4\n", k=3) == SetSystem(4, 3, 3, CHAIN.sets)
     with pytest.raises(InstanceError, match=r"^need 1 <= k <= m, got k=4 m=3$"):
@@ -273,14 +281,47 @@ def test_trailing_content_names_its_own_line():
 
 
 def test_constructor_validation():
-    with pytest.raises(InstanceError):
-        SetSystem(4, 3, 0, ((), (), ()))
-    with pytest.raises(InstanceError):
-        SetSystem(4, 2, 1, ((1, 1), ()))
-    with pytest.raises(InstanceError):
-        SetSystem(4, 2, 1, ((0, 1), ()))
-    with pytest.raises(InstanceError):
-        SetSystem(4, 1, 1, ((2, 5),))
+    """Each message, and which comes first: k, then the set count, then the
+    first faulty set, and within one set an order fault before a range fault."""
+    big = 12345678901234567890  # past int64
+    cases = [
+        ((4, 3, 0, ((), (), ())), "need 1 <= k <= m, got k=0 m=3"),
+        ((4, 3, 4, ((),)), "need 1 <= k <= m, got k=4 m=3"),
+        ((4, 3, 1, ((1,), ())), "expected 3 sets, got 2"),
+        ((4, 2, 1, ((1, 1), ())), "set 1 not strictly increasing"),
+        ((4, 2, 1, ((0, 1), ())), "set 1 has element outside [1, 4]"),
+        ((4, 1, 1, ((2, 5),)), "set 1 has element outside [1, 4]"),
+        # a range fault in set 2 before an order fault in set 3
+        ((4, 3, 1, ((1, 4), (5,), (3, 2))), "set 2 has element outside [1, 4]"),
+        # an order fault in set 1 before a range fault in set 2
+        ((4, 3, 1, ((3, 2), (), (0,))), "set 1 not strictly increasing"),
+        # in one set the order fault comes first, wherever the range fault is
+        ((4, 3, 1, ((1,), (), (9, 2, 2))), "set 3 not strictly increasing"),
+        ((4, 2, 1, ((4,), (0, 2, 1))), "set 2 not strictly increasing"),
+        # a descent from one set to the next is no fault
+        ((4, 3, 1, ((3, 4), (), (1, 2, 5))), "set 3 has element outside [1, 4]"),
+        # ids past int64 are compared as Python ints
+        ((4, 2, 1, ((1,), (big, 2))), "set 2 not strictly increasing"),
+        ((4, 2, 1, ((1,), (-big,))), "set 2 has element outside [1, 4]"),
+        ((big, 1, 1, ((3, big + 1),)), f"set 1 has element outside [1, {big}]"),
+        ((4, 2, 1, [[2, 3], np.array([4, 4])]), "set 2 not strictly increasing"),
+    ]
+    for args, message in cases:
+        with pytest.raises(InstanceError) as err:
+            SetSystem(*args)
+        assert str(err.value) == message, args
+
+
+@given(systems(), st.data())
+def test_tuples_lists_and_arrays_build_one_instance(sys_, data):
+    """Any sequences of ids build the same instance, and its tuple view
+    round-trips through the text format."""
+    sets = sys_.sets
+    kinds = (list, tuple, lambda s: np.array(s, dtype=np.int64), np.array)
+    mixed = [data.draw(st.sampled_from(kinds))(s) for s in sets]
+    assert SetSystem(sys_.n, sys_.m, sys_.k, mixed) == sys_
+    assert load_instance(dump_instance(sys_)).sets == sets
+    assert all(type(s) is tuple and all(type(e) is int for e in s) for s in sets)
 
 
 def test_set_masks_and_coverage():
@@ -349,7 +390,7 @@ def test_keep_columns_drops_and_renumbers():
 
 def test_keep_columns_identity_when_all_covered():
     inc = CHAIN.incidence
-    assert same_matrix(inc.keep_columns(inc.sum(axis=0)), inc)
+    assert inc.keep_columns(inc.sum(axis=0)) == inc
 
 
 def test_generate_random_modes_and_determinism():
@@ -409,12 +450,12 @@ def test_normalize_preserves_selection_coverage(sys_, data):
     view = inc.keep_columns(inc.sum(axis=0))
     ref, kept = normalize_covered(sys_)
     assert kept == tuple(i + 1 for i, fv in enumerate(frequency(inc)) if fv)
-    assert same_matrix(view, ref.incidence)
+    assert view == ref.incidence
     for sel in ((), (1,), tuple(range(1, sys_.m + 1))):
         assert union_size(view, sel) == coverage(ref, sel) == coverage(sys_, sel)
     keep = data.draw(st.lists(st.booleans(), min_size=ref.n, max_size=ref.n), label="keep")
     sub_ref, _ = restrict_then_normalize(ref, [i + 1 for i, b in enumerate(keep) if b])
-    assert same_matrix(view.keep_columns(keep), sub_ref.incidence)
+    assert view.keep_columns(keep) == sub_ref.incidence
 
 
 @given(systems())
@@ -435,9 +476,13 @@ def test_incidence_view_of_a_chain():
     assert inc.ids.tolist() == [0, 1, 1, 2, 2, 3]
     assert inc.offsets.tolist() == [0, 2, 4, 6]
     assert inc.sum(axis=0).tolist() == [1, 2, 2, 1]
-    assert inc.rows([2, 0]).sum(axis=0).tolist() == [1, 1, 1, 1]
-    assert inc.rows([]).sum(axis=0).tolist() == [0, 0, 0, 0]
     assert inc.transpose().ids.tolist() == [0, 0, 1, 1, 2, 2]
+    # the instance is immutable, its arrays included
+    with pytest.raises(AttributeError):
+        CHAIN.k = 1
+    for array in (inc.ids, inc.offsets):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
     with pytest.raises(ValueError, match="axis 0 only"):
         inc.sum(axis=1)
 
@@ -467,25 +512,21 @@ def test_incidence_view_matches_the_dense_reference(sys_, data):
     for r in range(sys_.m):
         assert row_ids(inc, r) == np.flatnonzero(dense[r]).tolist()
     sel = data.draw(st.lists(st.integers(0, sys_.m - 1), max_size=2 * sys_.m), label="rows")
-    chosen = dense & np.isin(np.arange(sys_.m), sel)[:, None]
-    picked = inc.rows(sel)
-    assert picked.shape == dense.shape
-    assert picked.sum(axis=0).tolist() == chosen.sum(axis=0).tolist()
-    for r in range(sys_.m):
-        assert row_ids(picked, r) == np.flatnonzero(chosen[r]).tolist()
     by_elem = inc.transpose()
     assert by_elem.shape == dense.T.shape
     assert by_elem.sum(axis=0).tolist() == dense.T.sum(axis=0).tolist()
     for i in range(sys_.n):
         assert row_ids(by_elem, i) == np.flatnonzero(dense[:, i]).tolist()
     cols = data.draw(st.lists(st.integers(0, sys_.n - 1), unique=True), label="columns")
-    assert by_elem.rows(cols).sum(axis=0).tolist() == dense[:, cols].sum(axis=1).tolist()
-    # a row cut keeps the rows in sel, in order, and drops the rest
-    cut_rows = sorted(set(sel))
-    cut = inc.take_rows(cut_rows)
-    assert cut.shape == (len(cut_rows), sys_.n)
-    for r, j in enumerate(cut_rows):
-        assert row_ids(cut, r) == np.flatnonzero(dense[j]).tolist()
+    # a row cut keeps the rows in sel, in the order of sel (ascending, or in
+    # pick order with repeats), and drops the rest
+    for cut_rows in (sorted(set(sel)), sel):
+        cut = inc.take_rows(cut_rows)
+        assert cut.shape == (len(cut_rows), sys_.n)
+        for r, j in enumerate(cut_rows):
+            assert row_ids(cut, r) == np.flatnonzero(dense[j]).tolist()
+        assert cut.sum(axis=0).tolist() == dense[cut_rows].sum(axis=0).tolist()
+    assert by_elem.take_rows(cols).sum(axis=0).tolist() == dense[:, cols].sum(axis=1).tolist()
     # keeping some columns, the empty ones or any others, keeps them in order, renumbered
     for keep in (dense.any(axis=0), np.isin(np.arange(sys_.n), cols)):
         compact = inc.keep_columns(keep)
@@ -495,6 +536,6 @@ def test_incidence_view_matches_the_dense_reference(sys_, data):
             assert row_ids(compact, r) == np.flatnonzero(kept[r]).tolist()
     # a converge-cast charges the view as it charges the dense matrix
     sparse_cl, dense_cl = Cluster(sys_.m, sys_.n), Cluster(sys_.m, sys_.n)
-    got = sparse_cl.convergecast_sum(picked, entry_bits=1, label="cast")
-    assert got.tolist() == dense_cl.convergecast_sum(chosen, entry_bits=1, label="cast").tolist()
+    got = sparse_cl.convergecast_sum(inc, entry_bits=1, label="cast")
+    assert got.tolist() == dense_cl.convergecast_sum(dense, entry_bits=1, label="cast").tolist()
     assert sparse_cl.log == dense_cl.log

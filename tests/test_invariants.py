@@ -126,6 +126,22 @@ def test_stages_do_not_import_the_parse_boundary():
         assert imported & {"SetSystem", "set_masks"} == set(), name
 
 
+def test_the_tuple_view_stays_off_the_run_path():
+    """SetSystem.sets builds Python tuples on each access: in the package
+    only the baselines and the instance module may read it.  Rows are cut
+    one way, Incidence.take_rows, so no module names a `rows` method."""
+    readers, rows_named = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "sets":
+                readers.add(path.name)
+            called = isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "rows"
+            if called or isinstance(node, ast.FunctionDef) and node.name == "rows":
+                rows_named.append(f"{path.name}:{node.lineno}")
+    assert readers <= {"baselines.py", "instance.py"}
+    assert rows_named == []
+
+
 def _message(node: ast.expr) -> str:
     if isinstance(node, ast.Constant):
         return node.value

@@ -25,7 +25,7 @@ from mpcover.instance import frequency
 import mpcover.pipeline as pipeline_mod
 from mpcover.pipeline import _pad_budget, greedy_fallback, greedy_picks, subsample_universe
 from test_cluster import ReplayCluster
-from test_instance import normalize_covered, restrict_then_normalize, same_matrix, systems
+from test_instance import normalize_covered, restrict_then_normalize, systems
 
 
 def tile_system(num_tiles: int, k: int) -> SetSystem:
@@ -94,9 +94,9 @@ def test_subsample_dense_binomial_instance():
     # the column drop equals restricting every set to the kept ids, then normalizing
     ref, ref_kept = restrict_then_normalize(sys_, kept)
     assert ref_kept == kept
-    assert same_matrix(reduced, ref.incidence)
+    assert reduced == ref.incidence
     again = subsample_universe(sys_.incidence, sys_.k, eps, seed=7)
-    assert same_matrix(again[0], reduced) and again[1] == kept
+    assert again[0] == reduced and again[1] == kept
 
 
 def test_subsample_preserves_set_count_beyond_n():
@@ -219,7 +219,7 @@ def test_greedy_on_the_relabelled_view_matches_the_normalized_system(sys_, sprea
     inc = sparse.incidence
     view = inc.keep_columns(inc.sum(axis=0))
     reduced = normalize_covered(sparse)[0].incidence
-    assert same_matrix(view, reduced)
+    assert view == reduced
     cl, ref_cl = Cluster(sparse.m, sparse.n), Cluster(sparse.m, sparse.n)
     assert greedy_fallback(view, sparse.k, cl) == greedy_fallback(reduced, sparse.k, ref_cl)
     assert cl.log == ref_cl.log
@@ -276,10 +276,10 @@ def test_no_set_system_below_the_parse(route, monkeypatch):
         # rate 4 * 2**-16 * (41 ln 2 + ln 41) * 32**2 / 1, about 1/2
         monkeypatch.setattr(pipeline_mod, "SUBSAMPLE_FACTOR", Fraction(1, 65536))
 
-    def refuse(self):
+    def refuse(self, *args, **kwargs):
         raise RuntimeError("SetSystem built below the parse")
 
-    monkeypatch.setattr(SetSystem, "__post_init__", refuse)
+    monkeypatch.setattr(SetSystem, "__init__", refuse)
     with pytest.raises(RuntimeError, match="below the parse"):
         SetSystem(1, 1, 1, ((1,),))
     rep = run_pipeline(sys_, cfg)
@@ -494,7 +494,7 @@ def test_bounded_frequency_keeps_the_largest_sets_lower_index_first(sys_):
         pipeline_mod, "_run_stages", lambda inc, *a: stages.append(inc) or run_stages(inc, *a)
     ):
         run_pipeline(sys_, PipelineConfig(eta=eta, seed=0))
-    assert len(stages) == 1 and same_matrix(stages[0], want.incidence)
+    assert len(stages) == 1 and stages[0] == want.incidence
 
 
 def test_bounded_frequency_selection_maps_back():
