@@ -41,6 +41,14 @@ From the oracle's picks the loop builds the nonzero errors, runs the exact
 truncation check on them, and moves the accumulators, weights, costs, keys,
 totals and |A|max in one pass over them.  The loop makes no charge: a
 lane's charges are a function of its outcome alone (see charge_lane).
+
+A lane runs until its accumulators repeat.  All an iteration reads is a
+function of a (the weights, costs, keys and totals are derived from it, the
+kept orders re-sorted on unique keys), so if a after t2 accepted iterations
+equals a after t1, iteration t2 + s repeats t1 + s, checks and outcome
+included: the one check that reads t, |A| <= 2*n*t, only loosens as t grows.
+_mwu saves its state at each power-of-two t (Brent's checkpoints) and, at a
+repeat of it, advances the whole periods that fit before t_total at once.
 """
 
 from __future__ import annotations
@@ -266,6 +274,12 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
     averaged iterate's sum_z_j is t_total minus the iterations that left
     set j out, and its sum_x_i the left-outs of i's sets minus A_i.
 
+    At a repeat of the state saved at the last power-of-two t (see the
+    module docstring), the whole periods that fit before t_total pass at
+    once, each adding its left-outs to left_out, and the rest run.  The
+    state compared is every kept list and total, not a alone, so that no
+    bookkeeping fault is skipped over.
+
     The loop touches no cluster: the lane is charged once it ends, from its
     outcome, by charge_lane.
     """
@@ -278,7 +292,9 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
     cap, lim = ctx.wcap_log2, 2 * n
     step = oracle_step  # the module-level seam, looked up once per lane
     left_out = [0] * m  # iterations that left each set out of z
-    for t in range(t_total):
+    saved = ()  # t, left_out and the kept state at the last power-of-two t
+    t = 0
+    while t < t_total:
         feasible, xs, _, ys, lhs_hat, sum_w = step(ctx, acc, length)
         # the nonzero errors: -1 per pick, +1 per left-out set holding it
         err = dict.fromkeys(xs, -1)
@@ -357,9 +373,19 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
         # bits, and the check above keeps |A| <= 2*n*t with t <= t_total
         if absmax.bit_length() + 1 > ctx.abits:
             raise OracleSoundnessError("accumulator outgrew its broadcast width")
-        acc.t, acc.absmax, acc.at_max, acc.total, acc.qsum = t + 1, absmax, at_max, total, qsum
         for j in ys:
             left_out[j] += 1
+        t += 1
+        # back at the checkpoint's state (a compares first): each later
+        # iteration repeats one already run
+        state = a, w, p, q, xkey, skey, total, qsum, absmax, at_max
+        if state == saved[2:]:
+            reps, rest = divmod(t_total - t, t - saved[0])
+            left_out = [c + reps * (c - c0) for c, c0 in zip(left_out, saved[1])]
+            t = t_total - rest
+        acc.t, acc.absmax, acc.at_max, acc.total, acc.qsum = t, absmax, at_max, total, qsum
+        if not t & (t - 1):  # a checkpoint at each power of two
+            saved = t, left_out[:], *map(list.copy, state[:6]), *state[6:]
     charge_lane(ctx, acc.t, not feasible, cluster)
     if not feasible:
         return None

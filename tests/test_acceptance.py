@@ -30,7 +30,7 @@ from mpcover.baselines import exact_opt, greedy_sequential
 from mpcover.cli import main as cli_main
 from mpcover.cluster import ceil_log2
 from mpcover.instance import frequency
-from mpcover.lp import WeightAccumulator, oracle_step, scale_to_pi0, solve_pi1
+from mpcover.lp import WeightAccumulator, guess_grid, oracle_step, scale_to_pi0, solve_pi1
 from mpcover.pipeline import _pad_budget
 from mpcover.prefix import prefix_coverage, trim_to_k
 from test_baselines import oracle_minimum
@@ -174,7 +174,9 @@ def test_criterion_01_approximation_ratio(pipeline_runs):
 def test_lp_route_ratio_sample():
     """Criterion 01's ratio on the LP route, which criterion 01's runs never
     take: 8 seeded instances at density 0.15 and eps = 1/4, each past the
-    greedy gate (n' > 40), reach (1 - 1/e - 1/4) * opt."""
+    greedy gate (n' > 40), reach (1 - 1/e - 1/4) * opt.  The guess search
+    is checked too: l_star is n' or the grid's next guess, which was
+    rejected, lies above the LP optimum and so above opt."""
     target = 1 - 1 / math.e - 0.25
     ratios = []
     for s in range(8):
@@ -184,6 +186,11 @@ def test_lp_route_ratio_sample():
         opt = exact_opt(sys_).value
         assert rep.config["path"] == "lp", s
         assert rep.coverage >= target * opt, s
+        # no subsample: the LP's grid is over the n' covered elements
+        assert rep.subsampled_n is None, s
+        n1 = normalize_covered(sys_)[0].n
+        grid = guess_grid(n1, Fraction(1, 4) / pipeline_mod.EPS_STAGES)
+        assert rep.l_star == n1 or grid[grid.index(rep.l_star) + 1] > opt, s
         ratios.append((rep.coverage / opt, greedy_sequential(sys_).value / opt))
     print(
         f"LP route: worst coverage/opt {min(r for r, _ in ratios):.3f} over {len(ratios)} runs "

@@ -22,6 +22,7 @@ from mpcover.lp import (
     WeightAccumulator,
     _check_pair,
     _mwu,
+    charge_lane,
     guess_grid,
     iteration_count,
     oracle_step,
@@ -31,6 +32,7 @@ from mpcover.lp import (
 )
 from test_baselines import TruncatedPQ
 from test_instance import normalize_covered
+from test_pipeline import tile_system
 
 CHAIN = SetSystem(4, 3, 2, ((1, 2), (2, 3), (3, 4)))
 CHAIN_F = frequency(CHAIN.incidence)
@@ -150,6 +152,20 @@ def wrapped_oracle(wrapper):
 
 
 @contextmanager
+def recording_calls(calls: list):
+    """Record acc.t at every oracle call of the one lane run inside, and fail
+    at once when it does not move forward: no iteration runs twice."""
+
+    def wrapper(step, ctx, acc, length):
+        assert not calls or acc.t > calls[-1], (calls[-1], acc.t)
+        calls.append(acc.t)
+        return step(ctx, acc, length)
+
+    with wrapped_oracle(wrapper):
+        yield
+
+
+@contextmanager
 def tampering(**changes):
     """Replace fields of the first oracle answer of each lane, each by
     change(value): _mwu's exact check must catch what it makes unsound."""
@@ -200,6 +216,27 @@ def forcing_points(choose):
 
     with wrapped_oracle(wrapper):
         yield
+
+
+def off_revisits(ctx: LpContext, seen: set, a, x_idx, y_idx) -> tuple[list[int], list[int]]:
+    """The forced point (x_idx, y_idx), with the fewest elements added to x
+    that move accumulators a to a vector not in seen.  _mwu skips ahead once
+    a lane's accumulators repeat, which is exact for an oracle that is a
+    function of the lane's state, and a forced point is not.  Each element
+    added to x lowers the sum of the next accumulators by one, so every
+    candidate is new to the others."""
+    x_idx, spare = list(x_idx), [i for i in range(ctx.n) if i not in x_idx]
+    while True:
+        after = list(a)
+        for i in x_idx:
+            after[i] -= 1
+        for j in y_idx:
+            for i in ctx.rows[j]:
+                after[i] += 1
+        if tuple(after) not in seen:
+            return x_idx, list(y_idx)
+        assume(spare)
+        x_idx.append(spare.pop())
 
 
 def covered_instance(seed: int, data) -> SetSystem:
@@ -516,11 +553,12 @@ def test_maintained_state_matches_from_scratch(seed, data):
     )
     crossed = [False] * n
     phase = ["down"]
-    lanes, last = [], []
+    lanes, last, seen = [], [], set()
 
     def choose(acc):
         assert_state_matches_scratch(ctx, acc)
         a = acc.a
+        seen.add(tuple(a))
         for i, before in enumerate(last):
             crossed[i] |= before <= 0 < a[i]  # shift c >= 0, then c < 0
         last[:] = a
@@ -536,8 +574,9 @@ def test_maintained_state_matches_from_scratch(seed, data):
             if a != hi:
                 return [], range(ctx.m)
             phase[0] = "drawn"
-        # ... then the drawn points
-        return next(drawn, None)
+        # ... then the drawn points, kept off revisits
+        point = next(drawn, None)
+        return point and off_revisits(ctx, seen, a, *point)
 
     with forcing_points(choose):
         assert _mwu(ctx, 0, Cluster(ctx.m, n)) is None
@@ -556,17 +595,18 @@ def test_absmax_and_its_count_follow_sparse_moves(data):
     # at most 25 iterations with errors of at least -1 keep every weight
     # within the 4n^2 caps
     updates = data.draw(st.integers(1, 25), label="updates")
-    calls = []
+    calls, seen = [], set()
 
     def choose(acc):
         assert acc.absmax == max(map(abs, acc.a))
         assert acc.at_max == [abs(v) for v in acc.a].count(acc.absmax)
         calls.append(acc.t)
+        seen.add(tuple(acc.a))
         if len(calls) > updates:
             return None
         x_idx = data.draw(st.lists(st.integers(0, ctx.n - 1), unique=True, max_size=3), label="x")
         y_idx = data.draw(st.lists(st.integers(0, ctx.m - 1), unique=True, max_size=1), label="y")
-        return x_idx, y_idx
+        return off_revisits(ctx, seen, acc.a, x_idx, y_idx)
 
     with forcing_points(choose):
         assert _mwu(ctx, 7, Cluster(ctx.m, ctx.n)) is None
@@ -671,11 +711,13 @@ def test_kept_orders_and_state_match_a_from_scratch_derivation(data):
     """At every oracle call of a lane, from its uniform start on instances
     full of cost ties: the kept element and set orders are the stable sorts
     by cost, the oracle's picks are their heads and tails, and the kept
-    state is the from-scratch derivation."""
+    state is the from-scratch derivation.  The calls come at consecutive
+    iterations, apart from at most one jump of whole periods of the lane's
+    accumulators, and an accepted lane ends at t_total."""
     ctx = lp_context(tied_instance(data), QUARTER)
     n, m = ctx.n, ctx.m
     length = data.draw(st.sampled_from(guess_grid(n, ctx.eps)), label="length")
-    calls = []
+    calls, states, lanes = [], [], []
 
     def checked(step, ctx_, acc, length_):
         st_ = step(ctx_, acc, length_)
@@ -685,12 +727,29 @@ def test_kept_orders_and_state_match_a_from_scratch_derivation(data):
         assert len(st_.y_idx) == ctx.k
         assert_state_matches_scratch(ctx, acc)
         calls.append(acc.t)
+        states.append(tuple(acc.a))
+        lanes.append(acc)
         return st_
 
     with wrapped_oracle(checked):
         pair = _mwu(ctx, length, Cluster(m, n))
-    event("accepted" if pair is not None else "rejected")
-    assert calls == list(range(ctx.t_total if pair is not None else len(calls)))
+    if pair is None:
+        event("rejected")
+        assert calls == list(range(len(calls)))
+        return
+    # the lane's end, as if one more call came after its last iteration
+    calls.append(lanes[-1].t)
+    states.append(tuple(lanes[-1].a))
+    assert calls[-1] == ctx.t_total
+    jumps = [i for i in range(1, len(calls)) if calls[i] != calls[i - 1] + 1]
+    assert calls[0] == 0 and len(jumps) <= 1
+    event("accepted after a jump" if jumps else "accepted")
+    for i in jumps:
+        # the iterations before the jump run up to `ran`, whose state the
+        # next call sees; its latest earlier visit gives the period
+        ran = calls[i - 1] + 1
+        visits = [calls[c] for c in range(i) if states[c] == states[i]]
+        assert visits and (calls[i] - ran) % (ran - visits[-1]) == 0
 
 
 # -- the weight-update loop ------------------------------------------------
@@ -777,22 +836,28 @@ def replay_loop_charges(ctx: LpContext, length: int) -> str:
     broadcast), folded the way _mwu charges: iteration 1's entries, then
     the later accepted iterations as one mwu.iterations entry at the sum of
     iteration 1's rounds and the largest of its peaks, then a rejection's
-    two.  Returns the guess's outcome."""
+    two.  An accepted record whose lane then skipped whole periods (its
+    acc_t more than one past its t) stands for that many accepted
+    iterations, the skipped ones repeats of it in cost.  Returns the
+    guess's outcome."""
     n, m = ctx.n, ctx.m
     records = []
     lane = Cluster(m, n).lane()
     with recording_iterations(records):
         pair = _mwu(ctx, length, lane)
     ref = Cluster(m, n).lane()
+    accepted = 0
     for r in records:
-        ref.gather(ctx.qhat_bits, label="oracle.cost_gather")
-        if r["feasible"]:
+        if not r["feasible"]:
+            ref.gather(ctx.qhat_bits, label="oracle.cost_gather")
+            ref.broadcast(1, label="oracle.reject_broadcast")
+            continue
+        for _ in range(r["acc_t"] - r["t"]):
+            ref.gather(ctx.qhat_bits, label="oracle.cost_gather")
             ref.broadcast(n + m, label="oracle.point_broadcast")
             ref.convergecast(n, entry_bits=1, label="mwu.cover_count")
             ref.broadcast(n * ctx.abits, label="mwu.acc_broadcast")
-        else:
-            ref.broadcast(1, label="oracle.reject_broadcast")
-    accepted = sum(r["feasible"] for r in records)
+            accepted += 1
     if accepted > 1:  # the four entries of each accepted iteration after the first
         later = ref.log[4 : 4 * accepted]
         ref.log[4 : 4 * accepted] = [
@@ -803,7 +868,7 @@ def replay_loop_charges(ctx: LpContext, length: int) -> str:
     assert lane.log == ref.log
     assert (lane.rounds, lane.peak_inbox_bits) == (ref.rounds, ref.peak_inbox_bits)
     if pair is not None:
-        assert len(records) == ctx.t_total and all(r["feasible"] for r in records)
+        assert accepted == ctx.t_total and all(r["feasible"] for r in records)
         return "accepted"
     assert not records[-1]["feasible"] and all(r["feasible"] for r in records[:-1])
     return "rejected at 1" if len(records) == 1 else "rejected later"
@@ -872,6 +937,94 @@ def test_mwu_per_iteration_records():
     for r in records:
         assert r["acc_absmax"] <= 2 * 4 * r["acc_t"]
         assert r["lhs_hat_scaled"] <= r["sum_w_scaled"]
+
+
+def lane_run_in_full(ctx: LpContext, length: int) -> tuple[FractionalPair | None, int]:
+    """The reference lane: it runs every iteration up to t_total or the first
+    rejection, and makes no exact check.  Each iteration calls oracle_step,
+    moves the accumulators by the point's dense errors f_i - x_i - cnt_i
+    and re-derives the whole kept state from them (seed_lane).  Returns the
+    pair, counted from the picks, or None, with the accepted iterations."""
+    acc = WeightAccumulator(ctx)
+    rows = dense_rows(ctx).astype(np.int64)
+    sum_x, sum_z = np.zeros(ctx.n, dtype=np.int64), np.zeros(ctx.m, dtype=np.int64)
+    for t in range(ctx.t_total):
+        st_ = oracle_step(ctx, acc, length)
+        if not st_.feasible:
+            return None, t
+        x_ind, z_ind = np.zeros_like(sum_x), np.zeros_like(sum_z)
+        x_ind[st_.x_idx] = 1
+        z_ind[st_.z_idx] = 1
+        seed_lane(ctx, acc, np.array(acc.a) + np.array(ctx.f) - x_ind - z_ind @ rows)
+        sum_x += x_ind
+        sum_z += z_ind
+    return FractionalPair(tuple(sum_x.tolist()), tuple(sum_z.tolist()), ctx.t_total), ctx.t_total
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_mwu_equals_the_lane_run_in_full(seed, data):
+    """At every grid guess of tied and random covered instances, _mwu's pair
+    (or None) and lane log are those of the lane run in full: a lane that
+    advances whole periods once its accumulators repeat ends where running
+    them ends."""
+    tied = data.draw(st.booleans(), label="tied")
+    sys_ = tied_instance(data) if tied else covered_instance(seed, data)
+    ctx = lp_context(sys_, QUARTER)
+    for length in guess_grid(ctx.n, ctx.eps):
+        lane, ref = Cluster(ctx.m, ctx.n).lane(), Cluster(ctx.m, ctx.n).lane()
+        calls = []
+        with recording_calls(calls):
+            pair = _mwu(ctx, length, lane)
+        want, accepted = lane_run_in_full(ctx, length)
+        charge_lane(ctx, accepted, want is None, ref)
+        assert pair == want, length
+        assert lane.log == ref.log, length
+        if len(calls) < accepted:
+            event("skipped")
+
+
+def tiles_ctx() -> LpContext:
+    """The LP context of test_path_lp_end_to_end_tiles' run: its 17 tiles
+    (n = 52) at the LP stage's eps, 1/4 over EPS_STAGES = 8, where t_total
+    = 9899."""
+    sys_ = tile_system(17, 2)
+    return LpContext(sys_.incidence, sys_.k, Fraction(1, 32))
+
+
+def test_a_cycling_lane_runs_its_transient_and_remainder_only():
+    """Guess 7 on the tiles is the run's l_star.  Its accumulators take
+    period 2 from iteration 0; the checkpoint at t = 2 finds the repeat at
+    t = 4, whole periods take the lane to t = 9898, and one iteration is
+    left: 5 oracle calls, and the pair of the lane run in full."""
+    ctx = tiles_ctx()
+    assert ctx.t_total == 9899
+    calls = []
+    with recording_calls(calls):
+        pair = _mwu(ctx, 7, Cluster(ctx.m, ctx.n))
+    assert calls == [0, 1, 2, 3, 9898]
+    assert pair == lane_run_in_full(ctx, 7)[0]
+    assert pair.sum_z == (0, 4950) + (9899,) * 14 + (4949,)
+
+
+def test_a_repeat_of_a_alone_skips_nothing():
+    """A lane skips only when its whole kept state equals the checkpoint's,
+    not its accumulators alone: a weight total one unit above sum(w) after
+    the checkpoint at t = 2, within every exact check's slack, puts off the
+    skip to the repeat at t = 6 of the checkpoint at t = 4, which holds the
+    same stale total."""
+    ctx = tiles_ctx()
+    calls = []
+
+    def stale_total(step, ctx_, acc, length):
+        if acc.t == 3:
+            acc.total += 1
+        return step(ctx_, acc, length)
+
+    with recording_calls(calls), wrapped_oracle(stale_total):
+        pair = _mwu(ctx, 7, Cluster(ctx.m, ctx.n))
+    assert calls == [0, 1, 2, 3, 4, 5, 9898]
+    assert pair == _mwu(ctx, 7, Cluster(ctx.m, ctx.n))
 
 
 # -- guesses, batching, rescaling ------------------------------------------

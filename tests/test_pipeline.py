@@ -332,8 +332,10 @@ def test_greedy_gate_threshold():
 def test_path_lp_end_to_end_tiles():
     """Full LP route on 17 disjoint tiles (n=52): multiplicative weights,
     rounding to k' = 3 > k sets, prefix marginals and a real trim.  The
-    run takes a noticeable fraction of a minute; everything below is a
-    frozen output of this deterministic configuration."""
+    one lane that runs past its first oracle call, l_star = 7's, repeats
+    with period 2 and skips to its end, so the run takes well under a
+    second; everything below is a frozen output of this deterministic
+    configuration."""
     sys_ = tile_system(17, 2)
     assert sys_.n == 52
     rep = run_pipeline(sys_, PipelineConfig(eps=Fraction(1, 4), seed=7))
