@@ -23,6 +23,15 @@ rounds always equals the cluster round counter.  A loop whose iterations
 all have one shape (an MWU lane, charged by lp.charge_lane) is charged its
 first iteration primitive by primitive and the rest in one charge, so logs
 stay proportional to the primitive schedule, not to the iteration count.
+
+Data planes compute first and their callers charge after.  A parallel
+batch costs the rounds of its slowest member while inbox bits add up.
+Members that each run one primitive of one shape are charged as that
+primitive once, at their summed width: a batch of B rounding candidates is
+one converge-cast of width B * n.  Members that run several primitives
+each charge a lane (lane), which the batch then absorbs (absorb_parallel);
+only the LP's guess batches do, so that a budget error inside one still
+names its primitive and its round.
 """
 
 from __future__ import annotations
@@ -151,8 +160,8 @@ class Cluster:
         self.m = m
 
     def lane(self) -> "Cluster":
-        """Fresh cluster for one member of a parallel batch, run while this
-        one waits for absorb_parallel."""
+        """Fresh cluster for one member of a parallel batch, charged while
+        this one waits for absorb_parallel: one per LP guess."""
         lane = Cluster(self.m, self.n, self.mem_c, self.mem_e)
         lane.parent = self
         return lane

@@ -19,7 +19,7 @@ A guess at or below the coverage C of some k sets is accepted at every
 iteration.  So solve_pi1, given C, charges those lanes from their shape
 (charge_lane) without running them, and runs only the guesses above C;
 when none of those is accepted, it runs the largest certified guess once
-more, for its pair.
+more, uncharged, for its pair.
 
 Weight convention: after t iterations element i carries the exact integer
 accumulator A_i = sum of f_i - x_i - |selected sets containing i| over past
@@ -39,8 +39,9 @@ p_i * n + i and q_j * m + j, which sort as (cost, index) does: re-sorting
 the nearly sorted lists gives exactly the stable order of a sort by cost.
 From the oracle's picks the loop builds the nonzero errors, runs the exact
 truncation check on them, and moves the accumulators, weights, costs, keys,
-totals and |A|max in one pass over them.  The loop makes no charge: a
-lane's charges are a function of its outcome alone (see charge_lane).
+totals and |A|max in one pass over them.  _mwu takes no cluster: it
+returns its outcome, the pair or None with the accepted iterations, and
+solve_pi1 charges the guess's lane from that outcome alone (charge_lane).
 
 A lane runs until its accumulators repeat.  All an iteration reads is a
 function of a (the weights, costs, keys and totals are derived from it, the
@@ -240,8 +241,9 @@ def oracle_step(ctx: LpContext, acc: WeightAccumulator, length: int) -> OracleSt
     return OracleStep(lhs_hat <= sum_w, xs, sorder[:kept], ys, lhs_hat, sum_w)
 
 
-def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None:
-    """Feasibility solve at objective guess `length`; None when rejected.
+def _mwu(ctx: LpContext, length: int) -> tuple[FractionalPair | None, int]:
+    """Feasibility solve at objective guess `length`: the pair, None when
+    rejected, with the accepted iterations.
 
     A None is a certificate that no point of the region satisfies all
     constraints at slack 0; a pair satisfies every constraint within
@@ -280,8 +282,8 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
     state compared is every kept list and total, not a alone, so that no
     bookkeeping fault is skipped over.
 
-    The loop touches no cluster: the lane is charged once it ends, from its
-    outcome, by charge_lane.
+    It touches no cluster: its caller charges the lane from the returned
+    outcome (charge_lane).
     """
     n, m, t_total = ctx.n, ctx.m, ctx.t_total
     acc = WeightAccumulator(ctx)
@@ -386,15 +388,14 @@ def _mwu(ctx: LpContext, length: int, cluster: Cluster) -> FractionalPair | None
         acc.t, acc.absmax, acc.at_max, acc.total, acc.qsum = t, absmax, at_max, total, qsum
         if not t & (t - 1):  # a checkpoint at each power of two
             saved = t, left_out[:], *map(list.copy, state[:6]), *state[6:]
-    charge_lane(ctx, acc.t, not feasible, cluster)
     if not feasible:
-        return None
+        return None, t
     # A_i sums (left-out sets containing i) - x_i over the iterations, so the
     # iterations that chose element i number the left-outs of its sets minus A_i
     picked = [sum(map(left_out.__getitem__, js)) - ai for js, ai in zip(member, a)]
     pair = FractionalPair(tuple(picked), tuple(t_total - c for c in left_out), t_total)
     _check_pair(ctx, length, pair)
-    return pair
+    return pair, t
 
 
 def charge_lane(ctx: LpContext, accepted: int, rejected: bool, cluster: Cluster) -> None:
@@ -475,11 +476,11 @@ def solve_pi1(ctx: LpContext, cluster: Cluster, certified: int = 0) -> Pi1Result
     every constraint, so every oracle call of that lane accepts (see
     test_mwu_accepts_every_guess_up_to_a_greedy_coverage).  Such a lane is
     charged from its shape, as a lane accepted at all t_total iterations,
-    and is not run.  Every guess above C runs.  When none of them is
-    accepted, l_star is the largest certified guess, and it runs last on a
-    lane that is never absorbed, for its pair: its charges are already in
-    its batch.  Every lane whose pair is returned ran with every exact
-    check, and the result and the charges are those of certified = 0.
+    and is not run.  Every guess above C runs, and its lane is charged
+    from what _mwu returns.  When none of them is accepted, l_star is the
+    largest certified guess, and it runs last, uncharged, for its pair: its
+    charges are already in its batch.  Every pair returned ran with every
+    exact check, and the result and the charges are those of certified = 0.
     """
     grid = guess_grid(ctx.n, ctx.eps)
     batch_size = max(1, ceil_log2(ctx.n + 1))
@@ -496,7 +497,8 @@ def solve_pi1(ctx: LpContext, cluster: Cluster, certified: int = 0) -> Pi1Result
                 charge_lane(ctx, ctx.t_total, False, lane)
                 feas.append(length)
                 continue
-            accepted = _mwu(ctx, length, lane)
+            accepted, t = _mwu(ctx, length)
+            charge_lane(ctx, t, accepted is None, lane)
             if accepted is None:
                 infeas.append(length)
             else:
@@ -510,7 +512,7 @@ def solve_pi1(ctx: LpContext, cluster: Cluster, certified: int = 0) -> Pi1Result
         raise OracleSoundnessError("guess 1 was rejected")
     l_star = feas[-1]
     if pair is None:  # every accepted guess was certified, l_star the largest
-        pair = _mwu(ctx, l_star, cluster.lane())
+        pair, _ = _mwu(ctx, l_star)
         if pair is None:
             raise OracleSoundnessError(f"certified guess {l_star} was rejected")
     return Pi1Result(l_star, pair, tuple(feas), tuple(infeas))

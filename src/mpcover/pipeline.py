@@ -33,7 +33,7 @@ from .cluster import BudgetError, Cluster, RoundLogEntry, ceil_log2
 from .instance import Incidence, InstanceError, SetSystem, frequency, union_size
 from .lp import LpContext, OracleSoundnessError, scale_to_pi0, solve_pi1
 from .prefix import prefix_coverage, trim_to_k
-from .rounding import RoundingConfig, best_of_repetitions
+from .rounding import best_of_repetitions
 
 EPS_STAGES = 8
 SUBSAMPLE_FACTOR = 4  # c_s in the sampling rate
@@ -252,9 +252,7 @@ def _run_stages(inc: Incidence, k: int, eps: Fraction, cfg: PipelineConfig, clus
     budget = sum(sol.y, Fraction(0))
     kprime = min(m, max(int(k + 2 * stage_eps * m), math.ceil(budget)))
     y_pad = _pad_budget(sol.y, kprime)
-    sel, _cov_sub, _reps = best_of_repetitions(
-        inc_lp, y_pad, kprime, RoundingConfig(eps=stage_eps, seed=cfg.seed), cluster
-    )
+    sel, _cov_sub, _reps = best_of_repetitions(inc_lp, y_pad, kprime, stage_eps, cfg.seed, cluster)
     if len(sel) > k:
         marg = prefix_coverage(inc1, sel, cluster)
         sel, _bound = trim_to_k(inc1, marg, k, cluster)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,19 +26,6 @@ from .instance import Incidence, union_size
 from .lp import OracleSoundnessError
 
 REP_FACTOR = 8
-
-
-@dataclass(frozen=True)
-class RoundingConfig:
-    eps: Fraction
-    seed: int
-
-    @property
-    def batch_size(self) -> int:
-        return max(1, math.ceil(1 / float(self.eps)))
-
-    def repetitions(self, m: int) -> int:
-        return math.ceil(REP_FACTOR * math.log(m + 1) / float(self.eps))
 
 
 def randbelow(rng: np.random.Generator, bound: int) -> int:
@@ -87,39 +73,40 @@ def best_of_repetitions(
     inc: Incidence,
     y,
     kprime: int,
-    config: RoundingConfig,
+    eps: Fraction,
+    seed: int,
     cluster: Cluster,
 ) -> tuple[tuple[int, ...], int, int]:
     """Best candidate over the repetition schedule; (selection, coverage, reps).
 
-    Candidate r is drawn with stream seed ^ r, so repetitions are
-    independent but the whole schedule is replayable.  Candidates are
-    checked in batches: one broadcast ships a batch of selection masks,
-    then each candidate's coverage is a converge-cast of per-set indicator
-    vectors in its own parallel lane.  Ties prefer the earliest candidate.
+    The schedule draws ceil(REP_FACTOR * ln(m + 1) / eps) candidates in
+    batches of ceil(1 / eps).  Candidate r is drawn with stream seed ^ r, so
+    repetitions are independent but the whole schedule is replayable.  One
+    broadcast ships a batch's selection masks; each candidate's coverage is
+    then a converge-cast of its sets' indicator vectors, and the batch's
+    casts run side by side, so the batch is charged as one converge-cast of
+    their concatenation, once its candidates are drawn and checked.  Ties
+    prefer the earliest candidate.
     """
     m, n = inc.shape
-    reps = config.repetitions(m)
+    reps = math.ceil(REP_FACTOR * math.log(m + 1) / float(eps))
+    batch_size = max(1, math.ceil(1 / float(eps)))
     cum, den = _cumulative_thresholds(y, kprime)
     best: tuple[int, int, tuple[int, ...]] | None = None  # (-cov, rep, sel)
-    for start in range(0, reps, config.batch_size):
-        batch = range(start, min(start + config.batch_size, reps))
+    for start in range(0, reps, batch_size):
+        batch = range(start, min(start + batch_size, reps))
         cluster.broadcast(len(batch) * m, label="round.candidate_broadcast")
-        lanes = []
         for r in batch:
-            sel = _draw(cum, den, kprime, config.seed ^ r)
-            lane = cluster.lane()
-            lane.convergecast(n, entry_bits=1, label="round.coverage_cast")
+            sel = _draw(cum, den, kprime, seed ^ r)
             cov = int(np.count_nonzero(inc.take_rows([j - 1 for j in sel]).sum(axis=0)))
             if cov != union_size(inc, sel):
                 raise OracleSoundnessError("converge-cast coverage disagrees with union_size()")
-            lanes.append(lane)
             cand = (-cov, r, sel)
             if best is None or cand < best:
                 best = cand
-        cluster.absorb_parallel(lanes, label=f"round.batch[{start}]")
-    # unreachable: repetitions(m) = ceil(8 * ln(m + 1) / eps) >= 1 for m >= 1 and
-    # eps > 0, and batch_size >= 1, so the first batch draws a candidate
+        cluster.convergecast(len(batch) * n, entry_bits=1, label=f"round.batch[{start}]")
+    # unreachable: the schedule draws ceil(8 * ln(m + 1) / eps) >= 1 candidates
+    # for m >= 1 and eps > 0, in batches of at least 1, so the first batch draws one
     if best is None:
         raise OracleSoundnessError("the repetition schedule drew no candidate")
     return best[2], -best[0], reps

@@ -174,27 +174,42 @@ def test_criterion_01_approximation_ratio(pipeline_runs):
 def test_lp_route_ratio_sample():
     """Criterion 01's ratio on the LP route, which criterion 01's runs never
     take: 8 seeded instances at density 0.15 and eps = 1/4, each past the
-    greedy gate (n' > 40), reach (1 - 1/e - 1/4) * opt.  The guess search
+    greedy gate (n' > 40), reach (1 - 1/e - 1/4) * opt.  So do 9 instances
+    in the paper's regime of k = m / 100 (ROADMAP direction 5): 8 with
+    n = 200, m = 100, k = 1, and one with n = 300, m = 200, k = 2, where
+    the trim cuts the drawn sets' coverage down the most.  The guess search
     is checked too: l_star is n' or the grid's next guess, which was
     rejected, lies above the LP optimum and so above opt."""
     target = 1 - 1 / math.e - 0.25
-    ratios = []
-    for s in range(8):
-        # instance seeds from 24 on: each of these eight takes the LP route
-        sys_ = generate_random(50 + 6 * s, 12 + s % 5, 2 + s % 3, density=0.15, seed=24 + s)
-        rep = solve_max_coverage(sys_, PipelineConfig(eps=Fraction(1, 4), seed=s))
-        opt = exact_opt(sys_).value
-        assert rep.config["path"] == "lp", s
-        assert rep.coverage >= target * opt, s
-        # no subsample: the LP's grid is over the n' covered elements
-        assert rep.subsampled_n is None, s
-        n1 = normalize_covered(sys_)[0].n
-        grid = guess_grid(n1, Fraction(1, 4) / pipeline_mod.EPS_STAGES)
-        assert rep.l_star == n1 or grid[grid.index(rep.l_star) + 1] > opt, s
-        ratios.append((rep.coverage / opt, greedy_sequential(sys_).value / opt))
+    # instance seeds from 24 on: each of these eight takes the LP route
+    dense = [
+        (generate_random(50 + 6 * s, 12 + s % 5, 2 + s % 3, density=0.15, seed=24 + s), s)
+        for s in range(8)
+    ]
+    paper = [(generate_random(200, 100, 1, density=0.05, seed=s), s) for s in range(1, 9)]
+    paper.append((generate_random(300, 200, 2, density=0.05, seed=1), 1))
+
+    def ratios(cases):
+        out = []
+        for sys_, s in cases:
+            rep = solve_max_coverage(sys_, PipelineConfig(eps=Fraction(1, 4), seed=s))
+            opt = exact_opt(sys_).value
+            where = (sys_.n, sys_.m, sys_.k, s)
+            assert rep.config["path"] == "lp", where
+            assert rep.coverage >= target * opt, where
+            # no subsample: the LP's grid is over the n' covered elements
+            assert rep.subsampled_n is None, where
+            n1 = normalize_covered(sys_)[0].n
+            grid = guess_grid(n1, Fraction(1, 4) / pipeline_mod.EPS_STAGES)
+            assert rep.l_star == n1 or grid[grid.index(rep.l_star) + 1] > opt, where
+            out.append((rep.coverage / opt, greedy_sequential(sys_).value / opt))
+        return out
+
+    got, got_paper = ratios(dense), ratios(paper)
     print(
-        f"LP route: worst coverage/opt {min(r for r, _ in ratios):.3f} over {len(ratios)} runs "
-        f"(greedy {min(g for _, g in ratios):.3f}), threshold {target:.4f}"
+        f"LP route: worst coverage/opt {min(r for r, _ in got):.3f} over {len(got)} runs "
+        f"(greedy {min(g for _, g in got):.3f}), {min(r for r, _ in got_paper):.3f} over "
+        f"{len(got_paper)} runs at k = m/100, threshold {target:.4f}"
     )
 
 

@@ -299,6 +299,25 @@ def test_run_budget_violation_in_eta_mode_names_the_run_round(tmp_path, capsys):
     assert rc == 0, err
 
 
+def test_run_budget_violation_in_a_rounding_batch_names_the_run_round(tmp_path, capsys):
+    # the tiles again (n = 52, m = 17), with a 9360-bit budget the LP fits in:
+    # the first batch of 32 rounding candidates is one converge-cast of width
+    # 32 * 52 at 1 + ceil(log2 17) = 6 bits an entry, 9984 bits in one inbox
+    inst = tmp_path / "tiles.txt"
+    inst.write_text(dump_instance(tile_system(17, 2)))
+    argv = ["run", "--input", str(inst), "--json", "--epsilon", "0.25"]
+    rc, out, err = run_main([*argv, "--mem-c", "5", "--mem-e", "2"], capsys)
+    assert rc == 3 and out == ""
+    assert err == (
+        "budget violation: 'round.batch[0]' puts 9984 bits in one inbox in round 158410, "
+        "budget is 9360\n"
+    )
+    lines = inst.with_suffix(".txt.roundlog.jsonl").read_text().splitlines()
+    rows = [json.loads(ln) for ln in lines[1:]]
+    assert len(rows) == 13 and rows[-1]["primitive"] == "round.candidate_broadcast"
+    assert sum(r["rounds"] for r in rows) == 158409
+
+
 @pytest.mark.parametrize("flag, value", [("--mem-c", "-3"), ("--mem-e", "-1")])
 def test_run_rejects_negative_memory_constants(small_path, capsys, flag, value):
     rc, out, err = run_main(

@@ -32,7 +32,7 @@ from mpcover.instance import coverage, frequency, union_size
 from mpcover.lp import FractionalPair, LpContext, Pi1Result
 from mpcover.pipeline import greedy_picks
 from mpcover.prefix import prefix_coverage
-from mpcover.rounding import RoundingConfig, best_of_repetitions
+from mpcover.rounding import best_of_repetitions
 from test_pipeline import tile_system
 
 SRC = Path(mpcover.__file__).resolve().parent
@@ -270,7 +270,7 @@ FAULTS = {
             (rounding_mod, "union_size", lambda inc, sel: union_size(inc, sel) + 1),
         ),
         lambda: best_of_repetitions(
-            CHAIN.incidence, (1, 1, 0), 2, RoundingConfig(Fraction(1, 4), 0), Cluster(3, 4)
+            CHAIN.incidence, (1, 1, 0), 2, Fraction(1, 4), 0, Cluster(3, 4)
         ),
         TILES,
         5,

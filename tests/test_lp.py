@@ -1,7 +1,5 @@
 """Multiplicative-weights LP solver: exactness, frozen fixed points, contract."""
 
-import ast
-import inspect
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -295,12 +293,12 @@ def test_weight_accumulator_bounds():
     with pytest.raises(
         OracleSoundnessError, match=r"^per-iteration error outside \[-2n, 2n\]: 1\.\.7$"
     ):
-        _mwu(lp_context(WIDE_K_PAIRS, QUARTER), 1, Cluster(9, 3))
+        _mwu(lp_context(WIDE_K_PAIRS, QUARTER), 1)
     # the range counts the errors left implicit at 0
     with pytest.raises(
         OracleSoundnessError, match=r"^per-iteration error outside \[-2n, 2n\]: 0\.\.7$"
     ):
-        _mwu(lp_context(WIDE_K_KEEP, QUARTER), 2, Cluster(9, 3))
+        _mwu(lp_context(WIDE_K_KEEP, QUARTER), 2)
     # an error of exactly 2n is in range: the first iteration is accepted
     seen = []
 
@@ -314,7 +312,7 @@ def test_weight_accumulator_bounds():
         return step(ctx_, acc, length)
 
     with wrapped_oracle(second_call), pytest.raises(Stop):
-        _mwu(lp_context(EDGE_K, QUARTER), 1, Cluster(8, 3))
+        _mwu(lp_context(EDGE_K, QUARTER), 1)
     assert seen == [(1, [6, 1, 1])]
     # stale lane state beyond 2*n*t after one iteration: the chain's first
     # point moves element 4 alone, by +1, from 13 to 14 > 2 * 4 * 1
@@ -331,7 +329,7 @@ def test_weight_accumulator_bounds():
     with wrapped_oracle(stale), pytest.raises(
         OracleSoundnessError, match=r"^accumulator magnitude exceeded 2\*n\*t$"
     ):
-        _mwu(ctx, 3, Cluster(3, 4))
+        _mwu(ctx, 3)
     assert seen == [0]
 
 
@@ -376,9 +374,10 @@ def test_uniform_weights_and_oracle_step():
     assert st_.lhs_hat_scaled == 3 * one
     assert st_.sum_w_scaled == 4 * one
     assert st_.feasible
+    pair, t = _mwu(ctx, 3)
     charges = []
     with recording_charges(charges):
-        _mwu(ctx, 3, Cluster(3, 4))
+        charge_lane(ctx, t, pair is None, Cluster(3, 4))
     # the oracle's two rounds: cost gather, then the point broadcast
     assert [c[:2] for c in charges[:2]] == [
         ("oracle.cost_gather", 1),
@@ -400,15 +399,15 @@ def test_a_lane_starts_at_the_derivation_at_zero(sys_):
 def test_exact_check_rejects_tampered_values():
     ctx = chain_ctx()
     # the oracle's own sums pass
-    assert _mwu(ctx, 3, Cluster(3, 4)) is not None
+    assert _mwu(ctx, 3)[0] is not None
     with tampering(lhs_hat_scaled=lambda v: v + (1 << ctx.b)), pytest.raises(
         OracleSoundnessError, match="^truncated objective exceeds the exact one$"
     ):
-        _mwu(ctx, 3, Cluster(3, 4))
+        _mwu(ctx, 3)
     with tampering(sum_w_scaled=lambda v: v // 4), pytest.raises(
         OracleSoundnessError, match="^accepted point violates the weighted budget$"
     ):
-        _mwu(ctx, 3, Cluster(3, 4))
+        _mwu(ctx, 3)
 
 
 def test_exact_check_rejects_truncation_loss():
@@ -416,13 +415,13 @@ def test_exact_check_rejects_truncation_loss():
     # at uniform weights the chain's costs are exact, so a truncated
     # objective 1/n^5 below the oracle's is still sound ...
     with tampering(lhs_hat_scaled=lambda v: v - (1 << ctx.b) // ctx.n_pow5):
-        assert _mwu(ctx, 3, Cluster(3, 4)) is not None
+        assert _mwu(ctx, 3)[0] is not None
     # ... one that lost half of it is not, accepted or rejected
     for feasible in (True, False):
         with tampering(
             lhs_hat_scaled=lambda v: v // 2, feasible=lambda v: feasible
         ), pytest.raises(OracleSoundnessError, match="^truncation lost more than 1/n\\^5$"):
-            _mwu(ctx, 3, Cluster(3, 4))
+            _mwu(ctx, 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -460,11 +459,11 @@ def test_exact_check_from_moves_equals_the_dense_sum(seed, data):
 
     # _mwu's exact check reads that sum: the floor of lhs passes, one unit above it does not
     with at_point(0):
-        assert _mwu(ctx, len(x_idx), Cluster(ctx.m, n)) is None
+        assert _mwu(ctx, len(x_idx))[0] is None
     with at_point(1), pytest.raises(
         OracleSoundnessError, match="^truncated objective exceeds the exact one$"
     ):
-        _mwu(ctx, len(x_idx), Cluster(ctx.m, n))
+        _mwu(ctx, len(x_idx))
 
 
 # -- the lane's maintained state ---------------------------------------------
@@ -484,15 +483,15 @@ def test_weight_cap_fires_on_an_entry_changed_mid_run():
     with wrapped_oracle(stale), pytest.raises(
         OracleSoundnessError, match="^weight above the 4n\\^2 potential cap$"
     ):
-        _mwu(ctx, 3, Cluster(3, 4))
-    # a lane charges once its loop ends: with no inbox budget, iteration 1's
-    # cost gather would break it, yet the cap's check fires first
-    with pytest.raises(BudgetError):
-        _mwu(ctx, 3, Cluster(3, 4, mem_c=0))
+        _mwu(ctx, 3)
+    # solve_pi1 charges a lane once _mwu returns: with no inbox budget,
+    # iteration 1's cost gather breaks the charge, yet the cap's check fires first
+    with pytest.raises(BudgetError, match="^'oracle.cost_gather' puts"):
+        solve_pi1(ctx, Cluster(3, 4, mem_c=0))
     with wrapped_oracle(stale), pytest.raises(
         OracleSoundnessError, match="^weight above the 4n\\^2 potential cap$"
     ):
-        _mwu(ctx, 3, Cluster(3, 4, mem_c=0))
+        solve_pi1(ctx, Cluster(3, 4, mem_c=0))
 
 
 def test_weight_sum_cap_fires_mid_run():
@@ -507,7 +506,7 @@ def test_weight_sum_cap_fires_mid_run():
     with forcing_points(every_element), pytest.raises(
         OracleSoundnessError, match="^weight sum above the 4n\\^2 potential cap$"
     ):
-        _mwu(ctx, 3, Cluster(3, 4))
+        _mwu(ctx, 3)
     acc = lanes[-1]
     assert acc.t > 1
     # each weight stays under its own cap 2**wcap_log2; together they pass 4n^2 = 64
@@ -579,7 +578,7 @@ def test_maintained_state_matches_from_scratch(seed, data):
         return point and off_revisits(ctx, seen, a, *point)
 
     with forcing_points(choose):
-        assert _mwu(ctx, 0, Cluster(ctx.m, n)) is None
+        assert _mwu(ctx, 0)[0] is None
     assert all(crossed)
     # the oracle reads the kept total
     acc = lanes[-1]
@@ -609,7 +608,7 @@ def test_absmax_and_its_count_follow_sparse_moves(data):
         return off_revisits(ctx, seen, acc.a, x_idx, y_idx)
 
     with forcing_points(choose):
-        assert _mwu(ctx, 7, Cluster(ctx.m, ctx.n)) is None
+        assert _mwu(ctx, 7)[0] is None
     assert calls == list(range(updates + 1))
 
 
@@ -652,7 +651,7 @@ def test_weights_rederived_only_where_the_accumulator_moved(sys_, length):
     counts: dict = {}
     ctx = lp_context(sys_, QUARTER)
     with counting_derivations(ctx, counts):
-        pair = _mwu(ctx, length, Cluster(sys_.m, sys_.n))
+        pair, _ = _mwu(ctx, length)
     assert pair is not None
     assert counts["lanes"] == 1
     # a lane's start reads no table entry: every read re-derives a moved weight
@@ -682,7 +681,7 @@ def test_moves_are_the_nonzero_dense_errors(seed, data):
         return next(points, None)
 
     with forcing_points(choose):
-        assert _mwu(ctx, len(x_idx), Cluster(ctx.m, n)) is None
+        assert _mwu(ctx, len(x_idx))[0] is None
     x_ind = np.zeros(n, dtype=np.int64)
     x_ind[x_idx] = 1
     cnt = dense_rows(ctx)[z_idx].sum(axis=0)
@@ -732,7 +731,7 @@ def test_kept_orders_and_state_match_a_from_scratch_derivation(data):
         return st_
 
     with wrapped_oracle(checked):
-        pair = _mwu(ctx, length, Cluster(m, n))
+        pair, _ = _mwu(ctx, length)
     if pair is None:
         event("rejected")
         assert calls == list(range(len(calls)))
@@ -756,13 +755,14 @@ def test_kept_orders_and_state_match_a_from_scratch_derivation(data):
 
 
 def test_mwu_fixed_point_full_objective():
-    cl = Cluster(3, 4)
     ctx = chain_ctx()
-    pair = _mwu(ctx, 4, cl)
-    assert ctx.t_total == 70
+    pair, t = _mwu(ctx, 4)
+    assert t == ctx.t_total == 70
     assert pair.sum_x == (70, 70, 70, 70)
     assert pair.sum_z == (0, 70, 0)
     assert pair.rounds_t == 70
+    cl = Cluster(3, 4)
+    charge_lane(ctx, t, False, cl)
     # 2 oracle rounds + cover-count cast + accumulator broadcast, per iteration
     assert cl.rounds == 70 * (2 + ceil_log2(3) + 1)
     # iteration 1 primitive by primitive, then the other 69 in one entry
@@ -777,7 +777,7 @@ def test_mwu_fixed_point_full_objective():
 
 
 def test_mwu_fixed_point_shorter_objective():
-    pair = _mwu(chain_ctx(), 3, Cluster(3, 4))
+    pair, _ = _mwu(chain_ctx(), 3)
     assert pair.sum_x == (35, 70, 70, 35)
     assert pair.sum_z == (21, 28, 21)
 
@@ -786,9 +786,10 @@ SINGLES = SetSystem(4, 4, 1, ((1,), (2,), (3,), (4,)))
 
 
 def test_mwu_detects_infeasible_guess_in_two_rounds():
-    cl = Cluster(4, 4)
     ctx = lp_context(SINGLES, QUARTER)
-    assert _mwu(ctx, 4, cl) is None
+    assert _mwu(ctx, 4) == (None, 0)
+    cl = Cluster(4, 4)
+    charge_lane(ctx, 0, True, cl)
     assert cl.rounds == 2
 
 
@@ -829,11 +830,12 @@ def recording_iterations(records: list):
 
 
 def replay_loop_charges(ctx: LpContext, length: int) -> str:
-    """Run _mwu on a fresh lane and check its log entry by entry, its rounds
-    and its peak against a reference lane that charges each recorded
-    iteration through the primitives (the cost gather, then the point or
-    reject broadcast, then the cover-count cast and the accumulator
-    broadcast), folded the way _mwu charges: iteration 1's entries, then
+    """Run _mwu, charge a fresh lane from its outcome as solve_pi1 does, and
+    check the lane's log entry by entry, its rounds and its peak against a
+    reference lane that charges each recorded iteration through the
+    primitives (the cost gather, then the point or reject broadcast, then
+    the cover-count cast and the accumulator broadcast), folded the way
+    charge_lane charges: iteration 1's entries, then
     the later accepted iterations as one mwu.iterations entry at the sum of
     iteration 1's rounds and the largest of its peaks, then a rejection's
     two.  An accepted record whose lane then skipped whole periods (its
@@ -842,9 +844,10 @@ def replay_loop_charges(ctx: LpContext, length: int) -> str:
     guess's outcome."""
     n, m = ctx.n, ctx.m
     records = []
-    lane = Cluster(m, n).lane()
     with recording_iterations(records):
-        pair = _mwu(ctx, length, lane)
+        pair, t = _mwu(ctx, length)
+    lane = Cluster(m, n).lane()
+    charge_lane(ctx, t, pair is None, lane)
     ref = Cluster(m, n).lane()
     accepted = 0
     for r in records:
@@ -865,6 +868,7 @@ def replay_loop_charges(ctx: LpContext, length: int) -> str:
                 "mwu.iterations", sum(e.rounds for e in later), max(e.peak_bits for e in later)
             )
         ]
+    assert t == accepted
     assert lane.log == ref.log
     assert (lane.rounds, lane.peak_inbox_bits) == (ref.rounds, ref.peak_inbox_bits)
     if pair is not None:
@@ -891,23 +895,6 @@ def test_loop_charges_replay_each_outcome(sys_, length, outcome):
     assert replay_loop_charges(lp_context(sys_, QUARTER), length) == outcome
 
 
-def test_mwu_names_its_cluster_only_to_charge_the_lane():
-    """_mwu's loop makes no charge: its one use of the cluster is the
-    charge_lane call after the loop, a statement of its own body."""
-    mwu = ast.parse(inspect.getsource(_mwu)).body[0]
-    uses = [node for node in ast.walk(mwu) if isinstance(node, ast.Name) and node.id == "cluster"]
-    calls = [stmt.value for stmt in mwu.body if isinstance(stmt, ast.Expr)]
-    charges = [
-        call
-        for call in calls
-        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "charge_lane"
-    ]
-    assert [ast.unparse(call) for call in charges] == [
-        "charge_lane(ctx, acc.t, not feasible, cluster)"
-    ]
-    assert uses == [charges[0].args[-1]]
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_mwu_accepts_every_guess_up_to_a_greedy_coverage(seed, data):
@@ -923,13 +910,13 @@ def test_mwu_accepts_every_guess_up_to_a_greedy_coverage(seed, data):
     ctx = lp_context(sys_, QUARTER)
     for length in guess_grid(ctx.n, ctx.eps):
         if length <= cover:
-            assert _mwu(ctx, length, Cluster(ctx.m, ctx.n)) is not None, length
+            assert _mwu(ctx, length)[0] is not None, length
 
 
 def test_mwu_per_iteration_records():
     records = []
     with recording_iterations(records):
-        pair = _mwu(chain_ctx(), 2, Cluster(3, 4))
+        pair, _ = _mwu(chain_ctx(), 2)
     assert pair is not None
     assert len(records) == 70
     assert all(r["feasible"] for r in records)
@@ -964,23 +951,21 @@ def lane_run_in_full(ctx: LpContext, length: int) -> tuple[FractionalPair | None
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_mwu_equals_the_lane_run_in_full(seed, data):
-    """At every grid guess of tied and random covered instances, _mwu's pair
-    (or None) and lane log are those of the lane run in full: a lane that
-    advances whole periods once its accumulators repeat ends where running
-    them ends."""
+    """At every grid guess of tied and random covered instances, _mwu's
+    outcome, the pair (or None) with the accepted iterations its lane is
+    charged from, is that of the lane run in full: a lane that advances
+    whole periods once its accumulators repeat ends where running them
+    ends."""
     tied = data.draw(st.booleans(), label="tied")
     sys_ = tied_instance(data) if tied else covered_instance(seed, data)
     ctx = lp_context(sys_, QUARTER)
     for length in guess_grid(ctx.n, ctx.eps):
-        lane, ref = Cluster(ctx.m, ctx.n).lane(), Cluster(ctx.m, ctx.n).lane()
         calls = []
         with recording_calls(calls):
-            pair = _mwu(ctx, length, lane)
-        want, accepted = lane_run_in_full(ctx, length)
-        charge_lane(ctx, accepted, want is None, ref)
-        assert pair == want, length
-        assert lane.log == ref.log, length
-        if len(calls) < accepted:
+            got = _mwu(ctx, length)
+        want = lane_run_in_full(ctx, length)
+        assert got == want, length
+        if len(calls) < want[1]:
             event("skipped")
 
 
@@ -1001,7 +986,7 @@ def test_a_cycling_lane_runs_its_transient_and_remainder_only():
     assert ctx.t_total == 9899
     calls = []
     with recording_calls(calls):
-        pair = _mwu(ctx, 7, Cluster(ctx.m, ctx.n))
+        pair, _ = _mwu(ctx, 7)
     assert calls == [0, 1, 2, 3, 9898]
     assert pair == lane_run_in_full(ctx, 7)[0]
     assert pair.sum_z == (0, 4950) + (9899,) * 14 + (4949,)
@@ -1022,9 +1007,9 @@ def test_a_repeat_of_a_alone_skips_nothing():
         return step(ctx_, acc, length)
 
     with recording_calls(calls), wrapped_oracle(stale_total):
-        pair = _mwu(ctx, 7, Cluster(ctx.m, ctx.n))
+        pair, _ = _mwu(ctx, 7)
     assert calls == [0, 1, 2, 3, 4, 5, 9898]
-    assert pair == _mwu(ctx, 7, Cluster(ctx.m, ctx.n))
+    assert pair == _mwu(ctx, 7)[0]
 
 
 # -- guesses, batching, rescaling ------------------------------------------
@@ -1061,8 +1046,8 @@ def test_solve_pi1_nothing_feasible_shape(monkeypatch):
     mwu = lp_mod._mwu
     for rejected in ((1, 2, 3, 4), (1,)):
 
-        def rejecting(ctx, length, cluster):
-            return None if length in rejected else mwu(ctx, length, cluster)
+        def rejecting(ctx, length):
+            return (None, 0) if length in rejected else mwu(ctx, length)
 
         monkeypatch.setattr(lp_mod, "_mwu", rejecting)
         with pytest.raises(OracleSoundnessError, match="^guess 1 was rejected$"):
@@ -1071,22 +1056,28 @@ def test_solve_pi1_nothing_feasible_shape(monkeypatch):
 
 def test_solve_pi1_checks_the_deferred_certified_lane(monkeypatch):
     # certified = 4 charges every chain guess without running it; l_star = 4
-    # then runs alone for its pair, and a rejection there is a fault
-    mwu = lp_mod._mwu
-    ran = []
+    # then runs alone for its pair, on no lane, and a rejection there is a fault
+    mwu, lane = lp_mod._mwu, Cluster.lane
+    ran, lanes = [], []
 
-    def recording(ctx, length, cluster):
+    def recording(ctx, length):
         ran.append(length)
-        return mwu(ctx, length, cluster)
+        return mwu(ctx, length)
+
+    def counted_lane(self):
+        lanes.append(self)
+        return lane(self)
 
     monkeypatch.setattr(lp_mod, "_mwu", recording)
+    monkeypatch.setattr(Cluster, "lane", counted_lane)
     cl = Cluster(3, 4)
     res = solve_pi1(chain_ctx(), cl, 4)
     assert ran == [4]
+    assert lanes == [cl] * 4  # one per guess
     assert res.l_star == 4 and res.pair.sum_x == (70, 70, 70, 70)
     assert res.feasible_guesses == (1, 2, 3, 4)
     assert [e.primitive for e in cl.log] == ["pi1.batch[1..3]", "pi1.batch[4..4]"]
-    monkeypatch.setattr(lp_mod, "_mwu", lambda ctx, length, cluster: None)
+    monkeypatch.setattr(lp_mod, "_mwu", lambda ctx, length: (None, 0))
     with pytest.raises(OracleSoundnessError, match="^certified guess 4 was rejected$"):
         solve_pi1(chain_ctx(), Cluster(3, 4), 4)
 
@@ -1173,7 +1164,7 @@ def test_mwu_contract_random_instances(seed, n, m):
         return
     ctx = lp_context(sys_, QUARTER)
     for length in guess_grid(n, ctx.eps):
-        pair = _mwu(ctx, length, Cluster(m, n))
+        pair, _ = _mwu(ctx, length)
         if pair is None:
             continue
         t = pair.rounds_t

@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mpcover import Cluster, SetSystem, coverage
+from mpcover import Cluster, RoundLogEntry, SetSystem, coverage
 from mpcover.cluster import ceil_log2
-from mpcover.rounding import RoundingConfig, best_of_repetitions, randbelow
+from mpcover.rounding import best_of_repetitions, randbelow
 from mpcover.rounding import _cumulative_thresholds, _draw
 
 
@@ -20,13 +20,22 @@ def randomized_round(y, kprime: int, seed: int) -> tuple[int, ...]:
     return _draw(cum, den, kprime, seed)
 
 
-def test_config_schedule():
-    cfg = RoundingConfig(eps=Fraction(1, 4), seed=0)
-    assert cfg.batch_size == 4
-    assert cfg.repetitions(3) == 45  # ceil(8 * ln(4) / 0.25)
-    tight = RoundingConfig(eps=Fraction(1, 32), seed=0)
-    assert tight.batch_size == 32
-    assert tight.repetitions(3) > cfg.repetitions(3)
+# three sets over four elements, and a fractional cover y of them that sums to k' = 2
+THREE_SETS = SetSystem(4, 3, 1, ((1, 2), (3,), (4,)))
+THREE_SETS_Y = [Fraction(1), Fraction(1, 2), Fraction(1, 2)]
+QUARTER = Fraction(1, 4)
+
+
+def test_repetition_schedule():
+    """ceil(8 * ln(m + 1) / eps) candidates in batches of ceil(1 / eps), the
+    last one partial, read off the batches' candidate broadcasts (m bits a
+    candidate)."""
+    for eps, reps, batch in ((QUARTER, 45, 4), (Fraction(1, 32), 355, 32)):
+        cl = Cluster(3, 4)
+        _, _, got = best_of_repetitions(THREE_SETS.incidence, THREE_SETS_Y, 2, eps, 0, cl)
+        assert got == reps  # 45 = ceil(8 * ln(4) / 0.25)
+        sizes = [e.peak_bits // 3 for e in cl.log if e.primitive == "round.candidate_broadcast"]
+        assert sizes == [batch] * (reps // batch) + [reps % batch]
 
 
 def test_randbelow_range_and_determinism():
@@ -78,26 +87,52 @@ def test_draw_frequencies_track_probabilities():
     assert 850 <= hits <= 1150  # 1000 expected, ~5.5 sigma margin
 
 
-def test_best_of_repetitions_schedule_and_accounting():
-    sys_ = SetSystem(4, 3, 1, ((1, 2), (3,), (4,)))
-    y = [Fraction(1), Fraction(1, 2), Fraction(1, 2)]
-    cfg = RoundingConfig(eps=Fraction(1, 4), seed=9)
+def batch_log(m: int, n: int, reps: int, batch: int) -> list[RoundLogEntry]:
+    """The log of a repetition schedule on m sets over n elements: per batch
+    of B candidates, one broadcast of their B selection masks, then their B
+    coverage converge-casts side by side, one converge-cast of width B * n
+    at 1-bit entries.  With one machine both cost 0 bits, and the
+    converge-cast 0 rounds."""
+    depth = ceil_log2(m)
+    log = []
+    for start in range(0, reps, batch):
+        b = min(batch, reps - start)
+        log.append(RoundLogEntry("round.candidate_broadcast", 1, b * m if m > 1 else 0))
+        peak = b * n * (1 + depth) if depth else 0
+        log.append(RoundLogEntry(f"round.batch[{start}]", depth, peak))
+    return log
+
+
+def test_best_of_repetitions_schedule_and_accounting(monkeypatch):
+    # the batches are charged on the run's cluster: no candidate takes a lane
+    monkeypatch.setattr(Cluster, "lane", lambda self: pytest.fail("a candidate took a lane"))
     cl = Cluster(3, 4)
-    sel, cov, reps = best_of_repetitions(sys_.incidence, y, 2, cfg, cl)
-    assert reps == cfg.repetitions(3) == 45
-    assert cov == coverage(sys_, sel) == 3
-    # per batch: one broadcast plus lanes that each converge-cast
-    batches = -(-reps // cfg.batch_size)
-    assert cl.rounds == batches * (1 + ceil_log2(3))
+    sel, cov, reps = best_of_repetitions(THREE_SETS.incidence, THREE_SETS_Y, 2, QUARTER, 9, cl)
+    assert reps == 45
+    assert cov == coverage(THREE_SETS, sel) == 3
+    # 11 batches of 4 and a last one of 1; a batch's converge-cast takes
+    # ceil(log2 3) = 2 rounds at 4 * 4 * (1 + 2) = 48 bits
+    assert cl.log == batch_log(3, 4, 45, 4)
+    assert cl.log[-2:] == [
+        RoundLogEntry("round.candidate_broadcast", 1, 3),
+        RoundLogEntry("round.batch[44]", 2, 12),
+    ]
     cl.check_log_consistent()
+    # one set: the broadcasts reach no other machine, the converge-casts are
+    # 0 rounds at 0 bits, and 23 = ceil(8 * ln(2) / 0.25) candidates all draw it
+    one = SetSystem(2, 1, 1, ((1, 2),))
+    cl = Cluster(1, 2)
+    got = best_of_repetitions(one.incidence, [Fraction(1)], 1, QUARTER, 9, cl)
+    assert got == ((1,), 2, 23)
+    assert cl.log == batch_log(1, 2, 23, 4)
+    assert cl.log[-1] == RoundLogEntry("round.batch[20]", 0, 0)
 
 
 def test_best_of_repetitions_prefers_earliest_rep_on_ties():
     # both sets tie at coverage 1 on every draw; rep 0 must win
     sys_ = SetSystem(2, 2, 1, ((1,), (2,)))
     y = [Fraction(1, 2), Fraction(1, 2)]
-    cfg = RoundingConfig(eps=Fraction(1, 4), seed=17)
-    sel, cov, _ = best_of_repetitions(sys_.incidence, y, 1, cfg, Cluster(2, 2))
+    sel, cov, _ = best_of_repetitions(sys_.incidence, y, 1, Fraction(1, 4), 17, Cluster(2, 2))
     assert cov == 1
     assert sel == randomized_round(y, 1, seed=17 ^ 0)
 
@@ -107,7 +142,6 @@ def test_best_of_repetitions_finds_disjoint_pair():
     # in most reps, so the best candidate covers 4 elements
     sys_ = SetSystem(6, 3, 2, ((1, 2), (3, 4), (5, 6)))
     y = [Fraction(1), Fraction(1, 2), Fraction(1, 2)]
-    cfg = RoundingConfig(eps=Fraction(1, 4), seed=1)
-    sel, cov, _ = best_of_repetitions(sys_.incidence, y, 2, cfg, Cluster(3, 6))
+    sel, cov, _ = best_of_repetitions(sys_.incidence, y, 2, Fraction(1, 4), 1, Cluster(3, 6))
     assert cov == 4
     assert len(sel) == 2
