@@ -141,6 +141,8 @@ def _emit(obj) -> None:
 
 
 def cmd_generate(args) -> int:
+    if args.seed < 0:
+        raise InstanceError(f"--seed must be a non-negative integer, got {args.seed}")
     density = float(args.density) if args.density is not None else None
     sys_ = generate_random(
         args.n, args.m, args.k, density=density, set_size=args.set_size, seed=args.seed

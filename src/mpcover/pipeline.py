@@ -137,24 +137,6 @@ def subsample_universe(inc: Incidence, k: int, eps: Fraction, seed: int):
     return inc, tuple(range(1, n + 1)), 1.0
 
 
-def _pad_budget(y, kprime: int):
-    """Raise y entries (ascending index, clamped at 1) until sum(y) = kprime."""
-    y = [Fraction(v) for v in y]
-    deficit = kprime - sum(y)
-    if deficit < 0:
-        raise ValueError("kprime below the fractional budget")
-    for j in range(len(y)):
-        if deficit == 0:
-            break
-        room = 1 - y[j]
-        add = room if room < deficit else deficit
-        y[j] += add
-        deficit -= add
-    if deficit != 0:
-        raise ValueError("kprime exceeds the number of sets")
-    return y
-
-
 def greedy_picks(inc: Incidence, k: int) -> tuple[tuple[int, ...], int]:
     """The sequential greedy on the m x n incidence `inc` (row j-1 is set
     j): k picks of the largest gain, ties to the lower index; returns the
@@ -249,10 +231,8 @@ def _run_stages(inc: Incidence, k: int, eps: Fraction, cfg: PipelineConfig, clus
     pi1 = solve_pi1(ctx, cluster, certified)
     sol = scale_to_pi0(ctx, pi1.pair)
 
-    budget = sum(sol.y, Fraction(0))
-    kprime = min(m, max(int(k + 2 * stage_eps * m), math.ceil(budget)))
-    y_pad = _pad_budget(sol.y, kprime)
-    sel, _cov_sub, _reps = best_of_repetitions(inc_lp, y_pad, kprime, stage_eps, cfg.seed, cluster)
+    kprime = min(m, max(int(k + 2 * stage_eps * m), math.ceil(sol.budget_used)))
+    sel, _cov_sub, _reps = best_of_repetitions(inc_lp, sol.y, kprime, stage_eps, cfg.seed, cluster)
     if len(sel) > k:
         marg = prefix_coverage(inc1, sel, cluster)
         sel, _bound = trim_to_k(inc1, marg, k, cluster)

@@ -31,7 +31,6 @@ from mpcover.cli import main as cli_main
 from mpcover.cluster import ceil_log2
 from mpcover.instance import frequency
 from mpcover.lp import WeightAccumulator, guess_grid, oracle_step, scale_to_pi0, solve_pi1
-from mpcover.pipeline import _pad_budget
 from mpcover.prefix import prefix_coverage, trim_to_k
 from test_baselines import oracle_minimum
 from test_instance import normalize_covered
@@ -356,10 +355,9 @@ def test_criterion_07_rounding_expectation(lp_solutions):
         sys1, sol = entry["sys1"], entry["sol"]
         m, k = sys1.m, sys1.k
         kprime = min(m, max(int(k + 2 * LP_STAGE_EPS * m), math.ceil(sol.budget_used)))
-        y_pad = _pad_budget(list(sol.y), kprime)
         covs = np.empty(10_000, dtype=np.int64)
         for rep in range(10_000):
-            covs[rep] = coverage(sys1, randomized_round(y_pad, kprime, seed=rep))
+            covs[rep] = coverage(sys1, randomized_round(sol.y, kprime, seed=rep))
         mean = float(covs.mean())
         se = float(covs.std(ddof=1)) / math.sqrt(len(covs))
         floor = (1 - 1 / math.e) * float(sol.objective)

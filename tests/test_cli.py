@@ -1,5 +1,6 @@
 """Command line behaviour: flags, exit codes, JSON and CSV output."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -65,6 +66,13 @@ def test_generate_rejects_bad_shape(capsys):
         ["generate", "--n", "3", "--m", "5", "--k", "1", "--density", "0.4"], capsys
     )
     assert rc == 2 and "error:" in err
+
+
+def test_generate_rejects_a_negative_seed(capsys):
+    argv = ["generate", "--n", "9", "--m", "3", "--k", "1", "--density", "0.4", "--seed", "-1"]
+    rc, out, err = run_main(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
 
 
 def test_rational_flag_rejects_scientific(small_path):
@@ -316,6 +324,36 @@ def test_run_budget_violation_in_a_rounding_batch_names_the_run_round(tmp_path, 
     rows = [json.loads(ln) for ln in lines[1:]]
     assert len(rows) == 13 and rows[-1]["primitive"] == "round.candidate_broadcast"
     assert sum(r["rounds"] for r in rows) == 158409
+
+
+def test_run_subsample_off_end_to_end(tmp_path, capsys):
+    # the tiles' sampling rate saturates at 1, so a full-universe run takes the
+    # same LP route and charges the same log; only the config says
+    # subsample false, and the audit holds it to the full-universe bound
+    inst = tmp_path / "tiles.txt"
+    inst.write_text(dump_instance(tile_system(17, 2)))
+    argv = ["run", "--input", str(inst), "--json", "--epsilon", "0.25"]
+    reports, logs = {}, {}
+    for flag in ("on", "off"):
+        log_path = tmp_path / f"{flag}.jsonl"
+        rc, out, err = run_main([*argv, "--subsample", flag, "--output", str(log_path)], capsys)
+        assert (rc, err) == (0, "")
+        reports[flag] = json.loads(out)
+        logs[flag] = log_path.read_text().splitlines()
+    assert reports["off"]["config"].pop("subsample") is False
+    assert reports["on"]["config"].pop("subsample") is True
+    assert reports["off"] == reports["on"]
+    assert reports["off"]["config"]["path"] == "lp" and reports["off"]["rounds"] == 158558
+    meta = json.loads(logs["off"][0])["meta"]
+    assert meta["subsample"] is False
+    entries = "\n".join(logs["off"][1:]) + "\n"
+    assert hashlib.sha256(entries.encode()).hexdigest() == (
+        "e05b08022a831c2348960eb9b3ce8eb49403c1f9033d51f6c49ecba11098e200"
+    )
+    rc, out, err = run_main(["audit", "--input", str(tmp_path / "off.jsonl")], capsys)
+    assert (rc, err) == (0, "")
+    # the full-universe bound: 65536 * (1/eps)**3 * ceil(log2 n) * ceil(log2 m)
+    assert json.loads(out)["bound"] == 65536 * 64 * 6 * 5 == 125829120
 
 
 @pytest.mark.parametrize("flag, value", [("--mem-c", "-3"), ("--mem-e", "-1")])

@@ -23,7 +23,7 @@ from mpcover.baselines import exact_opt, greedy_sequential, set_masks
 from mpcover.cluster import ceil_log2
 from mpcover.instance import frequency
 import mpcover.pipeline as pipeline_mod
-from mpcover.pipeline import _pad_budget, greedy_fallback, greedy_picks, subsample_universe
+from mpcover.pipeline import greedy_fallback, greedy_picks, subsample_universe
 from test_cluster import ReplayCluster
 from test_instance import normalize_covered, restrict_then_normalize, systems
 
@@ -104,19 +104,6 @@ def test_subsample_preserves_set_count_beyond_n():
     sys_ = generate_random(10_000, 100, 50, density=0.95, seed=1)
     reduced, _, _ = subsample_universe(sys_.incidence, sys_.k, Fraction(1, 5), seed=3)
     assert reduced.shape[0] == sys_.m
-
-
-# -- budget padding --------------------------------------------------------
-
-
-def test_pad_budget():
-    y = _pad_budget([Fraction(1, 2), Fraction(1, 2), Fraction(0)], 2)
-    assert y == [Fraction(1), Fraction(1), Fraction(0)]
-    assert _pad_budget([Fraction(1)], 1) == [Fraction(1)]
-    with pytest.raises(ValueError):
-        _pad_budget([Fraction(3, 2)], 1)
-    with pytest.raises(ValueError):
-        _pad_budget([Fraction(1, 2)], 2)
 
 
 # -- distributed greedy ----------------------------------------------------
