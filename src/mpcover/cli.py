@@ -104,6 +104,8 @@ def _config(args) -> PipelineConfig:
         raise InstanceError("--eta and --epsilon are mutually exclusive")
     if args.eta is None and args.epsilon is None:
         raise InstanceError("--epsilon (or --eta) is required")
+    if not 0 <= args.seed < 2**64:
+        raise InstanceError(f"--seed must be in [0, 2**64), got {args.seed}")
     return PipelineConfig(
         eps=args.epsilon,
         eta=args.eta,

@@ -38,10 +38,11 @@ oracle's element and set orders are kept too, keyed by the unique ints
 p_i * n + i and q_j * m + j, which sort as (cost, index) does: re-sorting
 the nearly sorted lists gives exactly the stable order of a sort by cost.
 From the oracle's picks the loop builds the nonzero errors, runs the exact
-truncation check on them, and moves the accumulators, weights, costs, keys,
-totals and |A|max in one pass over them.  _mwu takes no cluster: it
-returns its outcome, the pair or None with the accepted iterations, and
-solve_pi1 charges the guess's lane from that outcome alone (charge_lane).
+truncation check on them, and moves the accumulators, weights, costs, keys
+and totals in one pass over them; it checks |A| <= 2*n*t on the entries it
+moved.  _mwu takes no cluster: it returns its outcome, the pair or None
+with the accepted iterations, and solve_pi1 charges the guess's lane from
+that outcome alone (charge_lane).
 
 A lane runs until its accumulators repeat.  All an iteration reads is a
 function of a (the weights, costs, keys and totals are derived from it, the
@@ -152,10 +153,9 @@ class LpContext:
 
 class WeightAccumulator:
     """One MWU lane's exact state, which _mwu moves in place: the integer
-    error accumulators a, the accepted iterations t, |A|max and the count of
-    entries at it, the weights w derived from a, the element costs
-    p = w // f, the set costs q (sums of p over each set), the weight total
-    and qsum, the sum of q.
+    error accumulators a, the accepted iterations t, the weights w derived
+    from a, the element costs p = w // f, the set costs q (sums of p over
+    each set), the weight total and qsum, the sum of q.
 
     It also keeps the oracle's orders between iterations: xorder lists the
     elements by the unique key xkey[i] = p_i * n + i and sorder the sets by
@@ -174,8 +174,6 @@ class WeightAccumulator:
         n, m = ctx.n, ctx.m
         self.a = [0] * n
         self.t = 0
-        self.absmax = 0  # |A|max after the last accepted iteration
-        self.at_max = n  # entries with |A| == absmax
         self.w = [1 << ctx.b] * n
         self.total = n << ctx.b
         self.p = [wi // fv for wi, fv in zip(self.w, ctx.f)]
@@ -268,10 +266,10 @@ def _mwu(ctx: LpContext, length: int) -> tuple[FractionalPair | None, int]:
 
     An accepted iteration then moves, in one pass over its errors, the
     accumulators, the weights (re-derived from their class tables, with the
-    4n^2 cap checked on each), the costs p and q with their keys, the two
-    totals and |A|max with the count of entries at it; all n accumulators
-    are rescanned for |A|max only when every entry at the max moved below
-    it.  It checks the error range and |A| <= 2*n*t after the pass; a
+    4n^2 cap checked on each), the costs p and q with their keys and the
+    two totals.  After the pass it checks the error range, then |A| <=
+    2*n*t on the largest moved |A|: every entry starts at 0, and one that
+    did not move still meets the bound it met, which t only loosens.  A
     failed check leaves the lane unusable, as it ends the run.  The
     averaged iterate's sum_z_j is t_total minus the iterations that left
     set j out, and its sum_x_i the left-outs of i's sets minus A_i.
@@ -319,22 +317,10 @@ def _mwu(ctx: LpContext, length: int) -> tuple[FractionalPair | None, int]:
             break
         if not (lhs_lcm - sum_w * lcm) * n_pow5 <= slack:
             raise OracleSoundnessError("accepted point violates the weighted budget")
-        absmax, at_max, qsum = acc.absmax, acc.at_max, acc.qsum
-        neg_max = -absmax
-        # error range with the implicit zeros, largest moved |A|; an
-        # error is (left-out sets holding i) - x_i >= -1 > -2n, so only
-        # hi can leave the range, but the message reports both ends
-        lo = hi = top = 0
-        at_top = 0  # moved entries with |A| == top
+        qsum = acc.qsum
+        top = 0  # the largest moved |A|
         for i, e in err.items():
-            if e < lo:
-                lo = e
-            elif e > hi:
-                hi = e
-            v = a[i]
-            if v == absmax or v == neg_max:
-                at_max -= 1
-            v += e
+            v = a[i] + e
             a[i] = v
             c, r = divmod(-v, d[i])
             if c > cap:
@@ -351,41 +337,33 @@ def _mwu(ctx: LpContext, length: int) -> tuple[FractionalPair | None, int]:
                 for j in member[i]:
                     q[j] += dp
                     skey[j] += dk
-            if v < 0:
-                v = -v
-            if v > top:
-                top, at_top = v, 1
-            elif v == top:
-                at_top += 1
+            if abs(v) > top:
+                top = abs(v)
+        # the error range with the implicit zeros; an error is (left-out
+        # sets holding i) - x_i >= -1 > -2n, so only hi can leave the range,
+        # but the message reports both ends
+        lo, hi = min(err.values(), default=0), max(err.values(), default=0)
+        if len(err) < n:
+            lo, hi = min(lo, 0), max(hi, 0)
         if lo < -lim or hi > lim:
-            if len(err) == n:  # no implicit zeros
-                lo, hi = min(err.values()), max(err.values())
             raise OracleSoundnessError(f"per-iteration error outside [-2n, 2n]: {lo}..{hi}")
-        if top > absmax:
-            absmax, at_max = top, at_top
-        elif top == absmax:
-            at_max += at_top
-        elif not at_max:  # every entry at |A|max moved toward 0
-            absa = list(map(abs, a))
-            absmax = max(absa)
-            at_max = absa.count(absmax)
-        if absmax > lim * (t + 1):
+        if top > lim * (t + 1):
             raise OracleSoundnessError("accumulator magnitude exceeded 2*n*t")
         # unreachable: LpContext checks that 2*n*t_total fits in abits - 1
         # bits, and the check above keeps |A| <= 2*n*t with t <= t_total
-        if absmax.bit_length() + 1 > ctx.abits:
+        if top.bit_length() + 1 > ctx.abits:
             raise OracleSoundnessError("accumulator outgrew its broadcast width")
         for j in ys:
             left_out[j] += 1
         t += 1
         # back at the checkpoint's state (a compares first): each later
         # iteration repeats one already run
-        state = a, w, p, q, xkey, skey, total, qsum, absmax, at_max
+        state = a, w, p, q, xkey, skey, total, qsum
         if state == saved[2:]:
             reps, rest = divmod(t_total - t, t - saved[0])
             left_out = [c + reps * (c - c0) for c, c0 in zip(left_out, saved[1])]
             t = t_total - rest
-        acc.t, acc.absmax, acc.at_max, acc.total, acc.qsum = t, absmax, at_max, total, qsum
+        acc.t, acc.total, acc.qsum = t, total, qsum
         if not t & (t - 1):  # a checkpoint at each power of two
             saved = t, left_out[:], *map(list.copy, state[:6]), *state[6:]
     if not feasible:

@@ -275,9 +275,17 @@ def _report(sys, eps, cfg, cluster, selection, l_star, subsampled_n, path) -> Ru
 
 
 def _run_cluster(sys: SetSystem, cfg: PipelineConfig) -> Cluster:
-    """The run's one Cluster; refuses n >= 2**63, which loads but the int64 stages cannot run."""
+    """The run's one Cluster.  Before any stage runs it refuses n >= 2**63,
+    which loads but the int64 stages cannot index, and an n whose n-entry
+    int64 vector (the first casts build one) this machine cannot allocate."""
     if sys.n >= 2**63:
         raise InstanceError(f"n={sys.n} is too large to run: the stages need n < 2**63")
+    try:
+        np.empty(sys.n, dtype=np.int64)  # uninitialised: no page is touched
+    except MemoryError:
+        raise InstanceError(
+            f"n={sys.n} is too large to run: an int64 vector of n entries cannot be allocated"
+        ) from None
     return Cluster(sys.m, sys.n, cfg.mem_c, cfg.mem_e)
 
 

@@ -10,7 +10,7 @@ import mpcover.pipeline as pipeline_mod
 from mpcover import OracleSoundnessError, SetSystem, dump_instance, generate_random, load_instance
 from mpcover.baselines import exact_opt, greedy_sequential
 from mpcover.cli import main
-from test_pipeline import tile_system
+from test_pipeline import eta_lp_route, tile_system
 
 SMALL = "4 3 2\n1 2\n2 3\n3 4\n"
 
@@ -285,8 +285,7 @@ def test_run_budget_violation_in_eta_mode_names_the_run_round(tmp_path, capsys):
     # 20 sets in 7 rounds, the stages' normalize and frequency take 12 more, and
     # the first accumulator broadcast of the LP overflows the 2250-bit budget
     inst = tmp_path / "tiles.txt"
-    tiles = [" ".join(str(9 * i + j) for j in range(1, 10)) for i in range(25)]
-    inst.write_text("225 25 5\n" + "\n".join(tiles) + "\n")
+    inst.write_text(dump_instance(eta_lp_route()[0]))
     argv = ["run", "--input", str(inst), "--eta", "0.25", "--mem-c", "10", "--mem-e", "0"]
     rc, out, err = run_main([*argv, "--json"], capsys)
     assert rc == 3 and out == ""
@@ -305,6 +304,31 @@ def test_run_budget_violation_in_eta_mode_names_the_run_round(tmp_path, capsys):
     assert json.loads(lines[0])["meta"]["epsilon"] == "1/16"
     rc, out, err = run_main(["audit", "--input", str(inst) + ".roundlog.jsonl"], capsys)
     assert rc == 0, err
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_run_eta_mode_takes_the_lp_route_end_to_end(tmp_path, capsys, seed):
+    """Bounded-frequency mode's LP route, reached with no seam: on 25 tiles
+    of 9 at k = 5 and eta = 1/4 the run keeps 20 sets, derives eps = 1/16
+    and solves the LP at n' = 180 > 10/eps.  It covers OPT (5 tiles), and
+    its round log audits."""
+    inst = tmp_path / "tiles.txt"
+    inst.write_text(dump_instance(eta_lp_route()[0]))
+    argv = ["run", "--input", str(inst), "--eta", "0.25", "--seed", seed, "--json"]
+    rc, out, err = run_main(argv, capsys)
+    assert (rc, err) == (0, "")
+    rep = json.loads(out)
+    assert (rep["config"]["path"], rep["config"]["epsilon"], rep["L_star"]) == ("lp", "1/16", 45)
+    assert (rep["coverage"], rep["selection"]) == (45, [1, 2, 4, 18, 19])
+    assert (rep["rounds"], rep["peak_bits"]) == (9634913, 138240)
+    log_path = inst.with_suffix(".txt.roundlog.jsonl")
+    entries = [json.loads(ln) for ln in log_path.read_text().splitlines()[1:]]
+    assert len(entries) == 87
+    assert sum(e["primitive"].startswith("pi1.batch[") for e in entries) == 22
+    rc, out, err = run_main(["audit", "--input", str(log_path)], capsys)
+    assert (rc, err) == (0, "")
+    audit = json.loads(out)
+    assert (audit["rounds"], audit["bound"]) == (9634913, 754974720)
 
 
 def test_run_budget_violation_in_a_rounding_batch_names_the_run_round(tmp_path, capsys):
@@ -432,6 +456,34 @@ def test_run_and_compare_refuse_n_past_int64(tmp_path, capsys, argv):
     assert err == (
         "error: n=99999999999999999999 is too large to run: the stages need n < 2**63\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--epsilon", "0.25"], ["run", "--eta", "0.25"], ["compare", "--epsilon", "0.25"]],
+)
+def test_run_and_compare_refuse_an_n_past_memory(tmp_path, capsys, argv):
+    """n = 10**15 is below 2**63, but an int64 vector of n entries is
+    7.11 PiB: the run refuses it by name before any stage runs, and the CLI
+    exits 2.  numpy refuses such an allocation at once, so nothing is
+    allocated here."""
+    path = tmp_path / "wide.txt"
+    path.write_text("1000000000000000 1 1\n1\n")
+    rc, out, err = run_main([*argv, "--input", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: n=1000000000000000 is too large to run: "
+        "an int64 vector of n entries cannot be allocated\n"
+    )
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_run_and_compare_reject_a_seed_outside_64_bits(small_path, capsys, command, seed):
+    argv = [command, "--input", str(small_path), "--epsilon", "0.25", "--seed", seed]
+    rc, out, err = run_main(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"error: --seed must be in [0, 2**64), got {seed}\n"
 
 
 # -- audit -----------------------------------------------------------------

@@ -239,10 +239,19 @@ def lp_route():
     return singles, PipelineConfig(eps=Fraction(1, 4))
 
 
+def nine_tiles(k: int) -> SetSystem:
+    """25 disjoint tiles of 9 elements (n = 225, m = 25, f_max = 1) at budget k."""
+    return SetSystem(225, 25, k, tuple(tuple(range(9 * i + 1, 9 * i + 10)) for i in range(25)))
+
+
 def eta_route():
-    # 25 disjoint tiles of 9 (f_max = 1) at k = 1: the set reduction keeps 4 of them
-    tiles = tuple(tuple(range(9 * i + 1, 9 * i + 10)) for i in range(25))
-    return SetSystem(225, 25, 1, tiles), PipelineConfig(eta=Fraction(1, 4), seed=3)
+    # at k = 1 and eta = 1/4 the set reduction keeps 4 tiles: n' = 36 <= 10/eps
+    return nine_tiles(1), PipelineConfig(eta=Fraction(1, 4), seed=3)
+
+
+def eta_lp_route():
+    # at k = 5 it keeps 20 tiles: n' = 180 > 10/eps = 160 at the derived eps = 1/16
+    return nine_tiles(5), PipelineConfig(eta=Fraction(1, 4))
 
 
 ROUTES = {  # route: (instance and config, the path the report names)
@@ -250,6 +259,7 @@ ROUTES = {  # route: (instance and config, the path the report names)
     "lp": (lp_route, "lp"),
     "lp-subsampled": (lp_route, "lp"),
     "eta-row-cut": (eta_route, "greedy"),
+    "eta-lp": (eta_lp_route, "lp"),
 }
 
 
@@ -272,7 +282,7 @@ def test_no_set_system_below_the_parse(route, monkeypatch):
     rep = run_pipeline(sys_, cfg)
     assert rep.config["path"] == path
     assert (rep.subsampled_n is not None) == (route == "lp-subsampled")
-    if route == "eta-row-cut":
+    if route.startswith("eta"):
         assert "bfreq.keep_broadcast" in {e.primitive for e in rep.log}
     monkeypatch.undo()
     assert rep.coverage == coverage(sys_, rep.selection)
