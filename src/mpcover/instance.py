@@ -312,16 +312,22 @@ def generate_random(
         raise InstanceError("give exactly one of density or set_size")
     if m > n:
         raise InstanceError(f"need m <= n, got m={m} n={n}")
-    rng = Generator(PCG64(seed))
-    if density is not None:
-        if not 0.0 < density <= 1.0:
-            raise InstanceError("density must be in (0, 1]")
-        sets = [np.flatnonzero(rng.random(n) < density) + 1 for _ in range(m)]
-    else:
+    if density is None:
         lo, hi = (set_size, set_size) if isinstance(set_size, int) else set_size
         if not 0 <= lo <= hi <= n:
             raise InstanceError(f"set sizes must satisfy 0 <= lo <= hi <= n, got [{lo}, {hi}]")
-        # each set draws its size, then its ids
-        sizes = (int(rng.integers(lo, hi + 1)) for _ in range(m))
-        sets = [np.sort(rng.choice(n, size=size, replace=False)) + 1 for size in sizes]
+    elif not 0.0 < density <= 1.0:
+        raise InstanceError("density must be in (0, 1]")
+    if n > _INT64_MAX:
+        raise InstanceError(f"n={n} is too large to generate: numpy's draws need n < 2**63")
+    rng = Generator(PCG64(seed))
+    try:
+        if density is not None:
+            sets = [np.flatnonzero(rng.random(n) < density) + 1 for _ in range(m)]
+        else:
+            # each set draws its size, then its ids
+            sizes = (int(rng.integers(lo, hi + 1)) for _ in range(m))
+            sets = [np.sort(rng.choice(n, size=size, replace=False)) + 1 for size in sizes]
+    except MemoryError:  # numpy refuses at once a draw it cannot allocate
+        raise InstanceError(f"n={n} is too large to generate: no memory for its draws") from None
     return SetSystem(n=n, m=m, k=k, sets=sets)

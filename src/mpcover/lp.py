@@ -104,12 +104,11 @@ class FractionalPair:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Standard-form relaxation values after rescaling."""
+    """The rescaled relaxation x_i / den and y_j / den, and the excess sigma."""
 
-    x: tuple[Fraction, ...]
-    y: tuple[Fraction, ...]
-    objective: Fraction
-    budget_used: Fraction
+    x: tuple[int, ...]
+    y: tuple[int, ...]
+    den: int
     sigma: Fraction
 
 
@@ -189,12 +188,11 @@ class WeightAccumulator:
 # import of annotations, the latter compiles each field's annotation when
 # the module loads, which raised every run's peak RSS by about 40-50 KB
 class OracleStep(
-    namedtuple("OracleStep", "feasible x_idx z_idx y_idx lhs_hat_scaled sum_w_scaled")
+    namedtuple("OracleStep", "feasible x_idx y_idx lhs_hat_scaled sum_w_scaled")
 ):
-    """An oracle point: the chosen elements x_idx, the m - k kept sets z_idx
-    and the k sets y_idx left out of z, each a list in ascending cost order,
-    with the truncated objective lhs_hat_scaled and the weight sum
-    sum_w_scaled it was checked against."""
+    """An oracle point: the chosen elements x_idx and the k sets y_idx left
+    out of z, in ascending cost order, with the truncated objective
+    lhs_hat_scaled and the weight sum sum_w_scaled it was checked against."""
 
     __slots__ = ()
 
@@ -233,10 +231,9 @@ def oracle_step(ctx: LpContext, acc: WeightAccumulator, length: int) -> OracleSt
     if max(q, default=0).bit_length() > ctx.qhat_bits:
         raise OracleSoundnessError("set cost outgrew its message width")
     xs = xorder[:length]
-    kept = ctx.m - ctx.k
-    ys = sorder[kept:]
+    ys = sorder[ctx.m - ctx.k :]
     lhs_hat = sum(map(acc.p.__getitem__, xs)) + acc.qsum - sum(map(q.__getitem__, ys))
-    return OracleStep(lhs_hat <= sum_w, xs, sorder[:kept], ys, lhs_hat, sum_w)
+    return OracleStep(lhs_hat <= sum_w, xs, ys, lhs_hat, sum_w)
 
 
 def _mwu(ctx: LpContext, length: int) -> tuple[FractionalPair | None, int]:
@@ -295,7 +292,7 @@ def _mwu(ctx: LpContext, length: int) -> tuple[FractionalPair | None, int]:
     saved = ()  # t, left_out and the kept state at the last power-of-two t
     t = 0
     while t < t_total:
-        feasible, xs, _, ys, lhs_hat, sum_w = step(ctx, acc, length)
+        feasible, xs, ys, lhs_hat, sum_w = step(ctx, acc, length)
         # the nonzero errors: -1 per pick, +1 per left-out set holding it
         err = dict.fromkeys(xs, -1)
         get = err.get
@@ -501,32 +498,29 @@ def scale_to_pi0(ctx: LpContext, pair: FractionalPair) -> LpSolution:
 
     Divides x and z by 1 + sigma, where sigma is the measured worst
     constraint excess (never more than 1.4 * eps by the solver contract),
-    then sets y = 1 - z.  The output satisfies, exactly:
+    then sets y = 1 - z, all over den = t * (dnm + num) with sigma = num /
+    dnm: x_i = sum_x_i * dnm, y_j = den - sum_z_j * dnm.  Checks, exactly:
       x_i <= sum of y_j over sets containing i,
       sum(y) <= k + 2 * eps * m,
       sum(x) >= (1 - 4 * eps) * (sum of the input x).
     """
     eps, t, member = ctx.eps, pair.rounds_t, ctx.member
     cntz = [sum(map(pair.sum_z.__getitem__, js)) for js in member]
-    excess = [Fraction(sx + cz, t * fv) - 1 for sx, cz, fv in zip(pair.sum_x, cntz, ctx.f)]
-    sigma = max(excess + [Fraction(0)])
+    top = max((sx + cz) * lf for sx, cz, lf in zip(pair.sum_x, cntz, ctx.lcm_over_f))
+    sigma = max(Fraction(top, t * ctx.f_lcm) - 1, Fraction(0))
     if sigma > Fraction(SLACK_NUM, SLACK_DEN) * eps:
         raise OracleSoundnessError("constraint excess beyond the solver contract")
-    den = 1 + sigma
-    x = tuple(Fraction(v, t) / den for v in pair.sum_x)
-    y = tuple(1 - Fraction(v, t) / den for v in pair.sum_z)
-    for i in range(ctx.n):
-        covered = sum((y[j] for j in member[i]), Fraction(0))
-        # unreachable: covered = f_i - cntz_i / (t * (1 + sigma)), so x_i > covered
-        # holds exactly when excess_i > sigma, and sigma is the largest excess
-        if x[i] > covered:
-            raise OracleSoundnessError("rescaled x exceeds its fractional cover")
-    objective = sum(x, Fraction(0))
-    budget_used = sum(y, Fraction(0))
-    if budget_used > ctx.k + 2 * eps * ctx.m:
+    num, dnm = sigma.numerator, sigma.denominator
+    den = t * (dnm + num)
+    x = tuple(v * dnm for v in pair.sum_x)
+    y = tuple(den - v * dnm for v in pair.sum_z)
+    # unreachable: x_i exceeds its cover exactly when excess_i > sigma, the largest excess
+    if any(xi > sum(map(y.__getitem__, js)) for xi, js in zip(x, member)):
+        raise OracleSoundnessError("rescaled x exceeds its fractional cover")
+    if sum(y) << ctx.s > ((ctx.k << ctx.s) + 2 * ctx.m) * den:
         raise OracleSoundnessError("rescaled budget exceeds k + 2*eps*m")
-    # unreachable: objective = sum(x) / t / (1 + sigma), and sigma <= 1.4 * eps
+    # unreachable: sum(x) / den is sum(sum_x) / t / (1 + sigma), and sigma <= 1.4 * eps
     # gives 1 / (1 + sigma) >= 1 - sigma >= 1 - 1.4 * eps > 1 - 4 * eps
-    if objective < (1 - 4 * eps) * Fraction(sum(pair.sum_x), t):
+    if Fraction(sum(x), den) < (1 - 4 * eps) * Fraction(sum(pair.sum_x), t):
         raise OracleSoundnessError("rescaling lost more than the 4*eps factor")
-    return LpSolution(x=x, y=y, objective=objective, budget_used=budget_used, sigma=sigma)
+    return LpSolution(x, y, den, sigma)

@@ -231,8 +231,8 @@ def _run_stages(inc: Incidence, k: int, eps: Fraction, cfg: PipelineConfig, clus
     pi1 = solve_pi1(ctx, cluster, certified)
     sol = scale_to_pi0(ctx, pi1.pair)
 
-    kprime = min(m, max(int(k + 2 * stage_eps * m), math.ceil(sol.budget_used)))
-    sel, _cov_sub, _reps = best_of_repetitions(inc_lp, sol.y, kprime, stage_eps, cfg.seed, cluster)
+    kprime = min(m, max(int(k + 2 * stage_eps * m), -(-sum(sol.y) // sol.den)))
+    sel = best_of_repetitions(inc_lp, sol.y, sol.den, kprime, stage_eps, cfg.seed, cluster)[0]
     if len(sel) > k:
         marg = prefix_coverage(inc1, sel, cluster)
         sel, _bound = trim_to_k(inc1, marg, k, cluster)

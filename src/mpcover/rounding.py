@@ -7,8 +7,8 @@ covered to extent x survives with probability at least (1 - 1/e) * x
 (1 - 1/e) of the LP value in expectation; repeating O(log(m)/eps) times and
 keeping the best candidate turns that into a high-probability bound.
 
-Sampling is exact: y is padded and cut in integers on one common
-denominator, and each draw is an unbiased integer below it, by rejection
+Sampling is exact: y comes from the LP as integers over one denominator, is
+padded and cut on it, and each draw is an unbiased integer, by rejection
 on the raw outputs of the candidate's own PCG64 stream, the bytes
 Generator.bytes would return.  Identical seeds give identical selections.
 """
@@ -29,27 +29,26 @@ from .lp import OracleSoundnessError
 REP_FACTOR = 8
 
 
-def _thresholds(y, kprime: int) -> tuple[list[int], int]:
-    """Pad y (Fractions or ints) to sum k' and cut it into draw intervals:
-    u in [cum[j-2], cum[j-1]) draws set j, with probability y_j / k'.
+def _thresholds(y, den: int, kprime: int) -> tuple[list[int], int]:
+    """Pad y to sum k' and cut it into draw intervals: u in [cum[j-2],
+    cum[j-1]) draws set j, with probability y_j / k'.
 
-    On D = lcm of y's denominators y_j is the integer Y_j = D*y_j, padded in
-    ascending j towards D (y_j = 1) until the sum is k'*D.  With g =
-    gcd(k'*D, Y_1, ..., Y_m), den = k'*D/g is the least common denominator
-    of the y_j / k', and cum the prefix sums of Y_j / g.
+    y holds the integers Y_j = den * y_j, padded in ascending j towards den
+    (y_j = 1) until the sum is k'*den.  With g = gcd(k'*den, Y_1, ..., Y_m),
+    k'*den/g is the least common denominator of the y_j / k' for any such
+    den, and cum the prefix sums of Y_j / g.
     """
-    d = math.lcm(*(v.denominator for v in y))
-    ys = [v.numerator * (d // v.denominator) for v in y]
-    deficit = kprime * d - sum(ys)
+    ys = list(y)
+    deficit = kprime * den - sum(ys)
     if deficit < 0:
         raise ValueError("kprime below the fractional budget")
     for j, v in enumerate(ys):
-        add = min(d - v, deficit) if deficit else 0
+        add = min(den - v, deficit) if deficit else 0
         ys[j], deficit = v + add, deficit - add
     if deficit != 0:
         raise ValueError("kprime exceeds the number of sets")
-    g = math.gcd(kprime * d, *ys)
-    return list(accumulate(v // g for v in ys)), kprime * d // g
+    g = math.gcd(kprime * den, *ys)
+    return list(accumulate(v // g for v in ys)), kprime * den // g
 
 
 def _draw(cum: list[int], den: int, kprime: int, seed: int) -> tuple[int, ...]:
@@ -85,6 +84,7 @@ def _draw(cum: list[int], den: int, kprime: int, seed: int) -> tuple[int, ...]:
 def best_of_repetitions(
     inc: Incidence,
     y,
+    den: int,
     kprime: int,
     eps: Fraction,
     seed: int,
@@ -93,7 +93,7 @@ def best_of_repetitions(
     """Best candidate over the repetition schedule; (selection, coverage, reps).
 
     The schedule draws ceil(REP_FACTOR * ln(m + 1) / eps) candidates from
-    y padded to sum k', in batches of ceil(1 / eps).  Candidate r is drawn
+    y / den padded to sum k', in batches of ceil(1 / eps).  Candidate r is drawn
     with stream seed ^ r, so repetitions are independent but the whole
     schedule is replayable.  One broadcast ships a batch's selection masks;
     each candidate's coverage is then a converge-cast of its sets'
@@ -104,13 +104,13 @@ def best_of_repetitions(
     m, n = inc.shape
     reps = math.ceil(REP_FACTOR * math.log(m + 1) / float(eps))
     batch_size = max(1, math.ceil(1 / float(eps)))
-    cum, den = _thresholds(y, kprime)
+    cum, draw_den = _thresholds(y, den, kprime)
     best: tuple[int, int, tuple[int, ...]] | None = None  # (-cov, rep, sel)
     for start in range(0, reps, batch_size):
         batch = range(start, min(start + batch_size, reps))
         cluster.broadcast(len(batch) * m, label="round.candidate_broadcast")
         for r in batch:
-            sel = _draw(cum, den, kprime, seed ^ r)
+            sel = _draw(cum, draw_den, kprime, seed ^ r)
             cov = int(np.count_nonzero(inc.take_rows([j - 1 for j in sel]).sum(axis=0)))
             if cov != union_size(inc, sel):
                 raise OracleSoundnessError("converge-cast coverage disagrees with union_size()")

@@ -148,7 +148,8 @@ def oracle_trials():
         seed_lane(ctx, acc, rng.integers(-14, 31, size=n))
         length = int(rng.integers(1, n + 1))
         st = oracle_step(ctx, acc, length)
-        trials.append({"ctx": ctx, "st": st, "w": list(acc.w), "length": length})
+        z_idx = acc.sorder[: m - k]  # the kept sets, ahead of st.y_idx
+        trials.append({"ctx": ctx, "st": st, "z_idx": z_idx, "w": list(acc.w), "length": length})
     return {"trials": trials, "elapsed": time.monotonic() - t0}
 
 
@@ -260,7 +261,7 @@ def test_criterion_04_truncation_soundness(oracle_trials, lp_solutions):
         ctx, st, w = tr["ctx"], tr["st"], tr["w"]
         x_ind = np.zeros(ctx.n, dtype=np.int64)
         x_ind[st.x_idx] = 1
-        cnt = dense_rows(ctx)[st.z_idx].sum(axis=0)
+        cnt = dense_rows(ctx)[tr["z_idx"]].sum(axis=0)
         scale = 1 << ctx.b
         lhs = sum(
             Fraction(w[i] * int(x_ind[i] + cnt[i]), ctx.f[i] * scale)
@@ -354,13 +355,13 @@ def test_criterion_07_rounding_expectation(lp_solutions):
         entry = lp_solutions[idx]
         sys1, sol = entry["sys1"], entry["sol"]
         m, k = sys1.m, sys1.k
-        kprime = min(m, max(int(k + 2 * LP_STAGE_EPS * m), math.ceil(sol.budget_used)))
+        kprime = min(m, max(int(k + 2 * LP_STAGE_EPS * m), -(-sum(sol.y) // sol.den)))
         covs = np.empty(10_000, dtype=np.int64)
         for rep in range(10_000):
-            covs[rep] = coverage(sys1, randomized_round(sol.y, kprime, seed=rep))
+            covs[rep] = coverage(sys1, randomized_round(sol.y, sol.den, kprime, seed=rep))
         mean = float(covs.mean())
         se = float(covs.std(ddof=1)) / math.sqrt(len(covs))
-        floor = (1 - 1 / math.e) * float(sol.objective)
+        floor = (1 - 1 / math.e) * (sum(sol.x) / sol.den)
         lines.append(f"inst {idx}: mean {mean:.3f} vs floor {floor:.3f} - 3*{se:.4f}")
         assert mean >= floor - 3 * se
     elapsed = time.monotonic() - t0

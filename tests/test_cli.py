@@ -75,6 +75,23 @@ def test_generate_rejects_a_negative_seed(capsys):
     assert err == "error: --seed must be a non-negative integer, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "shape, reason",
+    [
+        (["--n", "1000000000000000", "--density", "0.5"], "no memory for its draws"),
+        (["--n", "10000000000000000000", "--set-size", "1"], "numpy's draws need n < 2**63"),
+    ],
+    ids=["past-memory", "past-int64"],
+)
+def test_generate_refuses_an_n_it_cannot_draw(capsys, shape, reason):
+    """n = 10**15 at density 0.5 draws a 7.11 PiB float vector per set,
+    which numpy refuses at once, so nothing is allocated; n = 10**19 is past
+    int64.  Each exits 2 naming n, with nothing on stdout."""
+    rc, out, err = run_main(["generate", *shape, "--m", "1", "--k", "1"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"error: n={shape[1]} is too large to generate: {reason}\n"
+
+
 def test_rational_flag_rejects_scientific(small_path):
     with pytest.raises(SystemExit):
         main(["run", "--input", str(small_path), "--epsilon", "1e-2"])

@@ -270,7 +270,7 @@ FAULTS = {
             (rounding_mod, "union_size", lambda inc, sel: union_size(inc, sel) + 1),
         ),
         lambda: best_of_repetitions(
-            CHAIN.incidence, (1, 1, 0), 2, Fraction(1, 4), 0, Cluster(3, 4)
+            CHAIN.incidence, (1, 1, 0), 1, 2, Fraction(1, 4), 0, Cluster(3, 4)
         ),
         TILES,
         5,

@@ -1,5 +1,6 @@
 """Multiplicative-weights LP solver: exactness, frozen fixed points, contract."""
 
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -14,8 +15,11 @@ from mpcover.cluster import RoundLogEntry, ceil_log2
 from mpcover.instance import frequency
 from mpcover.pipeline import greedy_picks
 from mpcover.lp import (
+    SLACK_DEN,
+    SLACK_NUM,
     FractionalPair,
     LpContext,
+    LpSolution,
     OracleStep,
     WeightAccumulator,
     _check_pair,
@@ -28,9 +32,11 @@ from mpcover.lp import (
     scale_to_pi0,
     solve_pi1,
 )
+from mpcover.rounding import _thresholds
 from test_baselines import TruncatedPQ
 from test_instance import normalize_covered
 from test_pipeline import tile_system
+from test_rounding import outcome, reference_thresholds
 
 CHAIN = SetSystem(4, 3, 2, ((1, 2), (2, 3), (3, 4)))
 CHAIN_F = frequency(CHAIN.incidence)
@@ -191,7 +197,7 @@ def forced_step(ctx: LpContext, acc: WeightAccumulator, x_idx, y_idx) -> OracleS
     y_idx = list(y_idx)
     z_idx = [j for j in range(ctx.m) if j not in y_idx]
     lhs_hat = exact_lhs_lcm(ctx, acc.w, x_idx, z_idx) // ctx.f_lcm
-    return OracleStep(True, list(x_idx), z_idx, y_idx, lhs_hat, lhs_hat)
+    return OracleStep(True, list(x_idx), y_idx, lhs_hat, lhs_hat)
 
 
 @contextmanager
@@ -366,7 +372,7 @@ def test_uniform_weights_and_oracle_step():
     assert pq.p_scaled == (one, one // 2, one // 2, one)
     assert pq.q_scaled == (3 * one // 2, one, 3 * one // 2)
     assert st_.x_idx == [1, 2, 0]
-    assert st_.z_idx == [1]
+    assert acc.sorder[: ctx.m - ctx.k] == [1]
     assert st_.y_idx == [0, 2]
     assert st_.lhs_hat_scaled == 3 * one
     assert st_.sum_w_scaled == 4 * one
@@ -447,7 +453,6 @@ def test_exact_check_from_moves_equals_the_dense_sum(seed, data):
             return step(ctx_, acc, length)._replace(
                 feasible=False,
                 x_idx=x_idx,
-                z_idx=z_idx,
                 y_idx=y_idx,
                 lhs_hat_scaled=dense // lcm + delta,
             )
@@ -693,7 +698,8 @@ def test_kept_orders_and_state_match_a_from_scratch_derivation(data):
         st_ = step(ctx_, acc, length_)
         assert acc.xorder == sorted(range(n), key=acc.p.__getitem__)
         assert acc.sorder == sorted(range(m), key=acc.q.__getitem__)
-        assert (st_.x_idx, st_.z_idx + st_.y_idx) == (acc.xorder[:length_], acc.sorder)
+        kept = acc.sorder[: m - ctx.k]
+        assert (st_.x_idx, kept + st_.y_idx) == (acc.xorder[:length_], acc.sorder)
         assert len(st_.y_idx) == ctx.k
         assert_state_matches_scratch(ctx, acc)
         assert max(map(abs, acc.a)) <= 2 * n * acc.t
@@ -913,7 +919,7 @@ def lane_run_in_full(ctx: LpContext, length: int) -> tuple[FractionalPair | None
             return None, t
         x_ind, z_ind = np.zeros_like(sum_x), np.zeros_like(sum_z)
         x_ind[st_.x_idx] = 1
-        z_ind[st_.z_idx] = 1
+        z_ind[acc.sorder[: ctx.m - ctx.k]] = 1
         seed_lane(ctx, acc, np.array(acc.a) + np.array(ctx.f) - x_ind - z_ind @ rows)
         sum_x += x_ind
         sum_z += z_ind
@@ -1077,10 +1083,11 @@ def test_scale_to_pi0_chain():
     res = solve_pi1(ctx, Cluster(3, 4))
     sol = scale_to_pi0(ctx, res.pair)
     assert sol.sigma == 0
-    assert sol.objective == 4
-    assert sol.budget_used == 2
-    assert sol.y == (1, 0, 1)
-    assert sol.x == (1, 1, 1, 1)
+    # sigma = 0: the values are over den = t, sum(x) = 4 and sum(y) = 2
+    t = res.pair.rounds_t
+    assert sol.den == t
+    assert sol.y == (t, 0, t)
+    assert sol.x == (t, t, t, t)
 
 
 def test_scale_to_pi0_invariants_hold_under_slack():
@@ -1089,10 +1096,10 @@ def test_scale_to_pi0_invariants_hold_under_slack():
     res = solve_pi1(ctx, Cluster(4, 6))
     sol = scale_to_pi0(ctx, res.pair)
     assert 0 <= sol.sigma <= Fraction(7, 5) * QUARTER
-    assert sol.budget_used <= 2 + 2 * QUARTER * 4
+    assert sum(sol.y) <= (2 + 2 * QUARTER * 4) * sol.den
     member = {i: [j for j, s in enumerate(sys_.sets) if i in s] for i in range(1, 7)}
     for i in range(1, 7):
-        assert sol.x[i - 1] <= sum((sol.y[j] for j in member[i]), Fraction(0))
+        assert sol.x[i - 1] <= sum(sol.y[j] for j in member[i])
 
 
 # -- checks on a tampered LP result ------------------------------------------
@@ -1121,6 +1128,120 @@ def test_scale_to_pi0_rejects_a_tampered_pair():
     zeros = FractionalPair((0, 0, 0, 0), (0, 0, 0), 1)
     with pytest.raises(OracleSoundnessError, match="^rescaled budget exceeds k \\+ 2\\*eps\\*m$"):
         scale_to_pi0(lp_context(chain_k1, QUARTER), zeros)
+
+
+# -- scale_to_pi0 against its Fraction reference -----------------------------
+# scale_to_pi0 as it was when the rescaled values were Fractions, kept
+# verbatim as the yardstick of the integers over one denominator that
+# replace them, but for its return: a tuple in place of the LpSolution, which
+# no longer has objective and budget_used fields.  Rounding's lcm-based
+# _thresholds of that time is test_rounding.reference_thresholds.
+
+
+def reference_scale_to_pi0(ctx: LpContext, pair: FractionalPair):
+    """Turn the averaged complement-form iterate into a clean relaxation.
+
+    Divides x and z by 1 + sigma, where sigma is the measured worst
+    constraint excess (never more than 1.4 * eps by the solver contract),
+    then sets y = 1 - z.  The output satisfies, exactly:
+      x_i <= sum of y_j over sets containing i,
+      sum(y) <= k + 2 * eps * m,
+      sum(x) >= (1 - 4 * eps) * (sum of the input x).
+    """
+    eps, t, member = ctx.eps, pair.rounds_t, ctx.member
+    cntz = [sum(map(pair.sum_z.__getitem__, js)) for js in member]
+    excess = [Fraction(sx + cz, t * fv) - 1 for sx, cz, fv in zip(pair.sum_x, cntz, ctx.f)]
+    sigma = max(excess + [Fraction(0)])
+    if sigma > Fraction(SLACK_NUM, SLACK_DEN) * eps:
+        raise OracleSoundnessError("constraint excess beyond the solver contract")
+    den = 1 + sigma
+    x = tuple(Fraction(v, t) / den for v in pair.sum_x)
+    y = tuple(1 - Fraction(v, t) / den for v in pair.sum_z)
+    for i in range(ctx.n):
+        covered = sum((y[j] for j in member[i]), Fraction(0))
+        # unreachable: covered = f_i - cntz_i / (t * (1 + sigma)), so x_i > covered
+        # holds exactly when excess_i > sigma, and sigma is the largest excess
+        if x[i] > covered:
+            raise OracleSoundnessError("rescaled x exceeds its fractional cover")
+    objective = sum(x, Fraction(0))
+    budget_used = sum(y, Fraction(0))
+    if budget_used > ctx.k + 2 * eps * ctx.m:
+        raise OracleSoundnessError("rescaled budget exceeds k + 2*eps*m")
+    # unreachable: objective = sum(x) / t / (1 + sigma), and sigma <= 1.4 * eps
+    # gives 1 / (1 + sigma) >= 1 - sigma >= 1 - 1.4 * eps > 1 - 4 * eps
+    if objective < (1 - 4 * eps) * Fraction(sum(pair.sum_x), t):
+        raise OracleSoundnessError("rescaling lost more than the 4*eps factor")
+    return x, y, objective, budget_used, sigma
+
+
+def raised(f, *args):
+    """f(*args), or the type and message of the OracleSoundnessError it raises."""
+    try:
+        return f(*args)
+    except OracleSoundnessError as err:
+        return type(err), str(err)
+
+
+def scales_as_the_reference(ctx: LpContext, pair: FractionalPair) -> str:
+    """Assert that scale_to_pi0 raises the reference's error, or gives its
+    x, y and sigma, x_i / den and y_j / den as Fractions, and that
+    _thresholds on the integers over den cuts as reference_thresholds on
+    the Fractions at every k' from 0 to m + 1, errors included.  Returns
+    the outcome: an error's message, or whether sigma is 0."""
+    want, got = raised(reference_scale_to_pi0, ctx, pair), raised(scale_to_pi0, ctx, pair)
+    if want[0] is OracleSoundnessError:
+        assert got == want
+        return want[1]
+    assert isinstance(got, LpSolution)
+    x, y, _objective, budget_used, sigma = want
+    assert [Fraction(v, got.den) for v in got.x] == list(x)
+    assert [Fraction(v, got.den) for v in got.y] == list(y)
+    assert got.sigma == sigma
+    assert -(-sum(got.y) // got.den) == math.ceil(budget_used)  # the run's k' reads it
+    for kprime in range(ctx.m + 2):
+        want_cut = outcome(reference_thresholds, y, kprime)
+        assert outcome(_thresholds, got.y, got.den, kprime) == want_cut
+    return "sigma = 0" if sigma == 0 else "sigma > 0"
+
+
+def test_scale_to_pi0_equals_its_reference_on_the_tampered_and_solved_pairs():
+    chain_k1 = SetSystem(4, 3, 1, CHAIN.sets)
+    multi = lp_context(MULTI, QUARTER)  # its solved pair has sigma = 1/194
+    cases = [
+        (chain_ctx(), FractionalPair((1, 0, 0, 0), (1, 0, 0), 1)),
+        (lp_context(chain_k1, QUARTER), FractionalPair((0, 0, 0, 0), (0, 0, 0), 1)),
+        (chain_ctx(), solve_pi1(chain_ctx(), Cluster(3, 4)).pair),
+        (multi, solve_pi1(multi, Cluster(5, 9)).pair),
+    ]
+    got = [scales_as_the_reference(ctx, pair) for ctx, pair in cases]
+    assert got == [
+        "constraint excess beyond the solver contract",
+        "rescaled budget exceeds k + 2*eps*m",
+        "sigma = 0",
+        "sigma > 0",
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_scale_to_pi0_equals_its_fraction_reference(seed, data):
+    """Random averaged iterates over t iterations on a random covered
+    instance, with constraint values 1 + d_i / (t * f_i): every d_i <= 0
+    (sigma = 0), every d_i within the solver contract, or any up to
+    t * f_i, and left-out counts that keep the budget or break it.
+    scale_to_pi0 and _thresholds agree with their Fraction references on
+    each (scales_as_the_reference)."""
+    ctx = lp_context(covered_instance(seed, data), QUARTER)
+    t = data.draw(st.integers(1, 40), label="t")
+    sums = st.lists(st.integers(0, t) | st.just(0), min_size=ctx.m, max_size=ctx.m)
+    sum_z = data.draw(sums, label="sum_z")
+    contract = Fraction(SLACK_NUM, SLACK_DEN) * QUARTER
+    room = data.draw(st.sampled_from([0, contract, 1]), label="room")
+    sum_x = []
+    for fv, js in zip(ctx.f, ctx.member):
+        d = data.draw(st.integers(-t * fv, math.floor(room * t * fv)))
+        sum_x.append(max(0, t * fv - sum(sum_z[j] for j in js) + d))
+    event(scales_as_the_reference(ctx, FractionalPair(tuple(sum_x), tuple(sum_z), t)))
 
 
 # -- the solver contract, property based -----------------------------------

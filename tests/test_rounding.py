@@ -3,6 +3,7 @@
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from mpcover.rounding import _draw, _thresholds, best_of_repetitions
 # _thresholds and _draw replace, kept verbatim as their yardstick.  _draw
 # reads PCG64's raw outputs where the reference calls Generator.bytes, so
 # the identity below rests on numpy's PCG64 stream layout.
+# reference_thresholds is _thresholds as it was when y came as Fractions: it
+# rebuilt their common denominator as an lcm (see test_lp's reference test).
 
 
 def randbelow(rng: np.random.Generator, bound: int) -> int:
@@ -69,6 +72,29 @@ def cumulative_thresholds(y, kprime: int) -> tuple[list[int], int]:
     return cum, den
 
 
+def reference_thresholds(y, kprime: int) -> tuple[list[int], int]:
+    """Pad y (Fractions or ints) to sum k' and cut it into draw intervals:
+    u in [cum[j-2], cum[j-1]) draws set j, with probability y_j / k'.
+
+    On D = lcm of y's denominators y_j is the integer Y_j = D*y_j, padded in
+    ascending j towards D (y_j = 1) until the sum is k'*D.  With g =
+    gcd(k'*D, Y_1, ..., Y_m), den = k'*D/g is the least common denominator
+    of the y_j / k', and cum the prefix sums of Y_j / g.
+    """
+    d = math.lcm(*(v.denominator for v in y))
+    ys = [v.numerator * (d // v.denominator) for v in y]
+    deficit = kprime * d - sum(ys)
+    if deficit < 0:
+        raise ValueError("kprime below the fractional budget")
+    for j, v in enumerate(ys):
+        add = min(d - v, deficit) if deficit else 0
+        ys[j], deficit = v + add, deficit - add
+    if deficit != 0:
+        raise ValueError("kprime exceeds the number of sets")
+    g = math.gcd(kprime * d, *ys)
+    return list(accumulate(v // g for v in ys)), kprime * d // g
+
+
 def reference_draw(cum: list[int], den: int, kprime: int, seed: int) -> tuple[int, ...]:
     rng = np.random.Generator(np.random.PCG64(seed))
     picked: set[int] = set()
@@ -84,18 +110,20 @@ LAYOUT = (
 )
 
 
-def randomized_round(y, kprime: int, seed: int) -> tuple[int, ...]:
+def randomized_round(y, den: int, kprime: int, seed: int) -> tuple[int, ...]:
     """The reference candidate: k' independent categorical draws of
-    probability y_j / k' (y padded to sum k'), deduplicated, from stream
-    `seed` (candidate r of best_of_repetitions is randomized_round(y,
-    kprime, seed ^ r)).  A pure function of (y, kprime, seed)."""
-    cum, den = _thresholds(y, kprime)
-    return _draw(cum, den, kprime, seed)
+    probability y_j / den / k' (y / den padded to sum k'), deduplicated,
+    from stream `seed` (candidate r of best_of_repetitions is
+    randomized_round(y, den, kprime, seed ^ r)).  A pure function of
+    (y, den, kprime, seed)."""
+    cum, draw_den = _thresholds(y, den, kprime)
+    return _draw(cum, draw_den, kprime, seed)
 
 
-# three sets over four elements, and a fractional cover y of them that sums to k' = 2
+# three sets over four elements, and a fractional cover y = (1, 1/2, 1/2) of
+# them that sums to k' = 2, as integers over den 2
 THREE_SETS = SetSystem(4, 3, 1, ((1, 2), (3,), (4,)))
-THREE_SETS_Y = [Fraction(1), Fraction(1, 2), Fraction(1, 2)]
+THREE_SETS_Y = ((2, 1, 1), 2)
 QUARTER = Fraction(1, 4)
 
 
@@ -105,7 +133,7 @@ def test_repetition_schedule():
     candidate)."""
     for eps, reps, batch in ((QUARTER, 45, 4), (Fraction(1, 32), 355, 32)):
         cl = Cluster(3, 4)
-        _, _, got = best_of_repetitions(THREE_SETS.incidence, THREE_SETS_Y, 2, eps, 0, cl)
+        _, _, got = best_of_repetitions(THREE_SETS.incidence, *THREE_SETS_Y, 2, eps, 0, cl)
         assert got == reps  # 45 = ceil(8 * ln(4) / 0.25)
         sizes = [e.peak_bits // 3 for e in cl.log if e.primitive == "round.candidate_broadcast"]
         assert sizes == [batch] * (reps // batch) + [reps % batch]
@@ -139,29 +167,28 @@ def test_randbelow_handles_wide_bounds():
         assert _draw(cum, bound, kprime, 11) == want, LAYOUT
 
 
-def pads_to(y, kprime: int) -> list[Fraction]:
+def pads_to(y, den: int, kprime: int) -> list[Fraction]:
     """The padded y that _thresholds' intervals stand for: k' * width / den."""
-    cum, den = _thresholds(y, kprime)
-    return [Fraction(kprime * (b - a), den) for a, b in zip([0, *cum], cum)]
+    cum, draw_den = _thresholds(y, den, kprime)
+    return [Fraction(kprime * (b - a), draw_den) for a, b in zip([0, *cum], cum)]
 
 
 def test_pad_budget():
-    assert pads_to([Fraction(1, 2), Fraction(1, 2), Fraction(0)], 2) == [1, 1, 0]
-    assert _thresholds([Fraction(1)], 1) == ([1], 1)
+    assert pads_to([1, 1, 0], 2, 2) == [1, 1, 0]  # y = (1/2, 1/2, 0)
+    assert _thresholds([1], 1, 1) == ([1], 1)
     with pytest.raises(ValueError, match="below the fractional budget"):
-        _thresholds([Fraction(3, 2)], 1)
+        _thresholds([3], 2, 1)
     with pytest.raises(ValueError, match="exceeds the number of sets"):
-        _thresholds([Fraction(1, 2)], 2)
+        _thresholds([1], 2, 2)
 
 
 def test_cumulative_thresholds_exact():
-    y = [Fraction(1, 2), Fraction(3, 2), Fraction(1)]
-    cum, den = _thresholds(y, 3)
-    assert den == 6
-    assert cum == [1, 4, 6]
+    # y = (1/2, 3/2, 1) over den 2, and over den 4: the same cut
+    for y, den in (([1, 3, 2], 2), ([2, 6, 4], 4)):
+        assert _thresholds(y, den, 3) == ([1, 4, 6], 6)
     # padding raises [1/2, 1/2] to [1, 1] and still falls 1 short of k' = 3
     with pytest.raises(ValueError, match="exceeds the number of sets"):
-        _thresholds([Fraction(1, 2), Fraction(1, 2)], 3)
+        _thresholds([1, 1], 2, 3)
 
 
 def outcome(f, *args):
@@ -194,12 +221,15 @@ def fractional_covers(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(fractional_covers(), st.integers(0, 2**64 - 1))
-@example(([Fraction(2), Fraction(0)], 2), 0)  # a point mass: den = 1
-@example(([Fraction(1, 2), Fraction(1, 2), Fraction(0)], 3), 1)  # k' = m
-def test_thresholds_and_draw_equal_the_reference(case, seed):
+@given(fractional_covers(), st.integers(1, 6), st.integers(0, 2**64 - 1))
+@example(([Fraction(2), Fraction(0)], 2), 1, 0)  # a point mass: den = 1
+@example(([Fraction(1, 2), Fraction(1, 2), Fraction(0)], 3), 1, 1)  # k' = m
+def test_thresholds_and_draw_equal_the_reference(case, mult, seed):
+    """y as integers over mult times the least common denominator of its
+    entries: every such den gives the reference's cut."""
     y, kprime = case
-    got = outcome(_thresholds, y, kprime)
+    den = mult * math.lcm(*(v.denominator for v in y))
+    got = outcome(_thresholds, [int(v * den) for v in y], den, kprime)
     assert got == outcome(lambda: cumulative_thresholds(pad_budget(y, kprime), kprime))
     if isinstance(got, tuple) and isinstance(got[0], list):
         cum, den = got
@@ -249,28 +279,28 @@ def test_draw_builds_no_generator(monkeypatch):
     assert _draw([1, 3], 3, 30, 7) == (1, 2)
     assert _draw([0, 1], 1, 5, 7) == (2,)
     cl = Cluster(3, 4)
-    best_of_repetitions(THREE_SETS.incidence, THREE_SETS_Y, 2, QUARTER, 9, cl)
+    best_of_repetitions(THREE_SETS.incidence, *THREE_SETS_Y, 2, QUARTER, 9, cl)
 
 
 def test_randomized_round_deterministic_sorted_dedup():
-    y = [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 2)]
-    a = randomized_round(y, 3, seed=42)
-    assert a == randomized_round(y, 3, seed=42)
+    y = [2, 2, 1, 1]  # (1, 1, 1/2, 1/2) over den 2
+    a = randomized_round(y, 2, 3, seed=42)
+    assert a == randomized_round(y, 2, 3, seed=42)
     assert a == tuple(sorted(set(a)))
     assert all(1 <= j <= 4 for j in a)
     assert 1 <= len(a) <= 3
 
 
 def test_randomized_round_degenerate_point_mass():
-    y = [Fraction(2), Fraction(0)]
+    y = [2, 0]
     for seed in range(8):
-        assert randomized_round(y, 2, seed=seed) == (1,)
+        assert randomized_round(y, 1, 2, seed=seed) == (1,)
 
 
 def test_draw_frequencies_track_probabilities():
     # one categorical draw (kprime=1): chance of set 1 is 1/4
-    y = [Fraction(1, 4), Fraction(3, 4)]
-    hits = sum(randomized_round(y, 1, seed=s) == (1,) for s in range(4000))
+    y = [1, 3]  # (1/4, 3/4) over den 4
+    hits = sum(randomized_round(y, 4, 1, seed=s) == (1,) for s in range(4000))
     assert 850 <= hits <= 1150  # 1000 expected, ~5.5 sigma margin
 
 
@@ -294,7 +324,7 @@ def test_best_of_repetitions_schedule_and_accounting(monkeypatch):
     # the batches are charged on the run's cluster: no candidate takes a lane
     monkeypatch.setattr(Cluster, "lane", lambda self: pytest.fail("a candidate took a lane"))
     cl = Cluster(3, 4)
-    sel, cov, reps = best_of_repetitions(THREE_SETS.incidence, THREE_SETS_Y, 2, QUARTER, 9, cl)
+    sel, cov, reps = best_of_repetitions(THREE_SETS.incidence, *THREE_SETS_Y, 2, QUARTER, 9, cl)
     assert reps == 45
     assert cov == coverage(THREE_SETS, sel) == 3
     # 11 batches of 4 and a last one of 1; a batch's converge-cast takes
@@ -309,7 +339,7 @@ def test_best_of_repetitions_schedule_and_accounting(monkeypatch):
     # 0 rounds at 0 bits, and 23 = ceil(8 * ln(2) / 0.25) candidates all draw it
     one = SetSystem(2, 1, 1, ((1, 2),))
     cl = Cluster(1, 2)
-    got = best_of_repetitions(one.incidence, [Fraction(1)], 1, QUARTER, 9, cl)
+    got = best_of_repetitions(one.incidence, [1], 1, 1, QUARTER, 9, cl)
     assert got == ((1,), 2, 23)
     assert cl.log == batch_log(1, 2, 23, 4)
     assert cl.log[-1] == RoundLogEntry("round.batch[20]", 0, 0)
@@ -318,17 +348,17 @@ def test_best_of_repetitions_schedule_and_accounting(monkeypatch):
 def test_best_of_repetitions_prefers_earliest_rep_on_ties():
     # both sets tie at coverage 1 on every draw; rep 0 must win
     sys_ = SetSystem(2, 2, 1, ((1,), (2,)))
-    y = [Fraction(1, 2), Fraction(1, 2)]
-    sel, cov, _ = best_of_repetitions(sys_.incidence, y, 1, Fraction(1, 4), 17, Cluster(2, 2))
+    y = [1, 1]  # (1/2, 1/2) over den 2
+    sel, cov, _ = best_of_repetitions(sys_.incidence, y, 2, 1, Fraction(1, 4), 17, Cluster(2, 2))
     assert cov == 1
-    assert sel == randomized_round(y, 1, seed=17 ^ 0)
+    assert sel == randomized_round(y, 2, 1, seed=17 ^ 0)
 
 
 def test_best_of_repetitions_finds_disjoint_pair():
     # y spread over three disjoint sets; two draws hit two distinct sets
     # in most reps, so the best candidate covers 4 elements
     sys_ = SetSystem(6, 3, 2, ((1, 2), (3, 4), (5, 6)))
-    y = [Fraction(1), Fraction(1, 2), Fraction(1, 2)]
-    sel, cov, _ = best_of_repetitions(sys_.incidence, y, 2, Fraction(1, 4), 1, Cluster(3, 6))
+    y = [2, 1, 1]  # (1, 1/2, 1/2) over den 2
+    sel, cov, _ = best_of_repetitions(sys_.incidence, y, 2, 2, Fraction(1, 4), 1, Cluster(3, 6))
     assert cov == 4
     assert len(sel) == 2
